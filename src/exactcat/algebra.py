@@ -51,16 +51,6 @@ class Report:
     def failures(self) -> list[ReportItem]:
         return [item for item in self.items if not item.ok]
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "items": [
-                {"label": i.label, "ok": i.ok, "detail": i.detail} for i in self.items
-            ],
-            "notes": list(self.notes),
-        }
-
 
 class Algebra:
     """A basic split finite-dimensional algebra with a distinguished basis.
@@ -124,10 +114,6 @@ class Algebra:
             op._derived["opposite"] = self
             self._derived[key] = op
         return self._derived[key]
-
-
-def opposite(a: Algebra) -> Algebra:
-    return a.opposite()
 
 
 def radical_basis(a: Algebra) -> list[str]:

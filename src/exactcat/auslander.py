@@ -11,7 +11,6 @@ extension-closed in the abelian category mod(Gamma).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,14 @@ from .algebra import Algebra, Report
 from .exactstruct import (
     CategoryContext,
     ExactStructure,
+    _lines,
+    _subspace_elements,
     classify_morphism,
     enumerate_exact_structures,
+    maximal_structure,
 )
 from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
-from .linalg import Matrix, column_space_basis, hstack, inverse, rank, solve_right
+from .linalg import Matrix, column_space_basis, hstack, rank
 from .repmod import (
     IndecIndex,
     Module,
@@ -33,23 +35,24 @@ from .repmod import (
     ShortExactSeq,
     all_indecomposables,
     cokernel,
-    coeffs_of_std_map,
     decompose,
+    descend,
     direct_sum,
-    dualize_std_coeffs,
+    dual_std_map,
     ext_dim,
     ext_space,
+    factor_through_mono,
     hom_basis,
     hom_coords,
     hom_dim,
     hom_from_coords,
+    inverse_map,
     kernel,
     map_parts,
     minimal_presentation,
     proj_dim,
     projective_cover,
     projective_module,
-    std_map_from_coeffs,
     std_projective,
     submodule,
     transpose_module,
@@ -149,10 +152,6 @@ class AuslanderContext:
         f = self.transported(f_mod).f
         return "admissible" in classify_morphism(f, e)
 
-    def inflation_membership(self, f_mod: Module, e: ExactStructure) -> bool:
-        f = self.transported(f_mod).f
-        return "inflation" in classify_morphism(f, e)
-
     def build_subcategories(self, e: ExactStructure) -> SubcategoryQuad:
         cached = self._subcats.get(e.key())
         if cached is not None:
@@ -210,26 +209,25 @@ class AuslanderContext:
         parts = map_parts(data.f)
         y_epi = self.ea.yoneda_map(parts.epi_part)
         y_mono = self.ea.yoneda_map(parts.mono_part)
-        t_mod, t_proj = cokernel(y_epi)
-        y_f = self.ea.yoneda_map(data.f)
-        mid_mod, mid_proj = cokernel(y_f)
-        f_mod2, f_proj = cokernel(y_mono)
-        # phi: t_mod -> mid_mod induced by postcomposition with the mono part
-        phi = _descend(t_proj, mid_proj @ y_mono, t_mod, mid_mod)
-        # psi: mid_mod -> f_mod2 induced by the identity on the cover
-        psi = _descend(mid_proj, f_proj, mid_mod, f_mod2)
+        _, t_proj = cokernel(y_epi)
+        _, mid_proj = cokernel(self.ea.yoneda_map(data.f))
+        _, f_proj = cokernel(y_mono)
+        # phi: coker(y_epi) -> coker(y_f) induced by postcomposition with the mono part
+        phi = descend(mid_proj @ y_mono, t_proj)
+        # psi: coker(y_f) -> coker(y_mono) induced by the identity on the cover
+        psi = descend(f_proj, mid_proj)
         # transport onto the literal module via the canonical isomorphism
-        mu = self._coker_iso(data, mid_mod, mid_proj)
-        ses = ShortExactSeq(mu @ phi, psi @ _invert(mu))
+        mu = self._coker_iso(data, mid_proj)
+        ses = ShortExactSeq(mu @ phi, psi @ inverse_map(mu))
         ses.validate()
         return ses
 
-    def _coker_iso(self, data, mid_mod: Module, mid_proj: ModuleMap) -> ModuleMap:
+    def _coker_iso(self, data, mid_proj: ModuleMap) -> ModuleMap:
         """The isomorphism coker(yoneda(f)) -> F through the presentation."""
         pres = data.presentation
         _, can = self.ea.canonical_std_iso(pres.p0.verts)
         target = pres.aug @ can  # yoneda(Y) -> F
-        return _descend(mid_proj, target, mid_mod, pres.aug.target)
+        return descend(target, mid_proj)
 
     # -- transpose, star, evaluation ------------------------------------------------
 
@@ -239,33 +237,27 @@ class AuslanderContext:
     def star_dual(self, f_mod: Module) -> Module:
         """F^* = ker of the Hom(-, Gamma) dual of the presentation (a module
         over the opposite side)."""
-        alg = f_mod.algebra
         pres = minimal_presentation(f_mod)
-        dual = _dual_std_map(alg, pres)
-        star, _ = kernel(dual)
+        star, _ = kernel(dual_std_map(pres.d, pres.p1, pres.p0))
         return star
 
     def evaluation_map(self, f_mod: Module) -> ModuleMap:
         """The natural map F -> F** with its per-vertex matrices."""
-        alg = f_mod.algebra
-        aop = alg.opposite()
         pres = minimal_presentation(f_mod)
-        g = _dual_std_map(alg, pres)  # P0^ -> P1^ over aop
+        g = dual_std_map(pres.d, pres.p1, pres.p0)  # P0^ -> P1^ over the opposite algebra
         star, iota = kernel(g)
         q0, q_cover = projective_cover(star)
         syz, syz_incl = kernel(q_cover)
         q1, q1_cover = projective_cover(syz)
-        dstar = syz_incl @ q1_cover  # Q1 -> Q0 over aop
+        dstar = syz_incl @ q1_cover  # Q1 -> Q0 over the opposite algebra
         h = iota @ q_cover  # Q0 -> P0^
-        h_coeffs = coeffs_of_std_map(h, q0, _dual_std(alg, pres.p0))
-        p0_back = std_projective(alg, pres.p0.verts)
-        q0_dual = std_projective(alg, q0.verts)
-        h_dual = std_map_from_coeffs(p0_back, q0_dual, dualize_std_coeffs(h_coeffs))
-        k = _dual_of(aop, dstar, q1, q0)  # Q0^ -> Q1^ over the original algebra
-        fss, j = kernel(k)  # F** inside Q0^
-        e0 = _factor_through_mono(h_dual, j)
+        p0_dual = std_projective(g.source.algebra, pres.p0.verts)
+        h_dual = dual_std_map(h, q0, p0_dual)  # P0 -> Q0^ over the original algebra
+        k = dual_std_map(dstar, q1, q0)  # Q0^ -> Q1^ over the original algebra
+        _, j = kernel(k)  # F** inside Q0^
+        e0 = factor_through_mono(h_dual, j)
         # descend e0: P0 -> F** through the augmentation P0 ->> F
-        return _descend(pres.aug, e0, pres.aug.target, fss)
+        return descend(e0, pres.aug)
 
     def auslander_bridger_check(self, f_mod: Module) -> bool:
         """Pointwise exactness of 0 -> Ext^1(Tr F) -> F -> F** -> Ext^2(Tr F) -> 0."""
@@ -338,7 +330,7 @@ class AuslanderContext:
         for z in sorted(ids):
             for a in sorted(ids):
                 dim = ext_space(index.modules[z], index.modules[a]).dim
-                vectors, exhaustive = _elements(dim, p, element_cap)
+                vectors, exhaustive = _subspace_elements(dim, p, element_cap)
                 if not exhaustive:
                     report.note(f"Ext({z},{a}): spanning-set enumeration only")
                 for vec in vectors:
@@ -366,7 +358,7 @@ class AuslanderContext:
             for z in sorted(current):
                 for a in sorted(current):
                     dim = ext_space(index.modules[z], index.modules[a]).dim
-                    vectors, _ = _elements(dim, p, element_cap)
+                    vectors, _ = _subspace_elements(dim, p, element_cap)
                     for vec in vectors:
                         for pid in self.ext_middle_parts(side, z, a, vec):
                             if pid not in current:
@@ -422,10 +414,9 @@ class AuslanderContext:
         subs = {}
         for (z, a) in self.cat.nonzero_pairs():
             space = self.cat.ext(z, a)
-            members = []
-            for vec in _lines(space.dim, p):
-                if self._inflation_functor_parts(z, a, vec) <= sub.ids:
-                    members.append(np.array(vec, dtype=np.int64))
+            members = [
+                vec for vec in _lines(space.dim, p) if self._inflation_functor_parts(z, a, vec) <= sub.ids
+            ]
             if not members:
                 continue
             rows = Matrix(field, np.vstack(members))
@@ -815,7 +806,7 @@ class AuslanderContext:
         for z in sorted(x_ids):
             for a in sorted(x_ids):
                 space = ext_space(index.modules[z], index.modules[a])
-                vectors, _ = _elements(space.dim, p, element_cap)
+                vectors, _ = _subspace_elements(space.dim, p, element_cap)
                 for vec in vectors:
                     if not set(index.parts(space.realize(vec).mid)) <= x_ids:
                         ext_ok = False
@@ -837,7 +828,7 @@ class AuslanderContext:
         gamma_x = ea_x.gamma
         gx_index = all_indecomposables(gamma_x, 60, self.seed)
 
-        full = _full_structure(sub_ctx)
+        full = maximal_structure(sub_ctx)
         route1 = set()
         for i, n_mod in enumerate(gx_index.modules):
             f = ea_x.presentation_in_category(n_mod).f
@@ -891,93 +882,6 @@ class AuslanderContext:
 
 
 # -- helpers ---------------------------------------------------------------------
-
-
-def _descend(proj: ModuleMap, target_map: ModuleMap, src: Module, tgt: Module) -> ModuleMap:
-    """The unique map src -> tgt with (result) o proj = target_map."""
-    mats = []
-    for v in range(src.algebra.nv):
-        sol = solve_right(proj.mats[v].transpose(), target_map.mats[v].transpose())
-        if sol is None:
-            raise AuslanderError("map does not descend along the projection")
-        mats.append(sol.transpose())
-    return ModuleMap(src, tgt, mats)
-
-
-def _invert(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(f.target, f.source, [inverse(m) for m in f.mats])
-
-
-def _factor_through_mono(f: ModuleMap, mono: ModuleMap) -> ModuleMap:
-    mats = []
-    for fv, mv in zip(f.mats, mono.mats):
-        sol = solve_right(mv, fv)
-        if sol is None:
-            raise AuslanderError("map does not factor through the kernel inclusion")
-        mats.append(sol)
-    return ModuleMap(f.source, mono.source, mats)
-
-
-
-
-
-def _dual_std(alg: Algebra, sp) -> "std_projective":
-    return std_projective(alg.opposite(), sp.verts)
-
-
-def _dual_std_map(alg: Algebra, pres) -> ModuleMap:
-    """Hom(-, A)-dual of the presentation differential, over the opposite algebra."""
-    aop = alg.opposite()
-    src = std_projective(aop, pres.p0.verts)
-    tgt = std_projective(aop, pres.p1.verts)
-    coeffs = coeffs_of_std_map(pres.d, pres.p1, pres.p0)
-    return std_map_from_coeffs(src, tgt, dualize_std_coeffs(coeffs))
-
-
-def _dual_of(alg: Algebra, d: ModuleMap, p1, p0) -> ModuleMap:
-    """Dual of d: p1 -> p0 over alg, as a map between std projectives over alg^op."""
-    aop = alg.opposite()
-    src = std_projective(aop, p0.verts)
-    tgt = std_projective(aop, p1.verts)
-    coeffs = coeffs_of_std_map(d, p1, p0)
-    return std_map_from_coeffs(src, tgt, dualize_std_coeffs(coeffs))
-
-
-def _elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    if p**dim <= cap:
-        vecs = [
-            np.array(v, dtype=np.int64)
-            for v in itertools.product(range(p), repeat=dim)
-        ]
-        return [v for v in vecs if v.any()], True
-    out = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[i] = 1
-        out.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[i] = e[j] = 1
-            out.append(e)
-    return out, False
-
-
-def _lines(dim: int, p: int) -> list[tuple[int, ...]]:
-    out = []
-    for v in itertools.product(range(p), repeat=dim):
-        vec = np.array(v, dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        if nz.size and vec[nz[0]] == 1:
-            out.append(tuple(int(c) for c in vec))
-    return out
-
-
-def _full_structure(ctx: CategoryContext) -> ExactStructure:
-    subs = {}
-    for pair in ctx.nonzero_pairs():
-        subs[pair] = Matrix.identity(ctx.algebra.field, ctx.ext_dim(*pair))
-    return ExactStructure(ctx, subs, "restricted")
 
 
 def _left_multiplication(alg: Algebra, b: int) -> ModuleMap:

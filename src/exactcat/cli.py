@@ -38,25 +38,33 @@ class SessionError(Exception):
     pass
 
 
+def _is_id(x) -> bool:
+    """An integer id; JSON true/false are rejected although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Session:
     def __init__(self, payload: dict):
         try:
             self.field = FieldPrime(int(payload["p"]))
         except (KeyError, TypeError, ValueError, LinalgError) as exc:
             raise SessionError(f"bad field: {exc}")
-        caps = payload.get("caps", {})
-        self.dim_cap = int(caps.get("dim", 12))
-        self.resolution_cutoff = int(caps.get("resolution", 8))
-        self.multiplicity_bound = int(caps.get("multiplicity", 2))
+        try:
+            caps = payload.get("caps", {})
+            self.dim_cap = int(caps.get("dim", 12))
+            self.resolution_cutoff = int(caps.get("resolution", 8))
+            self.multiplicity_bound = int(caps.get("multiplicity", 2))
+            self.seed = int(payload.get("seed", 0))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SessionError(f"bad caps or seed: {exc}")
         if min(self.dim_cap, self.resolution_cutoff, self.multiplicity_bound) <= 0:
             raise SessionError("caps must be positive")
-        self.seed = int(payload.get("seed", 0))
         self.algebra = self._load_algebra(payload)
         self.commands = self._load_commands(payload.get("commands", []))
         self.given_structures = payload.get("structures")
         generators = payload.get("generators", "all")
         if generators != "all" and not (
-            isinstance(generators, list) and all(isinstance(i, int) for i in generators)
+            isinstance(generators, list) and all(_is_id(i) for i in generators)
         ):
             raise SessionError("generators must be 'all' or a list of indecomposable ids")
         self.generators = generators
@@ -320,13 +328,21 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
 
 
 def _parse_given_structures(session: Session, ctx: AuslanderContext) -> list[ExactStructure]:
+    n = len(ctx.cat.objects)
     out = []
     for entry in session.given_structures:
         subs = {}
-        for z, a, rows in entry.get("subspaces", entry if isinstance(entry, list) else []):
-            expected = ctx.cat.ext_dim(int(z), int(a))
-            mat = np.array(rows, dtype=np.int64).reshape(-1, expected)
-            subs[(int(z), int(a))] = Matrix(session.field, mat)
+        try:
+            for z, a, rows in entry.get("subspaces", []) if isinstance(entry, dict) else entry:
+                if not (_is_id(z) and _is_id(a) and 0 <= z < n and 0 <= a < n):
+                    raise SessionError(f"structure pair {[z, a]!r} is not a pair of object ids below {n}")
+                expected = ctx.cat.ext_dim(z, a)
+                if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != expected for r in rows):
+                    raise SessionError(f"rows of pair {[z, a]} must be lists of length {expected}")
+                mat = np.array(rows, dtype=np.int64).reshape(len(rows), expected)
+                subs[(z, a)] = Matrix(session.field, mat)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SessionError(f"bad structures entry {entry!r}: {exc}")
         out.append(ExactStructure(ctx.cat, subs, "reconstructed"))
     return out
 
@@ -334,7 +350,7 @@ def _parse_given_structures(session: Session, ctx: AuslanderContext) -> list[Exa
 def cmd_smodad(session: Session, ctx: AuslanderContext, out: RunOutput, options: dict):
     structures = ctx.structures()
     sid = options.get("structure")
-    if sid is None or not isinstance(sid, int) or not (0 <= sid < len(structures)):
+    if not _is_id(sid) or not (0 <= sid < len(structures)):
         raise SessionError(f"smodad: unknown structure id {sid!r}")
     e = structures[sid]
     quad = ctx.build_subcategories(e)

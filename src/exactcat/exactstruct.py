@@ -21,12 +21,13 @@ import numpy as np
 
 from .algebra import Report
 from .functorcat import AdditiveCategorySpec
-from .linalg import Matrix, iterate_subspaces, rank, row_space_contains, rref, solve_right
+from .linalg import Matrix, iterate_subspaces, rank, row_space_contains, rref
 from .repmod import (
     ExtSpace,
     IndecIndex,
     Module,
     ModuleMap,
+    RepmodError,
     ShortExactSeq,
     ar_sequence,
     cokernel,
@@ -34,7 +35,9 @@ from .repmod import (
     decompose_iso,
     direct_sum,
     ext_space,
+    factor_through_mono,
     hom_basis,
+    inverse_map,
     is_isomorphic,
     kernel,
     lift_through_epi,
@@ -163,7 +166,8 @@ class CategoryContext:
 
 
 def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    """All vectors of GF(p)^dim when that is at most cap, else basis + pair sums."""
+    """Nonzero vectors of GF(p)^dim to test: all of them (exhaustive=True) when
+    p^dim is at most cap, else the basis and the pairwise sums of basis vectors."""
     if p**dim <= cap:
         vecs = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=dim)]
         return [v for v in vecs if v.any()], True
@@ -265,25 +269,22 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
     if not sub_parts or not quot_parts:
         return []
     # conjugate both end terms onto direct sums of the chosen representatives
-    sub_sum, sub_inj, sub_proj = direct_sum([ctx.objects[oid] for oid, _, _ in sub_parts])
+    _, _, sub_proj = direct_sum([ctx.objects[oid] for oid, _, _ in sub_parts])
     sub_conj = None
     for (oid, part, incl), proj in zip(sub_parts, sub_proj):
         iso = is_isomorphic(ctx.objects[oid], part)
         term = ses.i @ incl @ iso @ proj
         sub_conj = term if sub_conj is None else sub_conj + term
 
-    quot_sum, quot_inj, _ = direct_sum([ctx.objects[oid] for oid, _, _ in quot_parts])
+    _, quot_inj, _ = direct_sum([ctx.objects[oid] for oid, _, _ in quot_parts])
     assembly = decompose_iso(ses.quot, [(part, incl) for _, part, incl in quot_parts])
-    to_parts = _invert(assembly)  # quot -> sum of the literal parts
-    offsets = [0] * ctx.algebra.nv
+    to_parts = inverse_map(assembly)  # quot -> sum of the literal parts
+    _, _, part_proj = direct_sum([part for _, part, _ in quot_parts])
     quot_conj = None
-    for k, (oid, part, _) in enumerate(quot_parts):
-        sel = _block_projection(to_parts.target, part, offsets)
+    for k, ((oid, part, _), sel) in enumerate(zip(quot_parts, part_proj)):
         iso = is_isomorphic(part, ctx.objects[oid])
         term = quot_inj[k] @ iso @ sel @ to_parts
         quot_conj = term if quot_conj is None else quot_conj + term
-        for v in range(ctx.algebra.nv):
-            offsets[v] += part.dims[v]
     quot_conj = quot_conj @ ses.p  # mid -> sum of representatives
 
     out = []
@@ -293,51 +294,18 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
         cover = espaces[0].cover
         syz_incl = espaces[0].syz_incl
         lam = lift_through_epi(quot_inj[k] @ cover, quot_conj)
-        mu = lam @ syz_incl
-        mu_a = [solve_right(iv, mv) for iv, mv in zip(sub_conj.mats, mu.mats)]
-        if any(x is None for x in mu_a):
-            raise ExactstructError("lift does not land in the subobject")
-        phi = ModuleMap(syz_incl.source, sub_sum, mu_a)
+        phi = factor_through_mono(lam @ syz_incl, sub_conj)
         for j, (aid, _, _) in enumerate(sub_parts):
-            comp = ModuleMap(
-                phi.source,
-                ctx.objects[aid],
-                [pm @ fm for pm, fm in zip(sub_proj[j].mats, phi.mats)],
-            )
-            out.append((zid, aid, espaces[j].coords_of_hom(comp)))
+            out.append((zid, aid, espaces[j].coords_of_hom(sub_proj[j] @ phi)))
     return out
-
-
-def _invert(f: ModuleMap) -> ModuleMap:
-    from .linalg import inverse
-
-    return ModuleMap(f.target, f.source, [inverse(m) for m in f.mats])
-
-
-def _block_projection(total: Module, part: Module, offsets) -> ModuleMap:
-    """Projection of a direct sum onto the block starting at the given offsets."""
-    alg = total.algebra
-    mats = []
-    for v in range(alg.nv):
-        sel = np.zeros((part.dims[v], total.dims[v]), dtype=np.int64)
-        for r in range(part.dims[v]):
-            sel[r, offsets[v] + r] = 1
-        mats.append(Matrix(alg.field, sel))
-    return ModuleMap(total, part, mats)
-
-
-def is_short_exact(ses: ShortExactSeq) -> bool:
-    if not ses.i.is_injective() or not ses.p.is_surjective():
-        return False
-    if not (ses.p @ ses.i).is_zero():
-        return False
-    return ses.sub.total_dim + ses.quot.total_dim == ses.mid.total_dim
 
 
 def is_conflation(ses: ShortExactSeq, e: ExactStructure) -> bool:
     """Does the short exact sequence belong to the structure?  All three terms
     must lie in add(M) and every componentwise class must be in the family."""
-    if not is_short_exact(ses):
+    try:
+        ses.validate()
+    except RepmodError:
         return False
     if e.ctx.parts(ses.mid) is None:
         raise ExactstructError("middle term does not lie in the category")
@@ -489,7 +457,6 @@ def brute_force_structures(
     """Independent oracle: enumerate every subspace family of the Ext bifunctor,
     keep the action-stable ones that pass the bounded axiom checker."""
     field = ctx.algebra.field
-    p = field.p
     pairs = ctx.nonzero_pairs()
     per_pair: list[list[Matrix]] = []
     total = 1

@@ -14,18 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, validate_algebra
-from .linalg import Matrix, block_diag, inverse, solve_right
+from .linalg import Matrix
 from .repmod import (
     Module,
     ModuleMap,
     Presentation,
     StdProjective,
+    _local_residue,
     cokernel,
     coeffs_of_std_map,
     decompose,
+    descend,
     direct_sum,
     hom_basis,
     hom_coords,
+    inverse_map,
     is_isomorphic,
     lift_through_epi,
     minimal_presentation,
@@ -75,7 +78,6 @@ class EndAlgebra:
         gens = spec.generators
         n = len(gens)
         field = spec.algebra.field
-        p = field.p
 
         dictionary: list[ModuleMap] = []
         labels: list[str] = []
@@ -86,21 +88,13 @@ class EndAlgebra:
             labels.append(f"id{i}")
             left.append(i)
             right.append(i)
-        # diagonal radical parts: h - lambda*id for the nilpotent shift of each basis map
+        # diagonal radical parts: a basis of rad End(M_i) for each local summand
         for i, g in enumerate(gens):
-            ident = ModuleMap.identity(g)
-            seen: list[np.ndarray] = []
-            for h in hom_basis(g, g):
-                lam = _nilpotent_shift(h, ident, p)
-                cand = h - ident.scale(lam)
-                if cand.is_zero():
-                    continue
-                if _independent(seen, cand, field):
-                    seen.append(cand.flat())
-                    dictionary.append(cand)
-                    labels.append(f"r{i}.{i}.{len(seen) - 1}")
-                    left.append(i)
-                    right.append(i)
+            for k, r in enumerate(_local_residue(hom_basis(g, g), g)):
+                dictionary.append(r)
+                labels.append(f"r{i}.{i}.{k}")
+                left.append(i)
+                right.append(i)
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 if i == j:
@@ -112,7 +106,6 @@ class EndAlgebra:
                     right.append(i)
 
         dim = len(dictionary)
-        hom_cache: dict[tuple[int, int], list[ModuleMap]] = {}
 
         def block(src: int, tgt: int) -> list[int]:
             return [b for b in range(dim) if right[b] == src and left[b] == tgt]
@@ -143,10 +136,6 @@ class EndAlgebra:
         if self.gamma.dim != expected:
             raise FunctorcatError("endomorphism algebra dimension mismatch")
         self._yoneda_cache: dict[bytes, tuple[Module, list[list[ModuleMap]]]] = {}
-
-    @property
-    def summand_idempotents(self) -> dict[int, int]:
-        return {i: i for i in range(len(self.spec.generators))}
 
     # -- Yoneda ---------------------------------------------------------------
 
@@ -207,7 +196,7 @@ class EndAlgebra:
     def unyoneda_std(self, d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
         """The map f in add(M) with yoneda(f) = d, for d between standard projectives."""
         coeffs = coeffs_of_std_map(d, p1, p0)
-        src, src_inj, _ = self.sum_of_generators(p1.verts)
+        src, _, src_proj = self.sum_of_generators(p1.verts)
         tgt, tgt_inj, _ = self.sum_of_generators(p0.verts)
         f = ModuleMap.zero_map(src, tgt)
         for t in range(len(p0.verts)):
@@ -215,7 +204,7 @@ class EndAlgebra:
                 x = coeffs[t, s]
                 for b in np.nonzero(x)[0]:
                     phi = self.dictionary[int(b)]  # M_{p1.verts[s]} -> M_{p0.verts[t]}
-                    term = tgt_inj[t] @ phi @ _projection(src_inj[s])
+                    term = tgt_inj[t] @ phi @ src_proj[s]
                     f = f + term.scale(int(x[b]))
         return f
 
@@ -261,7 +250,7 @@ class EndAlgebra:
         """
         src_std, src_iso = self._projectivize(g.source)
         tgt_std, tgt_iso = self._projectivize(g.target)
-        conj = _invert_map(tgt_iso) @ g @ src_iso
+        conj = inverse_map(tgt_iso) @ g @ src_iso
         f = self.unyoneda_std(conj, src_std, tgt_std)
         yf = self.yoneda_map(f)
         _, x_can = self.canonical_std_iso(src_std.verts)
@@ -318,16 +307,7 @@ class EndAlgebra:
         # lift eta o aug_src through aug_tgt, then transport and descend
         alpha = lift_through_epi(eta @ src.presentation.aug, tgt.presentation.aug)
         a0 = self.unyoneda_std(alpha, src.presentation.p0, tgt.presentation.p0)
-        mats = []
-        for v in range(self.spec.algebra.nv):
-            sol = solve_right(
-                src.projection.mats[v].transpose(),
-                (tgt.projection.mats[v] @ a0.mats[v]).transpose(),
-            )
-            if sol is None:
-                raise FunctorcatError("localized map does not descend")
-            mats.append(sol.transpose())
-        return ModuleMap(src.cokernel, tgt.cokernel, mats)
+        return descend(tgt.projection @ a0, src.projection)
 
 
 @dataclass
@@ -347,32 +327,3 @@ class CategoryPresentation:
 
 def end_algebra(spec: AdditiveCategorySpec) -> EndAlgebra:
     return EndAlgebra(spec)
-
-
-def _nilpotent_shift(h: ModuleMap, ident: ModuleMap, p: int) -> int:
-    """The unique scalar lam with h - lam*id nilpotent (local End over GF(p))."""
-    for lam in range(p):
-        cand = h - ident.scale(lam)
-        total = block_diag(h.source.algebra.field, list(cand.mats)).a % p
-        power = total
-        n = max(total.shape[0], 1)
-        for _ in range(n.bit_length() + 1):
-            power = (power @ power) % p
-        if not power.any():
-            return lam
-    raise FunctorcatError("endomorphism ring of a generator summand is not local")
-
-
-def _independent(seen: list[np.ndarray], cand: ModuleMap, field) -> bool:
-    if not seen:
-        return True
-    a = Matrix(field, np.column_stack(seen))
-    return solve_right(a, Matrix(field, cand.flat().reshape(-1, 1))) is None
-
-
-def _projection(inj: ModuleMap) -> ModuleMap:
-    return ModuleMap(inj.target, inj.source, [m.transpose() for m in inj.mats])
-
-
-def _invert_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(f.target, f.source, [inverse(m) for m in f.mats])

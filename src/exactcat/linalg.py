@@ -249,10 +249,6 @@ def column_space_basis(m: Matrix) -> Matrix:
     return m.take_columns(pivots)
 
 
-def in_column_space(m: Matrix, v: Matrix) -> bool:
-    return solve_right(m, v) is not None
-
-
 def row_space_contains(a: Matrix, b: Matrix) -> bool:
     """True when every row of b lies in the row space of a."""
     if b.rows == 0:

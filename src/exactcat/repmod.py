@@ -447,16 +447,6 @@ def _poly_mul(f, g, p):
     return _poly_trim(out, p)
 
 
-def _poly_gcd(f, g, p):
-    f, g = _poly_trim(list(f), p), _poly_trim(list(g), p)
-    while g:
-        f, g = g, _poly_divmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
 def _poly_sub(f, g, p):
     n = max(len(f), len(g))
     return _poly_trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], p)
@@ -639,11 +629,10 @@ def decompose_iso(m: Module, parts: list[tuple[Module, ModuleMap]]) -> ModuleMap
     """The isomorphism (direct sum of parts) -> m assembled from the inclusions."""
     if not parts:
         return ModuleMap.zero_map(Module.zero(m.algebra), m)
-    total, injections, _ = direct_sum([p for p, _ in parts])
+    _, _, projections = direct_sum([p for p, _ in parts])
     f = None
-    for (part, incl), inj in zip(parts, injections):
-        # the coordinate projection of the sum is the transpose of the injection
-        term = ModuleMap(total, m, [a @ b.transpose() for a, b in zip(incl.mats, inj.mats)])
+    for (_, incl), proj in zip(parts, projections):
+        term = incl @ proj
         f = term if f is None else f + term
     if not f.is_isomorphism():
         raise RepmodError("decompose produced a non-isomorphism")
@@ -779,11 +768,6 @@ def std_projective(a: Algebra, verts) -> StdProjective:
     return StdProjective(Module(a, dims, act), verts, index)
 
 
-def std_generator_rows(sp: StdProjective) -> list[tuple[int, int]]:
-    """(vertex, row) of each slot generator e_{v_t} inside its component."""
-    return [(v, sp.block_index[(t, v)]) for t, v in enumerate(sp.verts)]
-
-
 def coeffs_of_std_map(f: ModuleMap, src: StdProjective, tgt: StdProjective) -> np.ndarray:
     """The algebra-element coefficient matrix of a map between standard projectives.
 
@@ -816,9 +800,12 @@ def std_map_from_coeffs(src: StdProjective, tgt: StdProjective, coeffs: np.ndarr
     return ModuleMap(src.module, tgt.module, [Matrix(a.field, mat) for mat in mats])
 
 
-def dualize_std_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the Hom(-, A)-dual map, over the opposite algebra."""
-    return np.swapaxes(coeffs, 0, 1)
+def dual_std_map(d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
+    """The Hom(-, A)-dual of d: p1 -> p0, a map p0^ -> p1^ between the standard
+    projectives on the same vertices over the opposite algebra."""
+    aop = d.source.algebra.opposite()
+    coeffs = np.swapaxes(coeffs_of_std_map(d, p1, p0), 0, 1)
+    return std_map_from_coeffs(std_projective(aop, p0.verts), std_projective(aop, p1.verts), coeffs)
 
 
 # -- projective covers, presentations, resolutions ----------------------------
@@ -990,7 +977,6 @@ def dominant_dimension(a: Algebra, cutoff: int) -> int | None:
     the dual of the minimal projective resolution of D(P) over the opposite
     algebra.  Returns None for 'at least cutoff'.
     """
-    aop = a.opposite()
     std = standard_modules(a)
     inj_is_proj = [
         any(is_isomorphic(iv, pw) is not None for pw in std.projectives)
@@ -1044,12 +1030,7 @@ def transpose_module(m: Module) -> Module:
     if cached is not None:
         return cached
     pres = minimal_presentation(m)
-    aop = alg.opposite()
-    src = std_projective(aop, pres.p0.verts)
-    tgt = std_projective(aop, pres.p1.verts)
-    coeffs = coeffs_of_std_map(pres.d, pres.p1, pres.p0)
-    dual = std_map_from_coeffs(src, tgt, dualize_std_coeffs(coeffs))
-    tr, _ = cokernel(dual)
+    tr, _ = cokernel(dual_std_map(pres.d, pres.p1, pres.p0))
     alg._derived[("transpose", m.key())] = tr
     return tr
 
@@ -1122,32 +1103,18 @@ class ExtSpace:
         """A short exact sequence 0 -> a -> E -> z -> 0 with the given class."""
         phi = self.lift(coords)
         field = self.alg.field
-        ap, injections, _ = direct_sum([self.a, self.p0.module])
-        inj_a, inj_p = injections
+        _, (inj_a, inj_p), (_, proj_p) = direct_sum([self.a, self.p0.module])
         kappa = (inj_a @ phi.scale(field.p - 1)) + (inj_p @ self.syz_incl)
-        e_mod, proj = cokernel(kappa)
-        i = proj @ inj_a
+        _, proj = cokernel(kappa)
         # the deflation E -> z is induced by (0, cover) on a + P0
-        p_mats = []
-        for v in range(self.alg.nv):
-            zero_part = np.zeros((self.z.dims[v], self.a.dims[v]), dtype=np.int64)
-            row = np.hstack([zero_part, self.cover.mats[v].a])
-            x = solve_right(proj.mats[v].transpose(), Matrix(field, row.T))
-            p_mats.append(x.transpose())
-        p = ModuleMap(e_mod, self.z, p_mats)
-        ses = ShortExactSeq(i, p)
+        ses = ShortExactSeq(proj @ inj_a, descend(self.cover @ proj_p, proj))
         ses.validate()
         return ses
 
     def class_of(self, ses: ShortExactSeq) -> np.ndarray:
         """Coordinates of a short exact sequence 0 -> a -> B -> z -> 0."""
         lam = lift_through_epi(self.cover, ses.p)
-        mu = lam @ self.syz_incl
-        mu_a_mats = [solve_right(iv, mv) for iv, mv in zip(ses.i.mats, mu.mats)]
-        if any(x is None for x in mu_a_mats):
-            raise RepmodError("class_of: lift does not land in the subobject")
-        phi = ModuleMap(self.syz, self.a, mu_a_mats)
-        return self.coords_of_hom(phi)
+        return self.coords_of_hom(factor_through_mono(lam @ self.syz_incl, ses.i))
 
     def pushout_matrix(self, other: "ExtSpace", g: ModuleMap) -> Matrix:
         """Matrix of the pushout action Ext^1(z, a) -> Ext^1(z, a') along g: a -> a'."""
@@ -1164,10 +1131,7 @@ class ExtSpace:
     def pullback_matrix(self, other: "ExtSpace", h: ModuleMap) -> Matrix:
         """Matrix of the pullback action Ext^1(z, a) -> Ext^1(z', a) along h: z' -> z."""
         lam = lift_through_epi(h @ other.cover, self.cover)
-        kappa_mats = [solve_right(iv, mv) for iv, mv in zip(self.syz_incl.mats, (lam @ other.syz_incl).mats)]
-        if any(x is None for x in kappa_mats):
-            raise RepmodError("pullback: restriction does not land in the syzygy")
-        kappa = ModuleMap(other.syz, self.syz, kappa_mats)
+        kappa = factor_through_mono(lam @ other.syz_incl, self.syz_incl)
         cols = []
         for f in range(self.dim):
             e = np.zeros(self.dim, dtype=np.int64)
@@ -1212,6 +1176,30 @@ def lift_through_epi(f: ModuleMap, p: ModuleMap) -> ModuleMap:
     if x is None:
         raise RepmodError("lift_through_epi: lift does not exist")
     return hom_from_coords(x.a[:, 0], homs, src, mid)
+
+
+def inverse_map(f: ModuleMap) -> ModuleMap:
+    """The inverse of an isomorphism."""
+    return ModuleMap(f.target, f.source, [inverse(m) for m in f.mats])
+
+
+def factor_through_mono(f: ModuleMap, mono: ModuleMap) -> ModuleMap:
+    """The unique g with mono o g = f; raises unless f lands in the image of mono."""
+    mats = [solve_right(mv, fv) for fv, mv in zip(f.mats, mono.mats)]
+    if any(x is None for x in mats):
+        raise RepmodError("map does not factor through the mono")
+    return ModuleMap(f.source, mono.source, mats)
+
+
+def descend(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
+    """The unique g with g o epi = f; raises unless f vanishes on the kernel of epi."""
+    mats = []
+    for ev, fv in zip(epi.mats, f.mats):
+        sol = solve_right(ev.transpose(), fv.transpose())
+        if sol is None:
+            raise RepmodError("map does not descend along the epi")
+        mats.append(sol.transpose())
+    return ModuleMap(epi.target, f.target, mats)
 
 
 # -- almost split sequences ----------------------------------------------------

@@ -10,7 +10,6 @@ from exactcat.algebra import (
     algebra_kA3,
     algebra_semisimple,
     build_from_quiver,
-    opposite,
     radical_basis,
     validate_algebra,
 )
@@ -98,9 +97,9 @@ def test_validate_catches_broken_idempotent():
 
 def test_opposite_involution_and_validation():
     for a in (algebra_kA2(GF2), algebra_kA3(GF5, True), algebra_dual_numbers(GF2)):
-        op = opposite(a)
+        op = a.opposite()
         assert validate_algebra(op).ok
-        back = opposite(op)
+        back = op.opposite()
         assert back.labels == a.labels
         assert np.array_equal(back.mult, a.mult)
         assert back.left == a.left and back.right == a.right
@@ -108,13 +107,13 @@ def test_opposite_involution_and_validation():
 
 def test_opposite_commutative_is_same_table():
     a = algebra_dual_numbers(GF5)
-    op = opposite(a)
+    op = a.opposite()
     assert np.array_equal(op.mult, a.mult)
 
 
 def test_opposite_kA2_swaps_arrow_endpoints():
     a = algebra_kA2(GF2)
-    op = opposite(a)
+    op = a.opposite()
     arrow = a.labels.index("a")
     assert (op.left[arrow], op.right[arrow]) == (a.right[arrow], a.left[arrow])
 

@@ -120,6 +120,8 @@ def test_smodad_command(tmp_path):
 def test_smodad_unknown_structure(tmp_path):
     code, out = run_session(session_kA2([{"name": "smodad", "structure": 99}]), tmp_path)
     assert code == EXIT_INPUT
+    code, out = run_session(session_kA2([{"name": "smodad", "structure": True}]), tmp_path)
+    assert code == EXIT_INPUT
 
 
 def test_malformed_session():
@@ -129,6 +131,12 @@ def test_malformed_session():
     assert code == EXIT_INPUT
     code, out = run_session(session_kA2(["frobnicate"]), None)
     assert code == EXIT_INPUT
+    code, out = run_session(session_kA2(["verify"], caps={"dim": "x"}), None)
+    assert code == EXIT_INPUT
+    for pair in ([9, 9, [[1]]], [0, 0, [[1]]]):  # object ids out of range; row longer than Ext^1
+        code, out = run_session(session_kA2(["verify"], structures=[{"subspaces": [pair]}]), None)
+        assert code == EXIT_INPUT
+        assert [line for line in out.lines if line.startswith("input error:")] == out.lines[-1:]
 
 
 def test_cap_exceeded(tmp_path):
@@ -199,5 +207,8 @@ def test_generator_selection_validation():
     code, _ = run_session(payload, None)
     assert code == EXIT_INPUT
     payload = session_kA2(["verify"], generators=[99])
+    code, _ = run_session(payload, None)
+    assert code == EXIT_INPUT
+    payload = session_kA2(["verify"], generators=[True])
     code, _ = run_session(payload, None)
     assert code == EXIT_INPUT

@@ -1,0 +1,37 @@
+"""Every function, class and method of the package is used somewhere."""
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EXEMPT = {"main"}  # the console entry point, named only in pyproject.toml
+
+
+def _names(tree) -> Counter:
+    """Identifiers read in a tree, plus the parts of dotted-name strings."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_no_dead_definitions():
+    trees = {p: ast.parse(p.read_text()) for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))}
+    used = sum((_names(t) for t in trees.values()), Counter())
+    dead = []
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "exactcat":
+            continue
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+                if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("__") or d.name in EXEMPT:
+                    continue
+                if used[d.name] == _names(d)[d.name]:  # named only inside its own definition
+                    dead.append(f"{path.name}:{d.name}")
+    assert not dead, f"defined but never used: {dead}"

@@ -5,6 +5,8 @@ from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3, alg
 from exactcat.exactstruct import (
     CategoryContext,
     ExactStructure,
+    _lines,
+    _subspace_elements,
     brute_force_structures,
     classify_morphism,
     componentwise_classes,
@@ -282,3 +284,27 @@ def test_brute_force_guard():
 
     with _pytest.raises(GuardExceeded):
         brute_force_structures(ctx, guard=3)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_lines_one_normalized_vector_per_line(d, p):
+    lines = _lines(d, p)
+    assert len(lines) == (p**d - 1) // (p - 1)
+    assert all(v[np.nonzero(v)[0][0]] == 1 for v in lines)  # first nonzero entry is 1
+    assert len({tuple(v) for v in lines}) == len(lines)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_subspace_elements_exhaustive_under_cap(d, p):
+    vecs, exhaustive = _subspace_elements(d, p, p**d)
+    assert exhaustive
+    assert len({tuple(v) for v in vecs}) == len(vecs) == p**d - 1
+    assert all(v.any() for v in vecs)
+    # one below the cap: the basis vectors and the sums of two of them
+    vecs, exhaustive = _subspace_elements(d, p, p**d - 1)
+    eye = np.eye(d, dtype=np.int64)
+    expected = {tuple(eye[i]) for i in range(d)} | {tuple(eye[i] + eye[j]) for i in range(d) for j in range(i + 1, d)}
+    assert not exhaustive
+    assert len(vecs) == len(expected) and {tuple(v) for v in vecs} == expected

@@ -28,7 +28,9 @@ from exactcat.repmod import (
     ext_space,
     hom_basis,
     hom_dim,
+    hom_from_coords,
     homological_dims,
+    inverse_map,
     is_isomorphic,
     map_parts,
     minimal_presentation,
@@ -411,3 +413,17 @@ def test_homological_dims_per_indecomposable(kA2):
     assert len(dims.proj_dims) == 3
     by_dims = {index.modules[i].dims: pd for i, pd in enumerate(dims.proj_dims)}
     assert by_dims[(1, 1)] == 0 and by_dims[(0, 1)] == 0 and by_dims[(1, 0)] == 1
+
+
+def test_inverse_map_round_trip_kA3():
+    a = algebra_kA3(GF5, zero_relation=False)
+    std = standard_modules(a)
+    m, _, _ = direct_sum([std.projectives[0], std.projectives[1]])
+    end = hom_basis(m, m)
+    f = hom_from_coords(list(range(1, len(end) + 1)), end, m, m)  # unitriangular up to scalars
+    ident = ModuleMap.identity(m)
+    assert f.is_isomorphism() and not (f - ident).is_zero()
+    g = inverse_map(f)
+    check_map(g)
+    assert (g @ f - ident).is_zero()
+    assert (f @ g - ident).is_zero()
