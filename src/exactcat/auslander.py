@@ -19,14 +19,12 @@ from .algebra import Algebra, Report
 from .exactstruct import (
     CategoryContext,
     ExactStructure,
-    _lines,
-    _subspace_elements,
     classify_morphism,
     enumerate_exact_structures,
     maximal_structure,
 )
 from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
-from .linalg import Matrix, column_space_basis, hstack, rank
+from .linalg import Matrix, _lines, _subspace_elements, column_space_basis, hstack, rank
 from .repmod import (
     IndecIndex,
     Module,

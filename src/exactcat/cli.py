@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quiver
+from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quiver, validate_algebra
 from .auslander import AuslanderContext, AuslanderError
 from .exactstruct import (
     ExactStructure,
@@ -33,6 +33,8 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+P_LIMIT = 2**16  # p below this keeps every int64 matrix product exact: (p-1)^2 < 2^32
+
 
 class SessionError(Exception):
     pass
@@ -46,7 +48,10 @@ def _is_id(x) -> bool:
 class Session:
     def __init__(self, payload: dict):
         try:
-            self.field = FieldPrime(int(payload["p"]))
+            p = int(payload["p"])
+            if p >= P_LIMIT:
+                raise ValueError(f"p = {p} is not below {P_LIMIT}")
+            self.field = FieldPrime(p)
         except (KeyError, TypeError, ValueError, LinalgError) as exc:
             raise SessionError(f"bad field: {exc}")
         try:
@@ -98,7 +103,7 @@ class Session:
                     i, j = (int(x) for x in key.split(","))
                     for k, c in row.items():
                         mult[i, j, int(k)] = int(c)
-                return Algebra(
+                algebra = Algebra(
                     self.field,
                     len(t["vertices"]),
                     [str(x) for x in t["basis"]],
@@ -106,8 +111,12 @@ class Session:
                     [int(x) for x in t["right"]],
                     mult,
                 )
-            except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+                failures = validate_algebra(algebra).failures()
+            except (KeyError, TypeError, ValueError, IndexError, AlgebraError) as exc:
                 raise SessionError(f"bad table: {exc}")
+            if failures:
+                raise SessionError("bad table: fails " + ", ".join(item.label for item in failures))
+            return algebra
         raise SessionError("session needs a 'quiver' or a 'table'")
 
     def _load_commands(self, raw) -> list[dict]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Report
 from .functorcat import AdditiveCategorySpec
-from .linalg import Matrix, iterate_subspaces, rank, row_space_contains, rref
+from .linalg import Matrix, _lines, _subspace_elements, iterate_subspaces, rank, row_space_contains, rref
 from .repmod import (
     ExtSpace,
     IndecIndex,
@@ -163,36 +163,6 @@ class CategoryContext:
                     all_ok = False
         report.add("all middle terms decompose into generators", all_ok)
         return report
-
-
-def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    """Nonzero vectors of GF(p)^dim to test: all of them (exhaustive=True) when
-    p^dim is at most cap, else the basis and the pairwise sums of basis vectors."""
-    if p**dim <= cap:
-        vecs = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=dim)]
-        return [v for v in vecs if v.any()], True
-    vecs = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[i] = 1
-        vecs.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[i] = e[j] = 1
-            vecs.append(e)
-    return vecs, False
-
-
-def _lines(dim: int, p: int) -> list[np.ndarray]:
-    """One representative per 1-dimensional subspace of GF(p)^dim (first nonzero = 1)."""
-    out = []
-    for v in itertools.product(range(p), repeat=dim):
-        vec = np.array(v, dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        if nz.size and vec[nz[0]] == 1:
-            out.append(vec)
-    return out
 
 
 class ExactStructure:

@@ -7,6 +7,7 @@ comparisons are exact equality.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: FieldPrime, n: int) -> "Matrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_columns(cls, field: FieldPrime, rows: int, columns) -> "Matrix":
-        cols = list(columns)
-        if not cols:
-            return cls.zeros(field, rows, 0)
-        return cls(field, np.column_stack([np.asarray(c, dtype=np.int64).reshape(rows) for c in cols]))
 
     # -- basic properties ---------------------------------------------
 
@@ -168,6 +162,8 @@ def block_diag(field: FieldPrime, mats) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of m together with its pivot columns."""
+    if m.a.size == 0:
+        return m, []
     p = m.field.p
     a = m.a.copy()
     rows, cols = a.shape
@@ -204,16 +200,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     deterministic in the input's column order.
     """
     r, pivots = rref(m)
-    p = m.field.p
-    free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-r.a[i, f]) % p
-        cols.append(v)
-    return Matrix.from_columns(m.field, m.cols, cols)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    k = np.zeros((m.cols, free.size), dtype=np.int64)
+    k[free, np.arange(free.size)] = 1
+    k[pivots] = -r.a[: len(pivots), free]
+    return Matrix(m.field, k)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
@@ -272,8 +265,6 @@ def iterate_subspaces(field: FieldPrime, dim: int, k: int):
         yield Matrix.zeros(field, dim, 0)
         return
     p = field.p
-    import itertools
-
     for pivots in itertools.combinations(range(dim), k):
         free_positions = [
             (i, r)
@@ -300,3 +291,33 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
         num *= p ** (dim - i) - 1
         den *= p ** (i + 1) - 1
     return num // den
+
+
+def _lines(dim: int, p: int) -> list[np.ndarray]:
+    """One representative per 1-dimensional subspace of GF(p)^dim (first nonzero = 1)."""
+    out = []
+    for v in itertools.product(range(p), repeat=dim):
+        vec = np.array(v, dtype=np.int64)
+        nz = np.nonzero(vec)[0]
+        if nz.size and vec[nz[0]] == 1:
+            out.append(vec)
+    return out
+
+
+def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
+    """Nonzero vectors of GF(p)^dim to test: all of them (exhaustive=True) when
+    p^dim is at most cap, else the basis and the pairwise sums of basis vectors."""
+    if p**dim <= cap:
+        vecs = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=dim)]
+        return [v for v in vecs if v.any()], True
+    vecs = []
+    for i in range(dim):
+        e = np.zeros(dim, dtype=np.int64)
+        e[i] = 1
+        vecs.append(e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros(dim, dtype=np.int64)
+            e[i] = e[j] = 1
+            vecs.append(e)
+    return vecs, False

@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import Algebra
 from .linalg import (
     Matrix,
+    _lines,
     block_diag,
     column_space_basis,
     count_subspaces,
@@ -219,6 +220,31 @@ def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[Mod
     return total_mod, injections, projections
 
 
+def _hom_system(m: Module, n: Module) -> tuple[Matrix, np.ndarray]:
+    """The intertwiner equations f_r A_b = B_b f_l on the stacked vec(f_v),
+    with the offset of each vertex block of unknowns."""
+    alg = m.algebra
+    sizes = [n.dims[v] * m.dims[v] for v in range(alg.nv)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    rows = []
+    for b in alg.radical_indices:
+        l, r = alg.left[b], alg.right[b]
+        n_r, m_l, n_l, m_r = n.dims[r], m.dims[l], n.dims[l], m.dims[r]
+        if n_r * m_l == 0:
+            continue
+        block = np.zeros((n_r * m_l, total), dtype=np.int64)
+        # f_r @ A_b: coefficient kron(I_{n_r}, A_b^T) on vec(f_r)
+        i = np.arange(n_r)
+        block[:, offsets[r] : offsets[r + 1]].reshape(n_r, m_l, n_r, m_r)[i, :, i, :] = m.act[b].a.T
+        # minus B_b @ f_l: coefficient kron(B_b, I_{m_l}) on vec(f_l)
+        j = np.arange(m_l)
+        block[:, offsets[l] : offsets[l + 1]].reshape(n_r, m_l, n_l, m_l)[:, j, :, j] -= n.act[b].a
+        rows.append(block)
+    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
+    return Matrix(alg.field, system), offsets
+
+
 def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     """A deterministic basis of Hom(m, n), by solving the intertwiner equations."""
     if m.algebra is not n.algebra:
@@ -228,37 +254,13 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     cached = alg.hom_cache.get(cache_key)
     if cached is not None:
         return cached
-
-    nv = alg.nv
-    sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rows = []
-    for b in alg.radical_indices:
-        l, r = alg.left[b], alg.right[b]
-        n_eq = n.dims[r] * m.dims[l]
-        if n_eq == 0:
-            continue
-        block = np.zeros((n_eq, total), dtype=np.int64)
-        # f_r @ A_b: coefficient kron(I_{n_r}, A_b^T) on vec(f_r)
-        if sizes[r]:
-            block[:, offsets[r] : offsets[r + 1]] = np.kron(
-                np.eye(n.dims[r], dtype=np.int64), m.act[b].a.T
-            )
-        # minus B_b @ f_l: coefficient kron(B_b, I_{m_l}) on vec(f_l)
-        if sizes[l]:
-            block[:, offsets[l] : offsets[l + 1]] -= np.kron(n.act[b].a, np.eye(m.dims[l], dtype=np.int64))
-        rows.append(block)
-    if rows:
-        system = Matrix(alg.field, np.vstack(rows))
-    else:
-        system = Matrix.zeros(alg.field, 0, total)
+    system, offsets = _hom_system(m, n)
     basis = kernel_basis(system)
     maps = []
     for j in range(basis.cols):
         col = basis.a[:, j]
         mats = []
-        for v in range(nv):
+        for v in range(alg.nv):
             chunk = col[offsets[v] : offsets[v + 1]].reshape(n.dims[v], m.dims[v])
             mats.append(Matrix(alg.field, chunk))
         maps.append(ModuleMap(m, n, mats))
@@ -268,6 +270,12 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
 
 def hom_dim(m: Module, n: Module) -> int:
     return len(hom_basis(m, n))
+
+
+def _hom_dim_by_rank(m: Module, n: Module) -> int:
+    """dim Hom(m, n) as unknowns minus rank, without building (or caching) a basis."""
+    system, _ = _hom_system(m, n)
+    return system.cols - rank(system)
 
 
 def hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> Matrix:
@@ -1322,14 +1330,7 @@ def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
         index.ar_cache[z_id] = candidate
         return candidate
     ext = ext_space(z, ar_translate(z))
-    p = z.algebra.field.p
-    for coords in itertools.product(range(p), repeat=ext.dim):
-        vec = np.array(coords, dtype=np.int64)
-        if not vec.any():
-            continue
-        first = next(int(c) for c in vec if c)
-        if first != 1:
-            continue  # one representative per scalar line
+    for vec in _lines(ext.dim, z.algebra.field.p):
         ses = ext.realize(vec)
         if is_almost_split(ses, index):
             index.ar_cache[z_id] = ses
@@ -1348,6 +1349,10 @@ class IndecIndex:
         self.modules = modules
         self._id_by_key = {m.key(): i for i, m in enumerate(modules)}
         self.ar_cache: dict[int, ShortExactSeq] = {}
+        self._dimvecs = np.array([m.dims for m in modules], dtype=np.int64).reshape(len(modules), algebra.nv)
+        self._rows: np.ndarray | None = None
+        self._residue_dims: np.ndarray | None = None
+        self._parts_cache: dict[bytes, list[int]] = {}
         std = standard_modules(algebra)
         self.is_projective = [any(is_isomorphic(m, pv) is not None for pv in std.projectives) for m in modules]
         self.is_injective = [any(is_isomorphic(m, iv) is not None for iv in std.injectives) for m in modules]
@@ -1364,15 +1369,59 @@ class IndecIndex:
                     return i
         return None
 
-    def parts(self, m: Module, seed: int = 0) -> list[int]:
-        """Iso classes (with multiplicity) of the summands of m."""
-        out = []
-        for part, _ in decompose(m, seed):
-            pid = self.identify(part)
-            if pid is None:
+    def parts(self, m: Module) -> list[int]:
+        """Iso classes (with multiplicity) of the summands of m.
+
+        Counted, not split.  The simple functor S_X at a member X has the
+        projective resolution (-, tau X) -> (-, E) -> (-, X) -> S_X -> 0 from
+        the almost split sequence ending at X, or (-, rad X) -> (-, X) -> S_X
+        -> 0 for X projective.  Evaluated at m it gives
+        dim S_X(m) = mult_X(m) * dim End(X)/rad End(X)
+        as a fixed integer combination of the h_j = dim Hom(m, X_j).  Equal
+        dimension vectors then prove, by Krull-Schmidt, that m has no summand
+        outside the index.
+        """
+        cached = self._parts_cache.get(m.key())
+        if cached is None:
+            rows, residue_dims = self._relations()
+            h = np.array([_hom_dim_by_rank(m, x) for x in self.modules], dtype=np.int64)
+            counts = rows @ h
+            if (counts < 0).any() or (counts % residue_dims).any():
                 raise RepmodError("module has a summand outside the index")
-            out.append(pid)
-        return sorted(out)
+            mult = counts // residue_dims
+            if tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
+                raise RepmodError("module has a summand outside the index")
+            cached = [i for i, k in enumerate(mult) for _ in range(k)]
+            self._parts_cache[m.key()] = cached
+        return list(cached)
+
+    def _relations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row i gives dim S_{X_i}(m) from the h_j: e_i - [E_i] + [tau X_i] for the
+        almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective;
+        with the residue dimensions d_i = dim End(X_i)/rad End(X_i)."""
+        if self._rows is None:
+            n = len(self.modules)
+            rows = np.eye(n, dtype=np.int64)
+            residue_dims = np.zeros(n, dtype=np.int64)
+            for i, x in enumerate(self.modules):
+                if self.is_projective[i]:
+                    middle = radical_submodule(x)[0]
+                else:
+                    ses = ar_sequence(x, self)
+                    middle = ses.mid
+                    rows[i, self._member(ses.sub)] += 1
+                for part, _ in decompose(middle):
+                    rows[i, self._member(part)] -= 1
+                end = hom_basis(x, x)
+                residue_dims[i] = len(end) - len(_local_residue(end, x))
+            self._rows, self._residue_dims = rows, residue_dims
+        return self._rows, self._residue_dims
+
+    def _member(self, m: Module) -> int:
+        i = self.identify(m)
+        if i is None:
+            raise RepmodError("module has a summand outside the index")
+        return i
 
     def nonprojective_ids(self) -> list[int]:
         return [i for i in range(len(self.modules)) if not self.is_projective[i]]

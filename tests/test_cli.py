@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exactcat.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, run_session
+from exactcat.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, Session, main, run_session
 
 
 def session_kA2(commands, **extra):
@@ -137,6 +137,25 @@ def test_malformed_session():
         code, out = run_session(session_kA2(["verify"], structures=[{"subspaces": [pair]}]), None)
         assert code == EXIT_INPUT
         assert [line for line in out.lines if line.startswith("input error:")] == out.lines[-1:]
+    # tables on basis (e, x): e*e = 0 is no idempotent; x*x = x is not nilpotent; x tagged at vertex 5
+    good = {"0,0": {"0": 1}, "0,1": {"1": 1}, "1,0": {"1": 1}, "1,1": {}}
+    for products, left in (
+        ({**good, "0,0": {}}, [0, 0]),
+        ({**good, "1,1": {"1": 1}}, [0, 0]),
+        (good, [0, 5]),
+    ):
+        table = {"vertices": ["1"], "basis": ["e", "x"], "left": left, "right": [0, 0], "products": products}
+        code, out = run_session({"p": 2, "table": table, "commands": ["verify"]}, None)
+        assert code == EXIT_INPUT
+        assert len(out.lines) == 1 and out.lines[0].startswith("input error: bad table")
+    # p >= 2^16 could overflow int64 matrix products
+    code, out = run_session(session_kA2(["verify"], p=2147483647), None)
+    assert code == EXIT_INPUT
+    assert len(out.lines) == 1 and out.lines[0].startswith("input error: bad field")
+
+
+def test_largest_supported_prime_loads():
+    assert Session(session_kA2(["indecomposables"], p=65521)).field.p == 65521
 
 
 def test_cap_exceeded(tmp_path):

@@ -5,8 +5,6 @@ from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3, alg
 from exactcat.exactstruct import (
     CategoryContext,
     ExactStructure,
-    _lines,
-    _subspace_elements,
     brute_force_structures,
     classify_morphism,
     componentwise_classes,
@@ -19,7 +17,7 @@ from exactcat.exactstruct import (
     split_structure,
 )
 from exactcat.functorcat import AdditiveCategorySpec
-from exactcat.linalg import FieldPrime, Matrix
+from exactcat.linalg import FieldPrime, Matrix, _lines, _subspace_elements
 from exactcat.repmod import (
     ModuleMap,
     ShortExactSeq,

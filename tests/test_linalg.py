@@ -172,3 +172,36 @@ def test_subspace_enumeration_counts():
         assert len(keys) == len(spaces)
         for s in spaces:
             assert rank(s) == k
+
+
+def _kernel_basis_loop(m):
+    """The per-free-column loop that kernel_basis replaced, kept as its reference."""
+    r, pivots = rref(m)
+    p = m.field.p
+    cols = []
+    for f in [c for c in range(m.cols) if c not in pivots]:
+        v = np.zeros(m.cols, dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-r.a[i, f]) % p
+        cols.append(v)
+    return Matrix(m.field, np.column_stack(cols) if cols else np.zeros((m.cols, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("field", [GF2, GF5], ids=["GF2", "GF5"])
+def test_kernel_basis_matches_loop(field):
+    rng = np.random.RandomState(11)
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (3, 5), (5, 3), (6, 6), (2, 9)]
+    for rows, cols in shapes:
+        for k in range(min(rows, cols) + 1):
+            for _ in range(5):
+                # rank at most k, so the free columns vary
+                m = random_matrix(field, rows, k, rng) @ random_matrix(field, k, cols, rng)
+                assert kernel_basis(m) == _kernel_basis_loop(m)
+
+
+def test_rref_of_empty_matrix():
+    for rows, cols in [(0, 0), (0, 3), (3, 0)]:
+        m = Matrix.zeros(GF5, rows, cols)
+        r, pivots = rref(m)
+        assert r == m and pivots == []

@@ -1,18 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from exactcat.algebra import (
+    QuiverPresentation,
     algebra_dual_numbers,
     algebra_kA2,
     algebra_kA3,
     algebra_semisimple,
+    build_from_quiver,
 )
+from exactcat.functorcat import AdditiveCategorySpec, end_algebra
 from exactcat.linalg import FieldPrime, Matrix
 from exactcat.repmod import (
     ExtSpace,
+    IndecIndex,
     Module,
     ModuleMap,
     RepmodError,
+    _hom_system,
     all_indecomposables,
     ar_sequence,
     ar_translate,
@@ -427,3 +434,66 @@ def test_inverse_map_round_trip_kA3():
     check_map(g)
     assert (g @ f - ident).is_zero()
     assert (f @ g - ident).is_zero()
+
+
+def _kron_hom_system(m, n):
+    """The intertwiner system as hom_basis built it with np.kron, kept as the reference."""
+    alg = m.algebra
+    sizes = [n.dims[v] * m.dims[v] for v in range(alg.nv)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = []
+    for b in alg.radical_indices:
+        l, r = alg.left[b], alg.right[b]
+        block = np.zeros((n.dims[r] * m.dims[l], offsets[-1]), dtype=np.int64)
+        block[:, offsets[r] : offsets[r + 1]] = np.kron(np.eye(n.dims[r], dtype=np.int64), m.act[b].a.T)
+        block[:, offsets[l] : offsets[l + 1]] -= np.kron(n.act[b].a, np.eye(m.dims[l], dtype=np.int64))
+        rows.append(block)
+    return np.vstack(rows) % alg.field.p
+
+
+def test_hom_system_matches_kron():
+    # kA3 simples have zero components; the dual numbers' arrow is a loop (l == r)
+    for alg in (algebra_kA3(GF5, zero_relation=False), algebra_dual_numbers(GF5)):
+        std = standard_modules(alg)
+        regular, _, _ = direct_sum(std.projectives)
+        mods = [Module.zero(alg), regular] + std.simples + std.projectives + std.injectives
+        for m, n in itertools.product(mods, repeat=2):
+            assert np.array_equal(_hom_system(m, n)[0].a, _kron_hom_system(m, n))
+
+
+def _gamma_kx3():
+    """Gamma = End of the additive generator of mod k[x]/(x^3) over GF(2)."""
+    pres = QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3)
+    a = build_from_quiver(pres)
+    index = all_indecomposables(a, 12)
+    return end_algebra(AdditiveCategorySpec(a, index.modules, True, True)).gamma
+
+
+PARTS_ALGEBRAS = {
+    "kA3_gf2": lambda: algebra_kA3(GF2, zero_relation=False),
+    "kA3_gf5": lambda: algebra_kA3(GF5, zero_relation=False),
+    "kA3_relation": lambda: algebra_kA3(GF2, zero_relation=True),
+    "dual_numbers": lambda: algebra_dual_numbers(GF2),
+    "gamma_kx3": _gamma_kx3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTS_ALGEBRAS))
+def test_parts_matches_decompose(name):
+    index = all_indecomposables(PARTS_ALGEBRAS[name](), 40)
+    mods = index.modules
+    cases = list(mods)
+    cases += [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
+    cases.append(direct_sum([mods[0], mods[-1], mods[0]])[0])
+    cases += [ar_sequence(mods[i], index).mid for i in index.nonprojective_ids()]
+    for m in cases:
+        assert index.parts(m) == sorted(index.identify(q) for q, _ in decompose(m))
+
+
+@pytest.mark.parametrize("name", sorted(PARTS_ALGEBRAS))
+def test_parts_rejects_summand_outside_index(name):
+    alg = PARTS_ALGEBRAS[name]()
+    mods = all_indecomposables(alg, 40).modules
+    partial = IndecIndex(alg, mods[:-1])
+    with pytest.raises(RepmodError):
+        partial.parts(direct_sum([mods[0], mods[-1]])[0])
