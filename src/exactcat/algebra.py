@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .linalg import FieldPrime
+from .linalg import ExactcatError, FieldPrime, memo
 
 
-class AlgebraError(Exception):
+class AlgebraError(ExactcatError):
     pass
 
 
@@ -73,10 +73,10 @@ class Algebra:
         m = np.mod(np.asarray(mult, dtype=np.int64), field.p)
         m.setflags(write=False)
         self.mult = m
+        # the stores of hom_basis, decompose and is_isomorphic: one entry per miss
         self.hom_cache: dict = {}
         self.decompose_cache: dict = {}
         self.iso_cache: dict = {}
-        self._derived: dict = {}
         if m.shape != (self.dim, self.dim, self.dim):
             raise AlgebraError("multiplication tensor has wrong shape")
 
@@ -99,21 +99,12 @@ class Algebra:
         u[: self.nv] = 1
         return u
 
+    @memo()
     def opposite(self) -> "Algebra":
         """The opposite algebra: same basis, reversed products, swapped tags."""
-        key = "opposite"
-        if key not in self._derived:
-            op = Algebra(
-                self.field,
-                self.nv,
-                self.labels,
-                self.right,
-                self.left,
-                np.swapaxes(self.mult, 0, 1),
-            )
-            op._derived["opposite"] = self
-            self._derived[key] = op
-        return self._derived[key]
+        op = Algebra(self.field, self.nv, self.labels, self.right, self.left, np.swapaxes(self.mult, 0, 1))
+        Algebra.opposite.record(self, op)
+        return op
 
 
 def radical_basis(a: Algebra) -> list[str]:

@@ -24,7 +24,7 @@ from .exactstruct import (
     maximal_structure,
 )
 from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
-from .linalg import Matrix, _lines, _subspace_elements, column_space_basis, hstack, rank
+from .linalg import ExactcatError, Matrix, _lines, _subspace_elements, column_space_basis, hstack, memo, rank
 from .repmod import (
     IndecIndex,
     Module,
@@ -57,7 +57,7 @@ from .repmod import (
 )
 
 
-class AuslanderError(Exception):
+class AuslanderError(ExactcatError):
     pass
 
 
@@ -103,19 +103,12 @@ class AuslanderContext:
         ]
         if any(i is None for i in self.yoneda_ids):
             raise AuslanderError("a representable functor is missing from the Gamma index")
-        self._structures: list[ExactStructure] | None = None
-        self._subcats: dict = {}
-        self._grades: dict = {}
-        self._middle_parts: dict = {}
-        self._reconstruct_table: dict = {}
-        self._syzygy_parts: dict = {}
 
     # -- bookkeeping ------------------------------------------------------------
 
+    @memo()
     def structures(self) -> list[ExactStructure]:
-        if self._structures is None:
-            self._structures = enumerate_exact_structures(self.cat)
-        return self._structures
+        return enumerate_exact_structures(self.cat)
 
     def side_index(self, side: str) -> IndecIndex:
         return self.gamma_index if side == "gamma" else self.gop_index
@@ -150,10 +143,8 @@ class AuslanderContext:
         f = self.transported(f_mod).f
         return "admissible" in classify_morphism(f, e)
 
+    @memo(lambda self, e: e.key())
     def build_subcategories(self, e: ExactStructure) -> SubcategoryQuad:
-        cached = self._subcats.get(e.key())
-        if cached is not None:
-            return cached
         eff, smodad, infl = set(), set(), set()
         for i, f_mod in enumerate(self.gamma_index.modules):
             kinds = classify_morphism(self.transported(f_mod).f, e)
@@ -174,15 +165,13 @@ class AuslanderContext:
                 perp.add(i)
             if self._embeds_in_representable(f_mod):
                 cogen.add(i)
-        quad = SubcategoryQuad(
+        return SubcategoryQuad(
             SubcategorySpec("gamma", frozenset(eff), "eff"),
             SubcategorySpec("gamma", frozenset(smodad), "smodad"),
             SubcategorySpec("gamma", frozenset(cogen), "cogenQ"),
             SubcategorySpec("gamma", frozenset(perp), "perpP"),
             SubcategorySpec("gamma", frozenset(infl), "restricted"),
         )
-        self._subcats[e.key()] = quad
-        return quad
 
     def _embeds_in_representable(self, f_mod: Module) -> bool:
         maps = []
@@ -271,43 +260,30 @@ class AuslanderContext:
                 return False
         return True
 
+    @memo(lambda self, f_mod, side="gamma": (f_mod.key(), side))
     def grade(self, f_mod: Module, side: str = "gamma") -> int | None:
         """Least i <= cutoff with Ext^i(F, some representable) nonzero; None if all vanish."""
-        key = (f_mod.key(), side)
-        if key in self._grades:
-            return self._grades[key]
         alg = self.gamma if side == "gamma" else self.gamma_op
-        out = None
         for i in range(self.cutoff + 1):
             if any(ext_dim(i, f_mod, projective_module(alg, v)) > 0 for v in range(alg.nv)):
-                out = i
-                break
-        self._grades[key] = out
-        return out
+                return i
+        return None
 
     # -- resolving subcategories ---------------------------------------------------
 
+    @memo(lambda self, side, z, a, vec: (side, z, a, tuple(int(c) for c in vec)))
     def ext_middle_parts(self, side: str, z: int, a: int, vec) -> frozenset[int]:
         """Ids of the summands of the middle term of the realized class (cached)."""
-        key = (side, z, a, tuple(int(c) for c in vec))
-        cached = self._middle_parts.get(key)
-        if cached is None:
-            index = self.side_index(side)
-            space = ext_space(index.modules[z], index.modules[a])
-            cached = frozenset(index.parts(space.realize(vec).mid))
-            self._middle_parts[key] = cached
-        return cached
+        index = self.side_index(side)
+        space = ext_space(index.modules[z], index.modules[a])
+        return frozenset(index.parts(space.realize(vec).mid))
 
+    @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
-        key = (side, i)
-        cached = self._syzygy_parts.get(key)
-        if cached is None:
-            index = self.side_index(side)
-            _, cover = projective_cover(index.modules[i])
-            syz, _ = kernel(cover)
-            cached = frozenset() if syz.is_zero() else frozenset(index.parts(syz))
-            self._syzygy_parts[key] = cached
-        return cached
+        index = self.side_index(side)
+        _, cover = projective_cover(index.modules[i])
+        syz, _ = kernel(cover)
+        return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
 
     def is_resolving(self, sub: SubcategorySpec, ambient_ids: frozenset[int], element_cap: int = 64) -> Report:
         """Resolving in the ambient id-set: generating, extension-closed,
@@ -392,19 +368,15 @@ class AuslanderContext:
             )
         return self._reconstruct_unchecked(sub)
 
+    @memo(lambda self, z, a, vec: (z, a, tuple(int(c) for c in vec)))
     def _inflation_functor_parts(self, z: int, a: int, vec) -> frozenset[int]:
         """Summand ids of coker(yoneda(i)) for the realized class (cached)."""
-        key = (z, a, tuple(int(c) for c in vec))
-        cached = self._reconstruct_table.get(key)
-        if cached is None:
-            ses = self.cat.ext(z, a).realize(vec)
-            y_i = self.ea.yoneda_map(ses.i)
-            if not y_i.is_injective():
-                raise AuslanderError("yoneda image of an inflation is not monic")
-            cok, _ = cokernel(y_i)
-            cached = frozenset(self.gamma_index.parts(cok))
-            self._reconstruct_table[key] = cached
-        return cached
+        ses = self.cat.ext(z, a).realize(vec)
+        y_i = self.ea.yoneda_map(ses.i)
+        if not y_i.is_injective():
+            raise AuslanderError("yoneda image of an inflation is not monic")
+        cok, _ = cokernel(y_i)
+        return frozenset(self.gamma_index.parts(cok))
 
     def _reconstruct_unchecked(self, sub: SubcategorySpec) -> ExactStructure:
         field = self.gamma.field
@@ -422,7 +394,7 @@ class AuslanderContext:
             if len(members) != (p**span_dim - 1) // (p - 1):
                 raise AuslanderError(f"reconstructed classes of Ext({z},{a}) are not a subspace")
             subs[(z, a)] = rows
-        return ExactStructure(self.cat, subs, "reconstructed")
+        return ExactStructure(self.cat, subs)
 
     def reconstruction_preconditions(self, sub: SubcategorySpec) -> Report:
         report = Report("reconstruction preconditions")

@@ -18,26 +18,22 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quiver, validate_algebra
-from .auslander import AuslanderContext, AuslanderError
-from .exactstruct import (
-    ExactStructure,
-    GuardExceeded,
-    brute_force_structures,
-    is_exact_structure,
-)
-from .linalg import FieldPrime, LinalgError, Matrix
-from .repmod import CapExceeded, RepmodError, ar_sequence, proj_dim, radical_submodule
+from .auslander import AuslanderContext
+from .exactstruct import ExactStructure, brute_force_structures, is_exact_structure
+from .linalg import ExactcatError, FieldPrime, LinalgError, Matrix
+from .repmod import ar_sequence, proj_dim, radical_submodule
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+PREFIX = {EXIT_VERIFY: "verification error", EXIT_INPUT: "input error", EXIT_CAP: "cap exceeded"}
 
 P_LIMIT = 2**16  # p below this keeps every int64 matrix product exact: (p-1)^2 < 2^32
 
 
-class SessionError(Exception):
-    pass
+class SessionError(ExactcatError):
+    exit_code = EXIT_INPUT
 
 
 def _is_id(x) -> bool:
@@ -92,7 +88,7 @@ class Session:
                     int(q.get("path_length_cap", 8)),
                 )
                 return build_from_quiver(pres)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, IndexError, AlgebraError) as exc:
                 raise SessionError(f"bad quiver: {exc}")
         if "table" in payload:
             t = payload["table"]
@@ -352,7 +348,7 @@ def _parse_given_structures(session: Session, ctx: AuslanderContext) -> list[Exa
                 subs[(z, a)] = Matrix(session.field, mat)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SessionError(f"bad structures entry {entry!r}: {exc}")
-        out.append(ExactStructure(ctx.cat, subs, "reconstructed"))
+        out.append(ExactStructure(ctx.cat, subs))
     return out
 
 
@@ -400,10 +396,6 @@ def run_session(payload: dict, out_dir: Path | None) -> tuple[int, RunOutput]:
     out = RunOutput()
     try:
         session = Session(payload)
-    except SessionError as exc:
-        out.emit(f"input error: {exc}")
-        return EXIT_INPUT, out
-    try:
         ctx = AuslanderContext(
             session.algebra,
             dim_cap=session.dim_cap,
@@ -412,15 +404,9 @@ def run_session(payload: dict, out_dir: Path | None) -> tuple[int, RunOutput]:
         )
         for command in session.commands:
             COMMANDS[command["name"]](session, ctx, out, command)
-    except SessionError as exc:
-        out.emit(f"input error: {exc}")
-        return EXIT_INPUT, out
-    except (CapExceeded, GuardExceeded) as exc:
-        out.emit(f"cap exceeded: {exc}")
-        return EXIT_CAP, out
-    except (AlgebraError, RepmodError, AuslanderError) as exc:
-        out.emit(f"verification error: {exc}")
-        return EXIT_VERIFY, out
+    except ExactcatError as exc:
+        out.emit(f"{PREFIX[exc.exit_code]}: {exc}")
+        return exc.exit_code, out
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(out.text(), encoding="utf-8")

@@ -21,7 +21,17 @@ import numpy as np
 
 from .algebra import Report
 from .functorcat import AdditiveCategorySpec
-from .linalg import Matrix, _lines, _subspace_elements, iterate_subspaces, rank, row_space_contains, rref
+from .linalg import (
+    ExactcatError,
+    Matrix,
+    _lines,
+    _subspace_elements,
+    iterate_subspaces,
+    memo,
+    rank,
+    row_space_contains,
+    rref,
+)
 from .repmod import (
     ExtSpace,
     IndecIndex,
@@ -45,12 +55,12 @@ from .repmod import (
 )
 
 
-class ExactstructError(Exception):
+class ExactstructError(ExactcatError):
     pass
 
 
 class GuardExceeded(ExactstructError):
-    pass
+    exit_code = 3
 
 
 class CategoryContext:
@@ -61,9 +71,6 @@ class CategoryContext:
         self.objects = spec.generators
         self.algebra = spec.algebra
         self.index = index
-        self._ar_class_cache: dict[int, tuple[int, np.ndarray]] = {}
-        self._push_cache: dict = {}
-        self._pull_cache: dict = {}
 
     def identify(self, m: Module) -> int | None:
         return self.spec.identify_summand(m)
@@ -91,43 +98,37 @@ class CategoryContext:
     def hom(self, i: int, j: int) -> list[ModuleMap]:
         return hom_basis(self.objects[i], self.objects[j])
 
+    @memo(lambda self, z, a: (z, a))
     def push_matrices(self, z: int, a: int) -> list[tuple[int, Matrix]]:
         """All (a', matrix) of pushout actions Ext(z, a) -> Ext(z, a') along hom basis maps."""
-        key = (z, a)
-        if key not in self._push_cache:
-            out = []
-            src = self.ext(z, a)
-            for a2 in range(len(self.objects)):
-                tgt = self.ext(z, a2)
-                if src.dim == 0 or tgt.dim == 0:
-                    continue
-                for g in self.hom(a, a2):
-                    out.append((a2, src.pushout_matrix(tgt, g)))
-            self._push_cache[key] = out
-        return self._push_cache[key]
+        out = []
+        src = self.ext(z, a)
+        for a2 in range(len(self.objects)):
+            tgt = self.ext(z, a2)
+            if src.dim == 0 or tgt.dim == 0:
+                continue
+            for g in self.hom(a, a2):
+                out.append((a2, src.pushout_matrix(tgt, g)))
+        return out
 
+    @memo(lambda self, z, a: (z, a))
     def pull_matrices(self, z: int, a: int) -> list[tuple[int, Matrix]]:
         """All (z', matrix) of pullback actions Ext(z, a) -> Ext(z', a) along hom basis maps."""
-        key = (z, a)
-        if key not in self._pull_cache:
-            out = []
-            src = self.ext(z, a)
-            for z2 in range(len(self.objects)):
-                tgt = self.ext(z2, a)
-                if src.dim == 0 or tgt.dim == 0:
-                    continue
-                for h in self.hom(z2, z):
-                    out.append((z2, src.pullback_matrix(tgt, h)))
-            self._pull_cache[key] = out
-        return self._pull_cache[key]
+        out = []
+        src = self.ext(z, a)
+        for z2 in range(len(self.objects)):
+            tgt = self.ext(z2, a)
+            if src.dim == 0 or tgt.dim == 0:
+                continue
+            for h in self.hom(z2, z):
+                out.append((z2, src.pullback_matrix(tgt, h)))
+        return out
 
+    @memo(lambda self, z_id: z_id)
     def ar_class(self, z_id: int) -> tuple[int, np.ndarray]:
         """(tau-z id, class vector) of the almost split sequence ending at object z_id."""
         if self.index is None:
             raise ExactstructError("AR data requires the full indecomposable index")
-        cached = self._ar_class_cache.get(z_id)
-        if cached is not None:
-            return cached
         ses = ar_sequence(self.objects[z_id], self.index)
         comps = componentwise_classes(self, ses)
         if len(comps) != 1:
@@ -135,7 +136,6 @@ class CategoryContext:
         (zc, ac, vec) = comps[0]
         if zc != z_id:
             raise ExactstructError("AR class misidentified")
-        self._ar_class_cache[z_id] = (ac, vec)
         return (ac, vec)
 
     def nonprojective_ids(self) -> list[int]:
@@ -168,9 +168,8 @@ class CategoryContext:
 class ExactStructure:
     """A family of action-closed subspaces of Ext^1, one per ordered object pair."""
 
-    def __init__(self, ctx: CategoryContext, subspaces: dict[tuple[int, int], Matrix], provenance: str):
+    def __init__(self, ctx: CategoryContext, subspaces: dict[tuple[int, int], Matrix]):
         self.ctx = ctx
-        self.provenance = provenance
         canonical: dict[tuple[int, int], Matrix] = {}
         for pair, rows in subspaces.items():
             r, _ = rref(rows)
@@ -215,23 +214,36 @@ class ExactStructure:
 
 
 def split_structure(ctx: CategoryContext) -> ExactStructure:
-    return ExactStructure(ctx, {}, "ar-subset")
+    return ExactStructure(ctx, {})
 
 
 def maximal_structure(ctx: CategoryContext) -> ExactStructure:
     subs = {}
     for pair in ctx.nonzero_pairs():
         subs[pair] = Matrix.identity(ctx.algebra.field, ctx.ext_dim(*pair))
-    return ExactStructure(ctx, subs, "reconstructed")
+    return ExactStructure(ctx, subs)
 
 
 # -- classes of concrete short exact sequences --------------------------------
 
 
+def _ses_key(ctx: CategoryContext, ses: ShortExactSeq) -> tuple:
+    """The three terms and the two maps of a sequence, each term once."""
+    return (
+        ses.sub.key(),
+        ses.mid.key(),
+        ses.quot.key(),
+        tuple(m.key() for m in ses.i.mats),
+        tuple(m.key() for m in ses.p.mats),
+    )
+
+
+@memo(_ses_key)
 def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tuple[int, int, np.ndarray]]:
     """The classes (z_id, a_id, vector) of a short exact sequence along the
     indecomposable summands of its end terms.  Raises if an end term leaves
-    the category."""
+    the category.  The classes do not depend on an exact structure, so each
+    sequence is classified once per context."""
     sub_parts = ctx.parts(ses.sub)
     quot_parts = ctx.parts(ses.quot)
     if sub_parts is None or quot_parts is None:
@@ -359,18 +371,14 @@ def defect_support(ctx: CategoryContext, ses: ShortExactSeq) -> frozenset[int]:
     return frozenset(out)
 
 
+@memo(lambda ctx, z, a: (z, a))
 def _defect_table(ctx: CategoryContext, z: int, a: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """(class vector, defect support) for one representative per line of Ext(z, a)."""
-    key = ("defect_table", z, a)
-    cached = ctx._push_cache.get(key)
-    if cached is None:
-        ext = ctx.ext(z, a)
-        cached = []
-        for vec in _lines(ext.dim, ctx.algebra.field.p):
-            support = defect_support(ctx, ext.realize(vec))
-            cached.append((tuple(int(c) for c in vec), support))
-        ctx._push_cache[key] = cached
-    return cached
+    ext = ctx.ext(z, a)
+    return [
+        (tuple(int(c) for c in vec), defect_support(ctx, ext.realize(vec)))
+        for vec in _lines(ext.dim, ctx.algebra.field.p)
+    ]
 
 
 def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
@@ -405,7 +413,7 @@ def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
                 f"defect-supported classes of Ext({z},{a}) do not form a subspace"
             )
         subs[(z, a)] = rows
-    return ExactStructure(ctx, subs, "ar-subset")
+    return ExactStructure(ctx, subs)
 
 
 def enumerate_exact_structures(ctx: CategoryContext) -> list[ExactStructure]:
@@ -443,7 +451,7 @@ def brute_force_structures(
     out = []
     for choice in itertools.product(*per_pair):
         subs = {pair: rows for pair, rows in zip(pairs, choice)}
-        e = ExactStructure(ctx, subs, "oracle")
+        e = ExactStructure(ctx, subs)
         if not _action_stable(e):
             continue
         if is_exact_structure(e, multiplicity_bound).ok:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, validate_algebra
-from .linalg import Matrix
+from .linalg import ExactcatError, Matrix, memo
 from .repmod import (
     Module,
     ModuleMap,
@@ -37,7 +37,7 @@ from .repmod import (
 )
 
 
-class FunctorcatError(Exception):
+class FunctorcatError(ExactcatError):
     pass
 
 
@@ -90,7 +90,7 @@ class EndAlgebra:
             right.append(i)
         # diagonal radical parts: a basis of rad End(M_i) for each local summand
         for i, g in enumerate(gens):
-            for k, r in enumerate(_local_residue(hom_basis(g, g), g)):
+            for k, r in enumerate(_local_residue(g)):
                 dictionary.append(r)
                 labels.append(f"r{i}.{i}.{k}")
                 left.append(i)
@@ -135,14 +135,11 @@ class EndAlgebra:
         expected = sum(len(hom_basis(a, b)) for a in gens for b in gens)
         if self.gamma.dim != expected:
             raise FunctorcatError("endomorphism algebra dimension mismatch")
-        self._yoneda_cache: dict[bytes, tuple[Module, list[list[ModuleMap]]]] = {}
 
     # -- Yoneda ---------------------------------------------------------------
 
+    @memo(lambda self, x: x.key())
     def _yoneda_data(self, x: Module) -> tuple[Module, list[list[ModuleMap]]]:
-        cached = self._yoneda_cache.get(x.key())
-        if cached is not None:
-            return cached
         gens = self.spec.generators
         gamma = self.gamma
         bases = [hom_basis(g, x) for g in gens]
@@ -161,10 +158,7 @@ class EndAlgebra:
                 else Matrix.zeros(gamma.field, dims[tgt_summand], 0)
             )
             act[b] = mat
-        module = Module(gamma, dims, act)
-        data = (module, bases)
-        self._yoneda_cache[x.key()] = data
-        return data
+        return Module(gamma, dims, act), bases
 
     def yoneda(self, x: Module) -> Module:
         """The right Gamma-module Hom(M, x)."""
@@ -288,17 +282,12 @@ class EndAlgebra:
         """L(F) = coker(f) for the transported minimal presentation morphism f."""
         return self.presentation_in_category(f_mod).cokernel
 
+    @memo(lambda self, f_mod: f_mod.key())
     def presentation_in_category(self, f_mod: Module) -> "CategoryPresentation":
-        key = ("L", f_mod.key())
-        cached = self.gamma._derived.get(key)
-        if cached is not None:
-            return cached
         pres = minimal_presentation(f_mod)
         f = self.unyoneda_std(pres.d, pres.p1, pres.p0)
         cok, proj = cokernel(f)
-        out = CategoryPresentation(pres, f, cok, proj)
-        self.gamma._derived[key] = out
-        return out
+        return CategoryPresentation(pres, f, cok, proj)
 
     def localize_map(self, eta: ModuleMap) -> ModuleMap:
         """L on morphisms: the induced map coker(f_src) -> coker(f_tgt)."""

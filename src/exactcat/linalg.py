@@ -7,14 +7,57 @@ comparisons are exact equality.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class LinalgError(Exception):
+class ExactcatError(Exception):
+    """Root of every exactcat error; the CLI exits with its exit_code."""
+
+    exit_code = 1
+
+
+class LinalgError(ExactcatError):
     pass
+
+
+def memo(key=lambda *args, **kwargs: (), owner=lambda obj, *args, **kwargs: obj, store=None):
+    """Decorator remembering a function's results on the object they belong to.
+
+    Results live in a dict attribute of owner(*args, **kwargs) (by default the
+    first argument) named store (by default "_<function name>_memo"), under
+    key(*args, **kwargs) (by default one entry per owner).  The key must pin
+    down everything the result depends on; a None result is remembered like
+    any other.  The dict goes away with its owner, so nothing outlives a
+    session.  wrapper.record(value, *args, **kwargs) stores a result that is
+    known without calling the function.
+    """
+
+    def decorate(fn):
+        name = store or f"_{fn.__name__}_memo"
+
+        def cache(args, kwargs) -> dict:
+            return vars(owner(*args, **kwargs)).setdefault(name, {})
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            results = cache(args, kwargs)
+            k = key(*args, **kwargs)
+            if k in results:
+                return results[k]
+            value = results[k] = fn(*args, **kwargs)
+            return value
+
+        def record(value, *args, **kwargs):
+            cache(args, kwargs)[key(*args, **kwargs)] = value
+
+        wrapper.record = record
+        return wrapper
+
+    return decorate
 
 
 def _is_prime(n: int) -> bool:

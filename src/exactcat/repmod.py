@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .linalg import (
+    ExactcatError,
     Matrix,
     _lines,
     block_diag,
@@ -31,6 +32,7 @@ from .linalg import (
     is_invertible,
     iterate_subspaces,
     kernel_basis,
+    memo,
     rank,
     rref,
     solve_right,
@@ -38,12 +40,19 @@ from .linalg import (
 )
 
 
-class RepmodError(Exception):
+class RepmodError(ExactcatError):
     pass
 
 
 class CapExceeded(RepmodError):
-    pass
+    exit_code = 3
+
+
+def _algebra(m: Module, n: Module) -> Algebra:
+    """The algebra of two modules, which must be the same."""
+    if m.algebra is not n.algebra:
+        raise RepmodError("modules over different algebras")
+    return m.algebra
 
 
 # -- modules and maps ---------------------------------------------------------
@@ -245,15 +254,10 @@ def _hom_system(m: Module, n: Module) -> tuple[Matrix, np.ndarray]:
     return Matrix(alg.field, system), offsets
 
 
+@memo(lambda m, n: (m.key(), n.key()), owner=_algebra, store="hom_cache")
 def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     """A deterministic basis of Hom(m, n), by solving the intertwiner equations."""
-    if m.algebra is not n.algebra:
-        raise RepmodError("hom_basis: modules over different algebras")
     alg = m.algebra
-    cache_key = ("hom", m.key(), n.key())
-    cached = alg.hom_cache.get(cache_key)
-    if cached is not None:
-        return cached
     system, offsets = _hom_system(m, n)
     basis = kernel_basis(system)
     maps = []
@@ -264,7 +268,6 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
             chunk = col[offsets[v] : offsets[v + 1]].reshape(n.dims[v], m.dims[v])
             mats.append(Matrix(alg.field, chunk))
         maps.append(ModuleMap(m, n, mats))
-    alg.hom_cache[cache_key] = maps
     return maps
 
 
@@ -605,31 +608,31 @@ def _splitting_idempotent(m: Module, seed: int) -> ModuleMap | None:
     return None
 
 
+@memo(
+    lambda m, seed=0: (m.key(), seed),
+    owner=lambda m, seed=0: m.algebra,
+    store="decompose_cache",
+)
 def decompose(m: Module, seed: int = 0) -> list[tuple[Module, ModuleMap]]:
     """Indecomposable summands of m, each with its inclusion map.
 
     The direct sum of the returned summands is isomorphic to m; stacking the
-    inclusions gives the isomorphism (see decompose_iso).
+    inclusions gives the isomorphism (see decompose_iso).  A summand that no
+    idempotent splits is certified by its local endomorphism ring; raises
+    RepmodError when that certificate fails.
     """
-    alg = m.algebra
-    cached = alg.decompose_cache.get((m.key(), seed))
-    if cached is not None:
-        return cached
-    result: list[tuple[Module, ModuleMap]] = []
     if m.is_zero():
-        alg.decompose_cache[(m.key(), seed)] = result
-        return result
+        return []
     e = _splitting_idempotent(m, seed)
     if e is None:
-        result = [(m, ModuleMap.identity(m))]
-    else:
-        one_minus = ModuleMap.identity(m) - e
-        for part_map in (e, one_minus):
-            bases = [column_space_basis(mat) for mat in part_map.mats]
-            part, incl = submodule(m, bases)
-            for piece, piece_incl in decompose(part, seed):
-                result.append((piece, incl @ piece_incl))
-    alg.decompose_cache[(m.key(), seed)] = result
+        _local_residue(m)
+        return [(m, ModuleMap.identity(m))]
+    result = []
+    for part_map in (e, ModuleMap.identity(m) - e):
+        bases = [column_space_basis(mat) for mat in part_map.mats]
+        part, incl = submodule(m, bases)
+        for piece, piece_incl in decompose(part, seed):
+            result.append((piece, incl @ piece_incl))
     return result
 
 
@@ -647,6 +650,11 @@ def decompose_iso(m: Module, parts: list[tuple[Module, ModuleMap]]) -> ModuleMap
     return f
 
 
+@memo(
+    lambda m, n, seed=0: (m.key(), n.key()),
+    owner=lambda m, n, seed=0: _algebra(m, n),
+    store="iso_cache",
+)
 def is_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
     """An isomorphism m -> n if one exists, else None.
 
@@ -654,19 +662,6 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
     then the deterministic candidate schedule searches Hom(m, n) for an
     invertible element (exhaustively when the hom space is small).
     """
-    if m.algebra is not n.algebra:
-        raise RepmodError("is_isomorphic: modules over different algebras")
-    alg = m.algebra
-    k = (m.key(), n.key())
-    cached = alg.iso_cache.get(k)
-    if cached is not None:
-        return cached[1] if cached[0] else None
-    witness = _iso_search(m, n, seed)
-    alg.iso_cache[k] = (witness is not None, witness)
-    return witness
-
-
-def _iso_search(m: Module, n: Module, seed: int) -> ModuleMap | None:
     if m.dims != n.dims:
         return None
     if m.is_zero():
@@ -724,15 +719,13 @@ class StandardModules:
     injectives: list[Module]
 
 
+@memo()
 def standard_modules(a: Algebra) -> StandardModules:
-    key = "standard_modules"
-    if key not in a._derived:
-        a._derived[key] = StandardModules(
-            [simple_module(a, v) for v in range(a.nv)],
-            [projective_module(a, v) for v in range(a.nv)],
-            [injective_module(a, v) for v in range(a.nv)],
-        )
-    return a._derived[key]
+    return StandardModules(
+        [simple_module(a, v) for v in range(a.nv)],
+        [projective_module(a, v) for v in range(a.nv)],
+        [injective_module(a, v) for v in range(a.nv)],
+    )
 
 
 # -- standard projectives with generator bookkeeping --------------------------
@@ -850,12 +843,10 @@ def top_data(m: Module) -> tuple[list[int], list[Matrix]]:
     return tops, reps
 
 
+@memo(Module.key, owner=lambda m: m.algebra)
 def projective_cover(m: Module) -> tuple[StdProjective, ModuleMap]:
     """The minimal surjection P ->> m from a standard projective."""
     alg = m.algebra
-    cached = alg._derived.get(("cover", m.key()))
-    if cached is not None:
-        return cached
     tops, reps = top_data(m)
     verts = [v for v in range(alg.nv) for _ in range(tops[v])]
     sp = std_projective(alg, verts)
@@ -880,7 +871,6 @@ def projective_cover(m: Module) -> tuple[StdProjective, ModuleMap]:
     cover = ModuleMap(sp.module, m, mats)
     if not cover.is_surjective():
         raise RepmodError("projective cover is not surjective")
-    alg._derived[("cover", m.key())] = (sp, cover)
     return sp, cover
 
 
@@ -898,29 +888,21 @@ class Presentation:
         return self.aug.target
 
 
+@memo(Module.key, owner=lambda m: m.algebra)
 def minimal_presentation(m: Module) -> Presentation:
-    alg = m.algebra
-    cached = alg._derived.get(("presentation", m.key()))
-    if cached is not None:
-        return cached
     p0, cover = projective_cover(m)
     syz, incl = kernel(cover)
     p1, cover1 = projective_cover(syz)
-    pres = Presentation(p1, p0, incl @ cover1, cover)
-    alg._derived[("presentation", m.key())] = pres
-    return pres
+    return Presentation(p1, p0, incl @ cover1, cover)
 
 
+@memo(lambda m, length: (m.key(), length), owner=lambda m, length: m.algebra)
 def minimal_resolution(m: Module, length: int) -> tuple[list[StdProjective], list[ModuleMap], ModuleMap]:
     """Minimal projective resolution P_length -> ... -> P_0 -> m -> 0.
 
     Returns (projectives, differentials d_k: P_k -> P_{k-1} for k >= 1, aug).
     Trailing zero projectives appear once the resolution has terminated.
     """
-    alg = m.algebra
-    cached = alg._derived.get(("resolution", m.key(), length))
-    if cached is not None:
-        return cached
     p0, cover = projective_cover(m)
     projs = [p0]
     diffs: list[ModuleMap] = []
@@ -931,9 +913,7 @@ def minimal_resolution(m: Module, length: int) -> tuple[list[StdProjective], lis
         diffs.append(incl @ coverk)
         projs.append(pk)
         current_cover = coverk
-    out = (projs, diffs, cover)
-    alg._derived[("resolution", m.key(), length)] = out
-    return out
+    return projs, diffs, cover
 
 
 def ext_dim(i: int, m: Module, n: Module) -> int:
@@ -1027,20 +1007,15 @@ def homological_dims(a: Algebra, cutoff: int, index: "IndecIndex | None" = None)
 # -- transpose and AR translate -----------------------------------------------
 
 
+@memo(Module.key, owner=lambda m: m.algebra)
 def transpose_module(m: Module) -> Module:
     """The Auslander-Bridger transpose, a module over the opposite algebra.
 
     Computed by applying Hom(-, A) to a minimal projective presentation; with
     minimal presentations the transpose of a projective is exactly zero.
     """
-    alg = m.algebra
-    cached = alg._derived.get(("transpose", m.key()))
-    if cached is not None:
-        return cached
     pres = minimal_presentation(m)
-    tr, _ = cokernel(dual_std_map(pres.d, pres.p1, pres.p0))
-    alg._derived[("transpose", m.key())] = tr
-    return tr
+    return cokernel(dual_std_map(pres.d, pres.p1, pres.p0))[0]
 
 
 def ar_translate(z: Module) -> Module:
@@ -1066,9 +1041,7 @@ class ExtSpace:
     """
 
     def __init__(self, z: Module, a: Module):
-        if z.algebra is not a.algebra:
-            raise RepmodError("ExtSpace: modules over different algebras")
-        self.alg = z.algebra
+        self.alg = _algebra(z, a)
         self.z = z
         self.a = a
         self.p0, self.cover = projective_cover(z)
@@ -1151,15 +1124,10 @@ class ExtSpace:
         )
 
 
+@memo(lambda z, a: (z.key(), a.key()), owner=_algebra)
 def ext_space(z: Module, a: Module) -> "ExtSpace":
     """Cached ExtSpace(z, a)."""
-    alg = z.algebra
-    key = ("extspace", z.key(), a.key())
-    cached = alg._derived.get(key)
-    if cached is None:
-        cached = ExtSpace(z, a)
-        alg._derived[key] = cached
-    return cached
+    return ExtSpace(z, a)
 
 
 def lift_through_epi(f: ModuleMap, p: ModuleMap) -> ModuleMap:
@@ -1213,12 +1181,14 @@ def descend(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
 # -- almost split sequences ----------------------------------------------------
 
 
-def _local_residue(end: list[ModuleMap], m: Module) -> list[ModuleMap]:
-    """Basis of rad End(m) for m with local endomorphism ring over GF(p)."""
+@memo(Module.key, owner=lambda m: m.algebra)
+def _local_residue(m: Module) -> list[ModuleMap]:
+    """Basis of rad End(m) for m with local endomorphism ring over GF(p);
+    raises RepmodError when End(m) is not local."""
     p = m.algebra.field.p
     ident = ModuleMap.identity(m)
     rad = []
-    for h in end:
+    for h in hom_basis(m, m):
         lam = None
         for c in range(p):
             cand = h - ident.scale(c)
@@ -1268,7 +1238,7 @@ def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
             continue
         if w_id == z_id:
             u = is_isomorphic(w, z)
-            required = [u @ r for r in _local_residue(hom_basis(w, w), w)]
+            required = [u @ r for r in _local_residue(w)]
         else:
             required = homs
         mid_homs = hom_basis(w, ses.mid)
@@ -1299,7 +1269,7 @@ def ar_candidate(z: Module) -> ShortExactSeq:
     if ext.dim == 0:
         raise RepmodError("Ext^1(z, tau z) = 0; no almost split sequence")
     field = z.algebra.field
-    rad = _local_residue(hom_basis(z, z), z)
+    rad = _local_residue(z)
     stacked = [ext.pullback_matrix(ext, r) for r in rad]
     if stacked:
         socle = kernel_basis(vstack(field, stacked))
@@ -1310,6 +1280,7 @@ def ar_candidate(z: Module) -> ShortExactSeq:
     return ext.realize(socle.a[:, 0])
 
 
+@memo(lambda z, index: index.identify(z), owner=lambda z, index: index)
 def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
     """The almost split sequence 0 -> tau z -> E -> z -> 0, validated by definition.
 
@@ -1322,18 +1293,13 @@ def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
         raise RepmodError("ar_sequence: z is not in the indecomposable index")
     if index.is_projective[z_id]:
         raise RepmodError("ar_sequence: z is projective")
-    cached = index.ar_cache.get(z_id)
-    if cached is not None:
-        return cached
     candidate = ar_candidate(z)
     if is_almost_split(candidate, index):
-        index.ar_cache[z_id] = candidate
         return candidate
     ext = ext_space(z, ar_translate(z))
     for vec in _lines(ext.dim, z.algebra.field.p):
         ses = ext.realize(vec)
         if is_almost_split(ses, index):
-            index.ar_cache[z_id] = ses
             return ses
     raise RepmodError("no almost split sequence found (is the list complete?)")
 
@@ -1348,11 +1314,7 @@ class IndecIndex:
         self.algebra = algebra
         self.modules = modules
         self._id_by_key = {m.key(): i for i, m in enumerate(modules)}
-        self.ar_cache: dict[int, ShortExactSeq] = {}
         self._dimvecs = np.array([m.dims for m in modules], dtype=np.int64).reshape(len(modules), algebra.nv)
-        self._rows: np.ndarray | None = None
-        self._residue_dims: np.ndarray | None = None
-        self._parts_cache: dict[bytes, list[int]] = {}
         std = standard_modules(algebra)
         self.is_projective = [any(is_isomorphic(m, pv) is not None for pv in std.projectives) for m in modules]
         self.is_injective = [any(is_isomorphic(m, iv) is not None for iv in std.injectives) for m in modules]
@@ -1370,6 +1332,11 @@ class IndecIndex:
         return None
 
     def parts(self, m: Module) -> list[int]:
+        """Iso classes (with multiplicity) of the summands of m, as a new list."""
+        return list(self._parts(m))
+
+    @memo(lambda self, m: m.key())
+    def _parts(self, m: Module) -> tuple[int, ...]:
         """Iso classes (with multiplicity) of the summands of m.
 
         Counted, not split.  The simple functor S_X at a member X has the
@@ -1381,41 +1348,35 @@ class IndecIndex:
         dimension vectors then prove, by Krull-Schmidt, that m has no summand
         outside the index.
         """
-        cached = self._parts_cache.get(m.key())
-        if cached is None:
-            rows, residue_dims = self._relations()
-            h = np.array([_hom_dim_by_rank(m, x) for x in self.modules], dtype=np.int64)
-            counts = rows @ h
-            if (counts < 0).any() or (counts % residue_dims).any():
-                raise RepmodError("module has a summand outside the index")
-            mult = counts // residue_dims
-            if tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
-                raise RepmodError("module has a summand outside the index")
-            cached = [i for i, k in enumerate(mult) for _ in range(k)]
-            self._parts_cache[m.key()] = cached
-        return list(cached)
+        rows, residue_dims = self._relations()
+        h = np.array([_hom_dim_by_rank(m, x) for x in self.modules], dtype=np.int64)
+        counts = rows @ h
+        if (counts < 0).any() or (counts % residue_dims).any():
+            raise RepmodError("module has a summand outside the index")
+        mult = counts // residue_dims
+        if tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
+            raise RepmodError("module has a summand outside the index")
+        return tuple(i for i, k in enumerate(mult) for _ in range(k))
 
+    @memo()
     def _relations(self) -> tuple[np.ndarray, np.ndarray]:
         """Row i gives dim S_{X_i}(m) from the h_j: e_i - [E_i] + [tau X_i] for the
         almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective;
         with the residue dimensions d_i = dim End(X_i)/rad End(X_i)."""
-        if self._rows is None:
-            n = len(self.modules)
-            rows = np.eye(n, dtype=np.int64)
-            residue_dims = np.zeros(n, dtype=np.int64)
-            for i, x in enumerate(self.modules):
-                if self.is_projective[i]:
-                    middle = radical_submodule(x)[0]
-                else:
-                    ses = ar_sequence(x, self)
-                    middle = ses.mid
-                    rows[i, self._member(ses.sub)] += 1
-                for part, _ in decompose(middle):
-                    rows[i, self._member(part)] -= 1
-                end = hom_basis(x, x)
-                residue_dims[i] = len(end) - len(_local_residue(end, x))
-            self._rows, self._residue_dims = rows, residue_dims
-        return self._rows, self._residue_dims
+        n = len(self.modules)
+        rows = np.eye(n, dtype=np.int64)
+        residue_dims = np.zeros(n, dtype=np.int64)
+        for i, x in enumerate(self.modules):
+            if self.is_projective[i]:
+                middle = radical_submodule(x)[0]
+            else:
+                ses = ar_sequence(x, self)
+                middle = ses.mid
+                rows[i, self._member(ses.sub)] += 1
+            for part, _ in decompose(middle):
+                rows[i, self._member(part)] -= 1
+            residue_dims[i] = len(hom_basis(x, x)) - len(_local_residue(x))
+        return rows, residue_dims
 
     def _member(self, m: Module) -> int:
         i = self.identify(m)
@@ -1427,6 +1388,7 @@ class IndecIndex:
         return [i for i in range(len(self.modules)) if not self.is_projective[i]]
 
 
+@memo(lambda a, dim_cap, seed=0: dim_cap)
 def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0) -> IndecIndex:
     """Enumerate the indecomposables by knitting from the projectives.
 
@@ -1437,9 +1399,6 @@ def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0) -> IndecIndex:
     almost-split test for every non-projective member.  Raises CapExceeded if
     a module above the dimension cap shows up.
     """
-    cached = a._derived.get(("indec_index", dim_cap))
-    if cached is not None:
-        return cached
     std = standard_modules(a)
     known: list[Module] = []
 
@@ -1501,7 +1460,6 @@ def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0) -> IndecIndex:
         for part, _ in decompose(ses.mid, seed):
             if index.identify(part) is None:
                 raise RepmodError("validated AR sequence leaves the enumerated list")
-    a._derived[("indec_index", dim_cap)] = index
     return index
 
 

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from exactcat.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, Session, main, run_session
+from exactcat import cli
+from exactcat.algebra import AlgebraError
+from exactcat.auslander import AuslanderError
+from exactcat.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, Session, SessionError, main, run_session
+from exactcat.exactstruct import ExactstructError, GuardExceeded
+from exactcat.functorcat import FunctorcatError
+from exactcat.linalg import ExactcatError, LinalgError
+from exactcat.repmod import CapExceeded, RepmodError
 
 
 def session_kA2(commands, **extra):
@@ -152,6 +159,35 @@ def test_malformed_session():
     code, out = run_session(session_kA2(["verify"], p=2147483647), None)
     assert code == EXIT_INPUT
     assert len(out.lines) == 1 and out.lines[0].startswith("input error: bad field")
+    # duplicate vertex, short arrow, non-composable relation, loop longer than path_length_cap
+    for quiver in (
+        {"vertices": ["1", "1"], "arrows": []},
+        {"vertices": ["1"], "arrows": [["a"]]},
+        {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]], "relations": [["a", "a"]]},
+        {"vertices": ["1"], "arrows": [["x", "1", "1"]]},
+    ):
+        code, out = run_session({"p": 2, "quiver": quiver, "commands": ["verify"]}, None)
+        assert code == EXIT_INPUT
+        assert len(out.lines) == 1 and out.lines[0].startswith("input error: bad quiver: ")
+
+
+@pytest.mark.parametrize("error", [FunctorcatError, ExactstructError, LinalgError])
+def test_internal_errors_exit_as_verification_errors(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "is_exact_structure", fail)
+    code, out = run_session(session_kA2(["verify"]), None)
+    assert code == EXIT_VERIFY
+    assert [line for line in out.lines if "error" in line] == ["verification error: injected"]
+    assert out.lines[-1] == "verification error: injected"
+
+
+def test_error_exit_codes():
+    assert issubclass(SessionError, ExactcatError) and SessionError.exit_code == EXIT_INPUT
+    assert CapExceeded.exit_code == GuardExceeded.exit_code == EXIT_CAP
+    for error in (AlgebraError, RepmodError, FunctorcatError, ExactstructError, AuslanderError, LinalgError):
+        assert issubclass(error, ExactcatError) and error.exit_code == EXIT_VERIFY
 
 
 def test_largest_supported_prime_loads():

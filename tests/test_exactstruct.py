@@ -216,7 +216,7 @@ def test_non_action_stable_family_fails():
     victim = None
     for pair in pairs:
         trial = {p: rows for p, rows in broken.items() if p != pair}
-        e = ExactStructure(ctx, trial, "custom")
+        e = ExactStructure(ctx, trial)
         report = is_exact_structure(e)
         if not report.ok:
             victim = pair
@@ -265,7 +265,7 @@ def test_action_stable_family_can_fail_composition(kA3_ctx):
     for z in (long_mod, mid_simple):
         a, vec = ctx.ar_class(z)
         subs[(z, a)] = Matrix(ctx.algebra.field, np.array(vec).reshape(1, -1))
-    bad = ExactStructure(ctx, subs, "custom")
+    bad = ExactStructure(ctx, subs)
     assert _action_stable(bad)
     report = is_exact_structure(bad, multiplicity_bound=2)
     assert not report.ok

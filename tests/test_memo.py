@@ -1,0 +1,156 @@
+"""The one memo layer (linalg.memo) and the names the outside-in tracer in
+perfbench/tracer.py patches and reads."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from exactcat import exactstruct, repmod
+from exactcat.algebra import algebra_kA2, algebra_kA3
+from exactcat.auslander import AuslanderContext
+from exactcat.cli import run_session
+from exactcat.linalg import FieldPrime, memo
+from exactcat.repmod import (
+    all_indecomposables,
+    direct_sum,
+    hom_basis,
+    is_isomorphic,
+    projective_module,
+    simple_module,
+)
+
+GF2 = FieldPrime(2)
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+class Owner:
+    pass
+
+
+def test_memo_keys_keywords_none_and_owners():
+    calls = []
+
+    @memo(lambda owner, x, scale=1: (x, scale))
+    def f(owner, x, scale=1):
+        calls.append((x, scale))
+        return None if x < 0 else x * scale
+
+    a, b = Owner(), Owner()
+    assert f(a, 2) == f(a, 2) == 2
+    assert f(a, 2, scale=3) == f(a, 2, 3) == 6
+    assert f(a, -1) is None and f(a, -1) is None
+    assert calls == [(2, 1), (2, 3), (-1, 1)]
+    assert f(b, 2) == 2 and len(calls) == 4  # each owner has its own store
+    assert vars(a)["_f_memo"] == {(2, 1): 2, (2, 3): 6, (-1, 1): None}
+    f.record(7, b, 5)
+    assert f(b, 5) == 7 and len(calls) == 4
+
+
+def test_none_isomorphism_is_computed_once(monkeypatch):
+    a = algebra_kA2(GF2)
+    # S1 + S2 and P1 share the dimension vector (1, 1) but are not isomorphic
+    m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 1)])
+    n = projective_module(a, 0)
+    homs = []
+    hom = repmod.hom_basis
+
+    def counting(x, y):
+        homs.append((x, y))
+        return hom(x, y)
+
+    monkeypatch.setattr(repmod, "hom_basis", counting)
+    assert is_isomorphic(m, n) is None
+    searched = len(homs)
+    assert searched > 0
+    assert is_isomorphic(m, n) is None
+    assert len(homs) == searched
+    assert a.iso_cache == {(m.key(), n.key()): None}
+
+
+def test_componentwise_classes_run_once_per_sequence_across_structures(monkeypatch):
+    ctx = AuslanderContext(algebra_kA3(GF2, False))
+    structures = ctx.structures()
+    assert len(structures) == 8
+    calls = []
+    classes = exactstruct.componentwise_classes
+
+    def spy(cat, ses):
+        calls.append(exactstruct._ses_key(cat, ses))
+        return classes(cat, ses)
+
+    monkeypatch.setattr(exactstruct, "componentwise_classes", spy)
+    store = vars(ctx.cat).setdefault("_componentwise_classes_memo", {})
+    before = set(store)
+    for e in structures:
+        ctx.build_subcategories(e)
+    distinct = set(calls)
+    assert len(calls) > 2 * len(distinct)  # the structures share their sequences
+    # one body run (one new entry) per sequence not classified before
+    assert set(store) - before == distinct - before
+
+
+def test_algebras_from_the_same_quiver_share_no_entries():
+    a1, a2 = algebra_kA3(GF2, False), algebra_kA3(GF2, False)
+    index1 = all_indecomposables(a1, 10)
+    assert a1.hom_cache and a1.decompose_cache and a1.iso_cache
+    assert not (a2.hom_cache or a2.decompose_cache or a2.iso_cache)
+    assert not any(name.endswith("_memo") for name in vars(a2))
+    index2 = all_indecomposables(a2, 10)
+    assert index2 is not index1
+    assert all(m.algebra is a2 for m in index2.modules)
+    p1, p2 = projective_module(a1, 0), projective_module(a2, 0)
+    assert p1.key() == p2.key()
+    assert hom_basis(p1, p1) is not hom_basis(p2, p2)
+    for name in ("hom_cache", "decompose_cache", "iso_cache"):
+        shared = set(getattr(a1, name)) & set(getattr(a2, name))
+        assert shared
+        for k in shared:
+            v1, v2 = getattr(a1, name)[k], getattr(a2, name)[k]
+            assert v1 is None or v1 is not v2  # None: no isomorphism, in both
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses resolve annotations through it
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_paths_resolve_and_a_traced_session_runs():
+    tracer = load_tracer()
+    originals = {}
+    for _, module, path in tracer.TIMED + tracer.COUNTED:
+        home = importlib.import_module(f"exactcat.{module}")
+        if "." in path:
+            cls_name, meth = path.split(".")
+            assert meth in vars(getattr(home, cls_name)), path
+            originals[path] = vars(getattr(home, cls_name))[meth]
+        else:
+            assert callable(vars(home).get(path)), path
+            originals[path] = vars(home)[path]
+    t = tracer.Tracer().install()
+    try:
+        payload = {
+            "p": 2,
+            "quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]]},
+            "commands": ["indecomposables", "exact_structures", "verify"],
+        }
+        code, _ = run_session(payload, None)
+        t.drain_algebras()
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert all(t.cache_entries[name] > 0 for name in ("hom_cache", "decompose_cache", "iso_cache"))
+    hom = t.stats["repmod.hom_basis"]
+    assert hom.calls > t.cache_entries["hom_cache"]
+    assert t.stats["exactstruct.componentwise_classes"].calls > 0
+    assert t.stats["linalg.Matrix"].calls > 0 and not t.algebras
+    for _, module, path in tracer.TIMED + tracer.COUNTED:
+        home = importlib.import_module(f"exactcat.{module}")
+        if "." in path:
+            cls_name, meth = path.split(".")
+            assert vars(getattr(home, cls_name))[meth] is originals[path]
+        else:
+            assert vars(home)[path] is originals[path]
+

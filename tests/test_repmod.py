@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from exactcat import repmod
 from exactcat.algebra import (
     QuiverPresentation,
     algebra_dual_numbers,
@@ -158,6 +159,15 @@ def test_decompose_shuffle_invariance(kA2):
             reference = multiset
         assert multiset == reference
         decompose_iso(total, parts)
+
+
+def test_decompose_certifies_unsplit_summands(monkeypatch):
+    a = algebra_kA2(GF2)
+    total, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 1)])
+    monkeypatch.setattr(repmod, "_splitting_idempotent", lambda m, seed: None)
+    assert len(decompose(simple_module(a, 0))) == 1  # a local End passes
+    with pytest.raises(RepmodError, match="not local"):
+        decompose(total)
 
 
 def test_is_isomorphic_basics(kA2):
