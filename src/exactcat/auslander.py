@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import Algebra, Report
 from .exactstruct import (
+    ELEMENT_CAP,
     CategoryContext,
     ExactStructure,
     classify_morphism,
@@ -91,7 +92,7 @@ class AuslanderContext:
         self.cutoff = cutoff
         self.seed = seed
         self.index = all_indecomposables(algebra, dim_cap, seed)
-        self.spec = AdditiveCategorySpec(algebra, self.index.modules, True, True)
+        self.spec = AdditiveCategorySpec(algebra, self.index.modules)
         self.cat = CategoryContext(self.spec, self.index)
         self.ea = end_algebra(self.spec)
         self.gamma = self.ea.gamma
@@ -285,7 +286,7 @@ class AuslanderContext:
         syz, _ = kernel(cover)
         return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
 
-    def is_resolving(self, sub: SubcategorySpec, ambient_ids: frozenset[int], element_cap: int = 64) -> Report:
+    def is_resolving(self, sub: SubcategorySpec, ambient_ids: frozenset[int]) -> Report:
         """Resolving in the ambient id-set: generating, extension-closed,
         summand-closed (by construction), closed under kernels of deflations.
 
@@ -304,7 +305,7 @@ class AuslanderContext:
         for z in sorted(ids):
             for a in sorted(ids):
                 dim = ext_space(index.modules[z], index.modules[a]).dim
-                vectors, exhaustive = _subspace_elements(dim, p, element_cap)
+                vectors, exhaustive = _subspace_elements(dim, p, ELEMENT_CAP)
                 if not exhaustive:
                     report.note(f"Ext({z},{a}): spanning-set enumeration only")
                 for vec in vectors:
@@ -315,7 +316,7 @@ class AuslanderContext:
         report.add("kernels of deflations (via syzygy reduction)", syz_ok)
         return report
 
-    def resolving_closure(self, seed_ids, side: str, ambient_ids: frozenset[int], element_cap: int = 64) -> frozenset[int]:
+    def resolving_closure(self, seed_ids, side: str, ambient_ids: frozenset[int]) -> frozenset[int]:
         """Least id-set containing the seed and the projectives, closed under
         extensions (summands of realized middle terms) and syzygies."""
         index = self.side_index(side)
@@ -332,7 +333,7 @@ class AuslanderContext:
             for z in sorted(current):
                 for a in sorted(current):
                     dim = ext_space(index.modules[z], index.modules[a]).dim
-                    vectors, _ = _subspace_elements(dim, p, element_cap)
+                    vectors, _ = _subspace_elements(dim, p, ELEMENT_CAP)
                     for vec in vectors:
                         for pid in self.ext_middle_parts(side, z, a, vec):
                             if pid not in current:
@@ -759,7 +760,7 @@ class AuslanderContext:
 
     # -- restricted description -----------------------------------------------------------
 
-    def restricted_description(self, x_ids, element_cap: int = 64) -> Report:
+    def restricted_description(self, x_ids) -> Report:
         """smodad of an extension/kernel-closed subcategory X of mod(Lambda),
         computed over End(M_X) both by the membership test and by the
         idempotent condition N*e in X, and compared."""
@@ -776,7 +777,7 @@ class AuslanderContext:
         for z in sorted(x_ids):
             for a in sorted(x_ids):
                 space = ext_space(index.modules[z], index.modules[a])
-                vectors, _ = _subspace_elements(space.dim, p, element_cap)
+                vectors, _ = _subspace_elements(space.dim, p, ELEMENT_CAP)
                 for vec in vectors:
                     if not set(index.parts(space.realize(vec).mid)) <= x_ids:
                         ext_ok = False
@@ -792,7 +793,7 @@ class AuslanderContext:
             return report
 
         members = [index.modules[i] for i in sorted(x_ids)]
-        subspec = AdditiveCategorySpec(self.algebra, members, True, True)
+        subspec = AdditiveCategorySpec(self.algebra, members)
         sub_ctx = CategoryContext(subspec)
         ea_x = end_algebra(subspec)
         gamma_x = ea_x.gamma

@@ -63,6 +63,13 @@ class GuardExceeded(ExactstructError):
     exit_code = 3
 
 
+# Bounded checks walk every vector of an Ext^1 space of at most ELEMENT_CAP
+# elements and a spanning set beyond; the axiom checker realizes at most
+# AXIOM_ELEMENT_CAP lines of each subspace.
+ELEMENT_CAP = 64
+AXIOM_ELEMENT_CAP = 32
+
+
 class CategoryContext:
     """Ext^1 bifunctor data over the objects of an additive category spec."""
 
@@ -148,13 +155,13 @@ class CategoryContext:
                 out.append(i)
         return out
 
-    def verify_extension_closed(self, element_cap: int = 64) -> Report:
+    def verify_extension_closed(self) -> Report:
         """Check that every Ext^1 middle term between generators stays in add(M)."""
         report = Report("extension_closed")
         all_ok = True
         for (z, a) in self.nonzero_pairs():
             ext = self.ext(z, a)
-            vectors, exhaustive = _subspace_elements(ext.dim, self.algebra.field.p, element_cap)
+            vectors, exhaustive = _subspace_elements(ext.dim, self.algebra.field.p, ELEMENT_CAP)
             if not exhaustive:
                 report.note(f"pair {(z, a)}: checked a spanning set of classes only")
             for vec in vectors:
@@ -473,7 +480,7 @@ def _action_stable(e: ExactStructure) -> bool:
     return True
 
 
-def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2, element_cap: int = 32) -> Report:
+def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report:
     """Bounded-but-exhaustive verification of the exact category axioms.
 
     Bifunctor (action) closure is exact.  The composition axioms R1/L1 are
@@ -490,7 +497,7 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2, element_c
 
     middles_ok = True
     for (z, a), rows in e.subspaces.items():
-        vectors, exhaustive = _subspace_lines(rows, p, element_cap)
+        vectors, exhaustive = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
         for vec in vectors:
             ses = ctx.ext(z, a).realize(vec)
             if ctx.parts(ses.mid) is None:
@@ -499,9 +506,9 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2, element_c
             report.note(f"pair {(z, a)}: realization check on a spanning set only")
     report.add("realized middle terms stay in the category", middles_ok)
 
-    comp_ok, n_checked = _composition_check(e, element_cap)
+    comp_ok, n_checked = _composition_check(e)
     report.add(f"deflation compositions (R1), {n_checked} composites", comp_ok)
-    dual_ok, n_dual = _composition_check_dual(e, element_cap)
+    dual_ok, n_dual = _composition_check_dual(e)
     report.add(f"inflation compositions (L1), {n_dual} composites", dual_ok)
     return report
 
@@ -520,13 +527,13 @@ def _subspace_lines(rows: Matrix, p: int, cap: int) -> tuple[list[np.ndarray], b
     return [(c @ rows.a) % p for c in lines], exhaustive
 
 
-def _composition_check(e: ExactStructure, cap: int) -> tuple[bool, int]:
+def _composition_check(e: ExactStructure) -> tuple[bool, int]:
     """g o f for conflations f: B ->> E, g: E ->> D with indecomposable outer ends."""
     ctx = e.ctx
     p = ctx.algebra.field.p
     checked = 0
     for (d_id, ag_id), rows in list(e.subspaces.items()):
-        outer_classes, _ = _subspace_lines(rows, p, cap)
+        outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
             ses_g = ctx.ext(d_id, ag_id).realize(xg)
             mid = ses_g.mid
@@ -546,13 +553,13 @@ def _composition_check(e: ExactStructure, cap: int) -> tuple[bool, int]:
     return True, checked
 
 
-def _composition_check_dual(e: ExactStructure, cap: int) -> tuple[bool, int]:
+def _composition_check_dual(e: ExactStructure) -> tuple[bool, int]:
     """i2 o i1 for conflations with indecomposable outer ends (inflation side)."""
     ctx = e.ctx
     p = ctx.algebra.field.p
     checked = 0
     for (c_id, ag_id), rows in list(e.subspaces.items()):
-        outer_classes, _ = _subspace_lines(rows, p, cap)
+        outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
             ses_g = ctx.ext(c_id, ag_id).realize(xg)  # ag >-> E ->> c
             mid = ses_g.mid

@@ -47,8 +47,6 @@ class AdditiveCategorySpec:
 
     algebra: Algebra
     generators: list[Module]
-    contains_projectives: bool = False
-    extension_closed: bool = False
 
     def __post_init__(self):
         for i, m in enumerate(self.generators):

@@ -337,14 +337,13 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
 
 
 def _lines(dim: int, p: int) -> list[np.ndarray]:
-    """One representative per 1-dimensional subspace of GF(p)^dim (first nonzero = 1)."""
-    out = []
-    for v in itertools.product(range(p), repeat=dim):
-        vec = np.array(v, dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        if nz.size and vec[nz[0]] == 1:
-            out.append(vec)
-    return out
+    """One representative per 1-dimensional subspace of GF(p)^dim (first
+    nonzero = 1), in lexicographic order."""
+    return [
+        np.array((0,) * lead + (1,) + tail, dtype=np.int64)
+        for lead in range(dim - 1, -1, -1)
+        for tail in itertools.product(range(p), repeat=dim - 1 - lead)
+    ]
 
 
 def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:

@@ -421,127 +421,55 @@ class ShortExactSeq:
         return self.p.target
 
 
-# -- polynomials over GF(p), for splitting endomorphisms ----------------------
-
-
-def _poly_trim(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_divmod(f, g, p):
-    f = _poly_trim(list(f), p)
-    g = _poly_trim(list(g), p)
-    if not g:
-        raise ZeroDivisionError
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], p - 2, p)
-    while len(f) >= len(g) and f:
-        c = f[-1] * inv % p
-        d = len(f) - len(g)
-        q[d] = c
-        for i, gc in enumerate(g):
-            f[d + i] = (f[d + i] - c * gc) % p
-        f = _poly_trim(f, p)
-    return _poly_trim(q, p), f
-
-
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out, p)
-
-
-def _poly_sub(f, g, p):
-    n = max(len(f), len(g))
-    return _poly_trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], p)
-
-
-def _poly_xgcd(f, g, p):
-    """Returns (d, u, v) with u f + v g = d, d the monic gcd."""
-    r0, r1 = _poly_trim(list(f), p), _poly_trim(list(g), p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
-
-
-def _smallest_monic_divisor(f, p):
-    """The smallest-degree nontrivial monic divisor of f (hence irreducible), or None."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if not _poly_divmod(f, g, p)[1]:
-                return g
-    return None
-
-
-def _poly_factor(f, p):
-    """Irreducible factorisation [(g, multiplicity)] of a monic polynomial."""
-    f = _poly_trim(list(f), p)
-    factors: list[tuple[tuple[int, ...], int]] = []
-    while len(f) > 1:
-        g = _smallest_monic_divisor(f, p)
-        if g is None:
-            g = f
-        mult = 0
-        while True:
-            q, r = _poly_divmod(f, g, p)
-            if r:
-                break
-            f = q if q else [1]
-            mult += 1
-        factors.append((tuple(g), mult))
-    return factors
+# -- shifts of endomorphisms, for Fitting's lemma -----------------------------
 
 
 def _min_poly(mat: np.ndarray, field) -> list[int]:
-    """Minimal polynomial of a square matrix over GF(p)."""
+    """Minimal polynomial of a square matrix over GF(p), lowest coefficient first."""
     p = field.p
-    n = mat.shape[0]
-    if n == 0:
-        return [1]
-    powers = [np.eye(n, dtype=np.int64).reshape(-1) % p]
-    cur = np.eye(n, dtype=np.int64)
-    field_mat = mat % p
-    for _ in range(n):
-        cur = (cur @ field_mat) % p
-        flat = cur.reshape(-1)
-        a = Matrix(field, np.column_stack(powers))
-        b = Matrix(field, flat.reshape(-1, 1))
-        x = solve_right(a, b)
-        if x is not None:
-            coeffs = [(-int(c)) % p for c in x.a[:, 0]] + [1]
-            return _poly_trim(coeffs, p)
-        powers.append(flat)
-    raise RepmodError("minimal polynomial not found (unreachable)")
+    powers = [np.eye(mat.shape[0], dtype=np.int64)]
+    for _ in range(mat.shape[0]):
+        powers.append((powers[-1] @ mat) % p)
+    r, pivots = rref(Matrix(field, np.column_stack([w.reshape(-1) for w in powers])))
+    d = len(pivots)  # the first d powers are independent, the next depends on them
+    return [(-int(c)) % p for c in r.a[:d, d]] + [1]
 
 
-def _eval_poly_map(poly, f: ModuleMap) -> ModuleMap:
-    """Evaluate a polynomial at an endomorphism (per vertex)."""
-    out = ModuleMap.zero_map(f.source, f.target)
-    power = ModuleMap.identity(f.source)
-    for c in poly:
-        if c:
-            out = out + power.scale(int(c))
-        power = f @ power
-    return out
+def _least_shift(f: ModuleMap) -> tuple[int, list[np.ndarray]] | None:
+    """The least t in GF(p) with f + t singular, with the per-vertex matrices
+    of (f + t)^N for an N >= dim; None when f + t is invertible for every t.
+
+    The t are the roots at -t of the minimal polynomial, evaluated at all of
+    GF(p) at once.
+    """
+    field = f.source.algebra.field
+    p = field.p
+    total = block_diag(field, list(f.mats)).a
+    xs = (-np.arange(p, dtype=np.int64)) % p
+    values = np.zeros(p, dtype=np.int64)
+    for c in reversed(_min_poly(total, field)):
+        values = (values * xs + c) % p
+    roots = np.flatnonzero(values == 0)
+    if not roots.size:
+        return None
+    t = int(roots[0])
+    powers = []
+    for mat in f.mats:
+        power = (mat.a + t * np.eye(mat.rows, dtype=np.int64)) % p
+        for _ in range(max(total.shape[0].bit_length(), 1)):
+            power = (power @ power) % p
+        powers.append(power)
+    return t, powers
+
+
+def _fitting_projection(field, power: np.ndarray) -> Matrix:
+    """The projection onto ker(power) along im(power), for power = g^N with
+    N >= dim, where the two are complements (Fitting's lemma)."""
+    w = Matrix(field, power)
+    r, pivots = rref(w)
+    rows = Matrix(field, r.a[: len(pivots)])
+    cols = w.take_columns(pivots)  # w = cols @ rows
+    return Matrix.identity(field, w.rows) - cols @ inverse(rows @ cols) @ rows
 
 
 # -- Krull-Schmidt decomposition ----------------------------------------------
@@ -578,33 +506,23 @@ def _endo_candidates(end: list[ModuleMap], seed: int, p: int):
 def _splitting_idempotent(m: Module, seed: int) -> ModuleMap | None:
     """A nontrivial idempotent endomorphism of m, or None if none is found.
 
-    Probes the schedule of _endo_candidates; for each candidate whose minimal
-    polynomial has two coprime factors, the corresponding spectral idempotent
-    is returned.
+    Probes the schedule of _endo_candidates.  For the first candidate f with
+    f + t singular and (f + t)^N nonzero, t the least shift, returns the
+    projection onto ker (f + t)^N along im (f + t)^N (Fitting's lemma);
+    raises RepmodError when that is not a nontrivial idempotent.
     """
-    p = m.algebra.field.p
+    field = m.algebra.field
     end = hom_basis(m, m)
     if len(end) <= 1:
         return None
-    for f in _endo_candidates(end, seed, p):
-        total = block_diag(m.algebra.field, list(f.mats)).a
-        mp = _min_poly(total, m.algebra.field)
-        factors = _poly_factor(mp, p)
-        if len(factors) < 2:
+    for f in _endo_candidates(end, seed, field.p):
+        shift = _least_shift(f)
+        if shift is None or not any(w.any() for w in shift[1]):
             continue
-        g, mult = factors[0]
-        q1 = list(g)
-        for _ in range(mult - 1):
-            q1 = _poly_mul(q1, list(g), p)
-        q2, r = _poly_divmod(mp, q1, p)
-        assert not r
-        d, u, v = _poly_xgcd(q1, q2, p)
-        assert d == [1]
-        e = _eval_poly_map(_poly_mul(v, q2, p), f)
-        if e.is_zero() or (e - ModuleMap.identity(m)).is_zero():
-            continue
-        if (e @ e - e).is_zero():
-            return e
+        e = ModuleMap(m, m, [_fitting_projection(field, w) for w in shift[1]])
+        if e.is_zero() or (e - ModuleMap.identity(m)).is_zero() or not (e @ e - e).is_zero():
+            raise RepmodError("Fitting's lemma gave no nontrivial idempotent")
+        return e
     return None
 
 
@@ -650,12 +568,8 @@ def decompose_iso(m: Module, parts: list[tuple[Module, ModuleMap]]) -> ModuleMap
     return f
 
 
-@memo(
-    lambda m, n, seed=0: (m.key(), n.key()),
-    owner=lambda m, n, seed=0: _algebra(m, n),
-    store="iso_cache",
-)
-def is_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
+@memo(lambda m, n: (m.key(), n.key()), owner=_algebra, store="iso_cache")
+def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
     """An isomorphism m -> n if one exists, else None.
 
     Quick invariants (dimension vectors, hom dimensions) are checked first;
@@ -671,7 +585,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
         return None
     if len(hom_basis(n, m)) != len(homs) or len(hom_basis(m, m)) != len(hom_basis(n, n)):
         return None
-    for f in _endo_candidates(homs, seed, m.algebra.field.p):
+    for f in _endo_candidates(homs, 0, m.algebra.field.p):
         if f.is_isomorphism():
             return f
     return None
@@ -1185,24 +1099,13 @@ def descend(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
 def _local_residue(m: Module) -> list[ModuleMap]:
     """Basis of rad End(m) for m with local endomorphism ring over GF(p);
     raises RepmodError when End(m) is not local."""
-    p = m.algebra.field.p
     ident = ModuleMap.identity(m)
     rad = []
     for h in hom_basis(m, m):
-        lam = None
-        for c in range(p):
-            cand = h - ident.scale(c)
-            total = block_diag(m.algebra.field, list(cand.mats)).a
-            power = total
-            n = total.shape[0]
-            for _ in range(max(n.bit_length(), 1)):
-                power = (power @ power) % p
-            if not power.any():
-                lam = c
-                break
-        if lam is None:
+        shift = _least_shift(h)
+        if shift is None or any(w.any() for w in shift[1]):
             raise RepmodError("endomorphism ring is not local; module is decomposable")
-        cand = h - ident.scale(lam)
+        cand = h + ident.scale(shift[0])
         if not cand.is_zero():
             rad.append(cand)
     # prune to an independent set

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ GF5 = FieldPrime(5)
 
 def make_ctx(algebra):
     index = all_indecomposables(algebra, 10)
-    spec = AdditiveCategorySpec(algebra, index.modules, True, True)
+    spec = AdditiveCategorySpec(algebra, index.modules)
     return CategoryContext(spec, index)
 
 
@@ -284,13 +286,20 @@ def test_brute_force_guard():
         brute_force_structures(ctx, guard=3)
 
 
-@pytest.mark.parametrize("p", [2, 5])
-@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "d, p", [(d, p) for p in (2, 3, 5, 7) for d in (0, 1, 2, 3, 4)] + [(2, 65521)]
+)
 def test_lines_one_normalized_vector_per_line(d, p):
     lines = _lines(d, p)
     assert len(lines) == (p**d - 1) // (p - 1)
     assert all(v[np.nonzero(v)[0][0]] == 1 for v in lines)  # first nonzero entry is 1
     assert len({tuple(v) for v in lines}) == len(lines)
+    tuples = [tuple(v) for v in lines]
+    if p**d <= 5000:  # the same list, in the same order, as filtering all of GF(p)^d
+        walk = [v for v in itertools.product(range(p), repeat=d) if any(v) and v[np.flatnonzero(v)[0]] == 1]
+        assert tuples == walk
+    else:  # the walk is lexicographic
+        assert tuples == sorted(tuples)
 
 
 @pytest.mark.parametrize("p", [2, 5])

@@ -30,7 +30,7 @@ GF5 = FieldPrime(5)
 def kA2_ctx():
     a = algebra_kA2(GF2)
     index = all_indecomposables(a, 8)
-    spec = AdditiveCategorySpec(a, index.modules, contains_projectives=True, extension_closed=True)
+    spec = AdditiveCategorySpec(a, index.modules)
     return a, index, end_algebra(spec)
 
 
@@ -38,7 +38,7 @@ def kA2_ctx():
 def dn_ctx():
     a = algebra_dual_numbers(GF2)
     index = all_indecomposables(a, 8)
-    spec = AdditiveCategorySpec(a, index.modules, contains_projectives=True, extension_closed=True)
+    spec = AdditiveCategorySpec(a, index.modules)
     return a, index, end_algebra(spec)
 
 

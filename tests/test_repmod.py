@@ -170,6 +170,49 @@ def test_decompose_certifies_unsplit_summands(monkeypatch):
         decompose(total)
 
 
+def _probe(monkeypatch, *candidates):
+    monkeypatch.setattr(repmod, "_endo_candidates", lambda end, seed, p: iter(candidates))
+
+
+def test_split_at_least_singular_shift(monkeypatch):
+    a = algebra_semisimple(GF5, 1)
+    m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
+    no_root = ModuleMap(m, m, [Matrix(GF5, [[0, 2], [1, 0]])])  # x^2 - 2 is irreducible over GF(5)
+    f = ModuleMap(m, m, [Matrix(GF5, [[2, 0], [0, 3]])])
+    _probe(monkeypatch, ModuleMap.identity(m).scale(2), no_root, f)
+    # f + 2 = diag(4, 0) is the least singular shift: project onto the 3-eigenspace
+    e = repmod._splitting_idempotent(m, 0)
+    assert e.mats == (Matrix(GF5, [[0, 0], [0, 1]]),)
+
+
+def test_split_along_generalized_kernel(monkeypatch):
+    a = algebra_dual_numbers(GF2)
+    d = standard_modules(a).projectives[0]
+    x = next(h for h in hom_basis(d, d) if not h.is_zero() and (h @ h).is_zero())
+    m, (i1, i2), (p1, p2) = direct_sum([d, d])
+    f = i1 @ x @ p1 + i2 @ p2  # ker f != ker f^2
+    _probe(monkeypatch, i1 @ x @ p1, f)  # the nilpotent first candidate splits nothing
+    e = repmod._splitting_idempotent(m, 0)
+    assert (e - i1 @ p1).is_zero()
+
+
+def test_split_raises_on_a_trivial_projection(monkeypatch):
+    a = algebra_semisimple(GF5, 1)
+    m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
+    _probe(monkeypatch, ModuleMap(m, m, [Matrix(GF5, [[2, 0], [0, 3]])]))
+    monkeypatch.setattr(repmod, "_fitting_projection", lambda field, w: Matrix.identity(field, w.shape[0]))
+    with pytest.raises(RepmodError, match="no nontrivial idempotent"):
+        repmod._splitting_idempotent(m, 0)
+
+
+def test_knitting_over_a_large_prime():
+    a = algebra_dual_numbers(FieldPrime(65521))
+    mods = all_indecomposables(a, 12).modules
+    assert sorted(m.total_dim for m in mods) == [1, 2]
+    total, _, _ = direct_sum(mods)
+    assert sorted(p.total_dim for p, _ in decompose(total)) == [1, 2]
+
+
 def test_is_isomorphic_basics(kA2):
     std = standard_modules(kA2)
     s1, s2 = std.simples
@@ -476,7 +519,7 @@ def _gamma_kx3():
     pres = QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3)
     a = build_from_quiver(pres)
     index = all_indecomposables(a, 12)
-    return end_algebra(AdditiveCategorySpec(a, index.modules, True, True)).gamma
+    return end_algebra(AdditiveCategorySpec(a, index.modules)).gamma
 
 
 PARTS_ALGEBRAS = {
