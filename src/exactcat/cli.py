@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quiver, validate_algebra
 from .auslander import AuslanderContext
-from .exactstruct import ExactStructure, brute_force_structures, is_exact_structure
+from .exactstruct import CategoryContext, ExactStructure, brute_force_structures, is_exact_structure
 from .linalg import ExactcatError, FieldPrime, LinalgError, Matrix
 from .repmod import ar_sequence, proj_dim, radical_submodule
 
@@ -195,18 +195,18 @@ def _ar_quiver_dot(ctx: AuslanderContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lattice_dot(structures: list[ExactStructure]) -> str:
+def _lattice_dot(cat: CategoryContext, structures: list[ExactStructure]) -> str:
+    """The Hasse diagram of the structures, each read as the set S of objects
+    whose almost split class it contains; a cover adds one object to S."""
     lines = ["digraph exact_structure_lattice {"]
     for i, e in enumerate(structures):
         lines.append(f'  "E{i}" [label="E{i} (dim {e.total_dim()})"];')
-    leq = [[a.leq(b) and a.key() != b.key() for b in structures] for a in structures]
-    for i in range(len(structures)):
-        for j in range(len(structures)):
-            if not leq[i][j]:
-                continue
-            if any(leq[i][k] and leq[k][j] for k in range(len(structures))):
-                continue  # not a cover relation
-            lines.append(f'  "E{i}" -> "E{j}";')
+    nonproj = cat.nonprojective_ids()
+    sets = [frozenset(z for z in nonproj if e.contains(z, *cat.ar_class(z))) for e in structures]
+    for i, s_i in enumerate(sets):
+        for j, s_j in enumerate(sets):
+            if s_i < s_j and len(s_j - s_i) == 1:
+                lines.append(f'  "E{i}" -> "E{j}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -246,7 +246,7 @@ def cmd_exact_structures(session: Session, ctx: AuslanderContext, out: RunOutput
         out.emit(f"  oracle cross-check: {'PASS' if same else 'FAIL'} ({len(oracle)} structures)")
         if not same:
             out.failed = True
-    out.files["structures.dot"] = _lattice_dot(structures)
+    out.files["structures.dot"] = _lattice_dot(ctx.cat, structures)
     out.json["commands"].append(
         {"name": "exact_structures", "structures": _structures_payload(structures)}
     )

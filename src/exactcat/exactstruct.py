@@ -9,7 +9,10 @@ C is required to be extension-closed in mod(Lambda), so the kernel-cokernel
 pairs of the maximal structure are exactly the ambient short exact sequences
 with end terms in C.
 
-Generation from almost split classes is the fast enumeration path; the
+Generation from almost split classes is the fast enumeration path: the
+structure of a set S of non-projective objects has, in each Ext^1(z, a), the
+common kernel of the pullback blocks Ext^1(z, a) -> Ext^1(w, a) along the Hom
+basis maps w -> z, over all w outside S, so no sequence is realized.  The
 independent oracle enumerates every action-stable subspace family and filters
 through the bounded axiom checker.
 """
@@ -27,10 +30,12 @@ from .linalg import (
     _lines,
     _subspace_elements,
     iterate_subspaces,
+    kernel_basis,
     memo,
     rank,
     row_space_contains,
     rref,
+    vstack,
 )
 from .repmod import (
     ExtSpace,
@@ -356,84 +361,49 @@ def ext_action(ctx: CategoryContext, z_id: int, a_id: int, vec, g: ModuleMap, si
 # -- generation and enumeration ------------------------------------------------
 
 
-def defect_support(ctx: CategoryContext, ses: ShortExactSeq) -> frozenset[int]:
-    """Objects w for which some map w -> quot fails to lift through the deflation.
-
-    This is the support of the defect functor coker(Hom(-, mid) -> Hom(-, quot));
-    over the endomorphism algebra of the additive generator the composition
-    factors of the defect are exactly the vertex simples of its support.
-    """
-    out = []
-    field = ctx.algebra.field
-    for w_id, w in enumerate(ctx.objects):
-        homs_q = hom_basis(w, ses.quot)
-        if not homs_q:
-            continue
-        homs_m = hom_basis(w, ses.mid)
-        cols = [(ses.p @ h).flat() for h in homs_m]
-        flat_size = homs_q[0].flat().size
-        mat = Matrix(field, np.column_stack(cols) if cols else np.zeros((flat_size, 0), dtype=np.int64))
-        if rank(mat) < len(homs_q):
-            out.append(w_id)
-    return frozenset(out)
-
-
-@memo(lambda ctx, z, a: (z, a))
-def _defect_table(ctx: CategoryContext, z: int, a: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """(class vector, defect support) for one representative per line of Ext(z, a)."""
-    ext = ctx.ext(z, a)
-    return [
-        (tuple(int(c) for c in vec), defect_support(ctx, ext.realize(vec)))
-        for vec in _lines(ext.dim, ctx.algebra.field.p)
-    ]
-
-
 def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
     """The smallest exact structure containing the almost split conflations of
     the chosen non-projective objects.
 
     A class belongs to the structure exactly when its defect functor has all
-    composition factors at chosen objects, i.e. its defect support is contained
-    in the chosen set; this realizes the bijection between exact structures and
-    sets of almost split sequences on an additively finite category.  Closing
-    the AR classes under the Ext actions and addition alone is not enough:
-    compositions of deflations force further classes in, which is what the
-    defect criterion accounts for.
+    composition factors at chosen objects, i.e. every map from an unchosen w
+    lifts through its deflation, i.e. the pullback of the class along every
+    Hom basis map w -> z vanishes.  So the subspace of Ext(z, a) is the common
+    kernel of the pullback blocks Ext(z, a) -> Ext(w, a) over all unchosen w.
+    This realizes the bijection between exact structures and sets of almost
+    split sequences on an additively finite category.  Closing the AR classes
+    under the Ext actions and addition alone is not enough: compositions of
+    deflations force further classes in, which the defect criterion accounts
+    for.
     """
     field = ctx.algebra.field
     chosen_set = set(chosen)
     subs: dict[tuple[int, int], Matrix] = {}
     for (z, a) in ctx.nonzero_pairs():
-        member_lines = [
-            np.array(vec, dtype=np.int64)
-            for vec, support in _defect_table(ctx, z, a)
-            if support <= chosen_set
-        ]
-        if not member_lines:
-            continue
-        rows = Matrix(field, np.vstack(member_lines))
-        span_dim = rank(rows)
-        # the member set must be a subspace: every line of the span is a member
-        expected_lines = (field.p**span_dim - 1) // (field.p - 1)
-        if len(member_lines) != expected_lines:
-            raise ExactstructError(
-                f"defect-supported classes of Ext({z},{a}) do not form a subspace"
-            )
-        subs[(z, a)] = rows
+        blocks = [mat for w, mat in ctx.pull_matrices(z, a) if w not in chosen_set]
+        if blocks:
+            subs[(z, a)] = kernel_basis(vstack(field, blocks)).transpose()
+        else:
+            subs[(z, a)] = Matrix.identity(field, ctx.ext_dim(z, a))
     return ExactStructure(ctx, subs)
 
 
 def enumerate_exact_structures(ctx: CategoryContext) -> list[ExactStructure]:
-    """All exact structures, through almost-split-class generation over all
-    subsets of non-projective objects, deduplicated by subspace family."""
+    """All exact structures, one per subset of non-projective objects, through
+    almost-split-class generation; raises if two subsets give one structure."""
     nonproj = ctx.nonprojective_ids()
-    seen: dict[tuple, ExactStructure] = {}
+    seen: dict[tuple, tuple[int, ...]] = {}
+    out = []
     for r in range(len(nonproj) + 1):
         for subset in itertools.combinations(nonproj, r):
             e = generate_from_ar_subset(ctx, subset)
-            seen.setdefault(e.key(), e)
-    out = sorted(seen.values(), key=lambda e: (e.total_dim(), e.key()))
-    return out
+            earlier = seen.setdefault(e.key(), subset)
+            if earlier != subset:
+                raise ExactstructError(
+                    f"almost split classes of {list(subset)} generate the structure of {list(earlier)}"
+                )
+            out.append(e)
+    return sorted(out, key=lambda e: (e.total_dim(), e.key()))
 
 
 def brute_force_structures(
@@ -506,32 +476,34 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
             report.note(f"pair {(z, a)}: realization check on a spanning set only")
     report.add("realized middle terms stay in the category", middles_ok)
 
-    comp_ok, n_checked = _composition_check(e)
+    comp_ok, n_checked, exhaustive = _composition_check(e)
     report.add(f"deflation compositions (R1), {n_checked} composites", comp_ok)
-    dual_ok, n_dual = _composition_check_dual(e)
+    if not exhaustive:
+        report.note("deflation compositions (R1): some Ext^1(E, -) walked on a spanning set only")
+    dual_ok, n_dual, exhaustive = _composition_check_dual(e)
     report.add(f"inflation compositions (L1), {n_dual} composites", dual_ok)
+    if not exhaustive:
+        report.note("inflation compositions (L1): some Ext^1(-, E) walked on a spanning set only")
     return report
 
 
 def _subspace_lines(rows: Matrix, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    """Elements of the row space, one per scalar line, capped."""
+    """Elements of the row space, one per scalar line (exhaustive=True); when
+    there are more than cap lines, the rows themselves, a spanning set."""
     d = rows.rows
-    if d == 0:
-        return [], True
-    lines = _lines(d, p)
-    if len(lines) > cap:
-        lines = lines[:cap]
-        exhaustive = False
-    else:
-        exhaustive = True
-    return [(c @ rows.a) % p for c in lines], exhaustive
+    if (p**d - 1) // (p - 1) > cap:
+        return list(rows.a), False
+    return [(c @ rows.a) % p for c in _lines(d, p)], True
 
 
-def _composition_check(e: ExactStructure) -> tuple[bool, int]:
-    """g o f for conflations f: B ->> E, g: E ->> D with indecomposable outer ends."""
+def _composition_check(e: ExactStructure) -> tuple[bool, int, bool]:
+    """g o f for conflations f: B ->> E, g: E ->> D with indecomposable outer ends.
+    Also returns whether every Ext^1 class of each middle term E was walked."""
     ctx = e.ctx
-    p = ctx.algebra.field.p
+    field = ctx.algebra.field
+    p = field.p
     checked = 0
+    exhaustive = True
     for (d_id, ag_id), rows in list(e.subspaces.items()):
         outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
@@ -539,25 +511,30 @@ def _composition_check(e: ExactStructure) -> tuple[bool, int]:
             mid = ses_g.mid
             for af_id in range(len(ctx.objects)):
                 full = ext_space(mid, ctx.objects[af_id])
-                for xf in [np.zeros(full.dim, dtype=np.int64)] + _lines(full.dim, p):
+                inner, walked_all = _subspace_lines(Matrix.identity(field, full.dim), p, AXIOM_ELEMENT_CAP)
+                exhaustive = exhaustive and walked_all
+                for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
                     ses_f = full.realize(xf)
                     if not is_conflation(ses_f, e):
                         continue
                     composite = ses_g.p @ ses_f.p
                     ker, incl = kernel(composite)
                     if ctx.parts(ker) is None:
-                        return False, checked
+                        return False, checked, exhaustive
                     if not is_conflation(ShortExactSeq(incl, composite), e):
-                        return False, checked
+                        return False, checked, exhaustive
                     checked += 1
-    return True, checked
+    return True, checked, exhaustive
 
 
-def _composition_check_dual(e: ExactStructure) -> tuple[bool, int]:
-    """i2 o i1 for conflations with indecomposable outer ends (inflation side)."""
+def _composition_check_dual(e: ExactStructure) -> tuple[bool, int, bool]:
+    """i2 o i1 for conflations with indecomposable outer ends (inflation side).
+    Also returns whether every Ext^1 class of each middle term E was walked."""
     ctx = e.ctx
-    p = ctx.algebra.field.p
+    field = ctx.algebra.field
+    p = field.p
     checked = 0
+    exhaustive = True
     for (c_id, ag_id), rows in list(e.subspaces.items()):
         outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
@@ -565,15 +542,17 @@ def _composition_check_dual(e: ExactStructure) -> tuple[bool, int]:
             mid = ses_g.mid
             for c2_id in range(len(ctx.objects)):
                 full = ext_space(ctx.objects[c2_id], mid)
-                for xf in [np.zeros(full.dim, dtype=np.int64)] + _lines(full.dim, p):
+                inner, walked_all = _subspace_lines(Matrix.identity(field, full.dim), p, AXIOM_ELEMENT_CAP)
+                exhaustive = exhaustive and walked_all
+                for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
                     ses_f = full.realize(xf)  # E >-> B ->> c2
                     if not is_conflation(ses_f, e):
                         continue
                     composite = ses_f.i @ ses_g.i  # ag >-> B
                     cok, proj = cokernel(composite)
                     if ctx.parts(cok) is None:
-                        return False, checked
+                        return False, checked, exhaustive
                     if not is_conflation(ShortExactSeq(composite, proj), e):
-                        return False, checked
+                        return False, checked, exhaustive
                     checked += 1
-    return True, checked
+    return True, checked, exhaustive

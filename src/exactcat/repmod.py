@@ -23,7 +23,6 @@ from .algebra import Algebra
 from .linalg import (
     ExactcatError,
     Matrix,
-    _lines,
     block_diag,
     column_space_basis,
     count_subspaces,
@@ -1187,9 +1186,11 @@ def ar_candidate(z: Module) -> ShortExactSeq:
 def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
     """The almost split sequence 0 -> tau z -> E -> z -> 0, validated by definition.
 
-    z must be indecomposable and non-projective.  The socle candidate is tried
-    first; if validation fails, every nonzero class of Ext^1(z, tau z) is
-    searched (up to scalar).
+    z must be indecomposable and non-projective.  Every almost split class
+    lies in the socle of Ext^1(z, tau z), the common kernel of the pullbacks
+    along rad End(z), and the candidate realizes a nonzero socle vector; so
+    when the candidate fails validation no other class can pass, and this
+    raises.
     """
     z_id = index.identify(z)
     if z_id is None:
@@ -1197,14 +1198,9 @@ def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
     if index.is_projective[z_id]:
         raise RepmodError("ar_sequence: z is projective")
     candidate = ar_candidate(z)
-    if is_almost_split(candidate, index):
-        return candidate
-    ext = ext_space(z, ar_translate(z))
-    for vec in _lines(ext.dim, z.algebra.field.p):
-        ses = ext.realize(vec)
-        if is_almost_split(ses, index):
-            return ses
-    raise RepmodError("no almost split sequence found (is the list complete?)")
+    if not is_almost_split(candidate, index):
+        raise RepmodError("no almost split sequence found (is the list complete?)")
+    return candidate
 
 
 # -- the indecomposable index ---------------------------------------------------

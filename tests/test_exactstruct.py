@@ -3,10 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3, algebra_semisimple
+from exactcat import exactstruct
+from exactcat.algebra import (
+    QuiverPresentation,
+    algebra_dual_numbers,
+    algebra_kA2,
+    algebra_kA3,
+    algebra_semisimple,
+    build_from_quiver,
+)
+from exactcat.cli import _lattice_dot
 from exactcat.exactstruct import (
+    AXIOM_ELEMENT_CAP,
     CategoryContext,
     ExactStructure,
+    ExactstructError,
+    _subspace_lines,
     brute_force_structures,
     classify_morphism,
     componentwise_classes,
@@ -21,6 +33,7 @@ from exactcat.exactstruct import (
 from exactcat.functorcat import AdditiveCategorySpec
 from exactcat.linalg import FieldPrime, Matrix, _lines, _subspace_elements
 from exactcat.repmod import (
+    ExtSpace,
     ModuleMap,
     ShortExactSeq,
     all_indecomposables,
@@ -48,6 +61,14 @@ def kA2_ctx():
 @pytest.fixture(scope="module")
 def kA3_ctx():
     return make_ctx(algebra_kA3(GF2, zero_relation=False))
+
+
+@pytest.fixture(scope="module")
+def kx4_ctx():
+    """k[x]/(x^4) over GF(65521), whose 2-dimensional Ext^1 spaces have p + 1
+    lines each; knitting takes seconds, so the context is shared."""
+    pres = QuiverPresentation(FieldPrime(65521), ["1"], [("x", "1", "1")], [[(1, ("x",) * 4)]], 4)
+    return make_ctx(build_from_quiver(pres))
 
 
 def test_extension_closed_check(kA2_ctx):
@@ -155,6 +176,63 @@ def test_enumerate_counts():
     assert len(enumerate_exact_structures(make_ctx(algebra_kA3(GF2, False)))) == 8
 
 
+def test_enumeration_realizes_nothing(monkeypatch):
+    ctx = make_ctx(algebra_kA3(GF5, False))
+    realized = []
+    realize = ExtSpace.realize
+    monkeypatch.setattr(ExtSpace, "realize", lambda self, coords: realized.append(coords) or realize(self, coords))
+    assert len(enumerate_exact_structures(ctx)) == 8
+    assert realized == []
+
+
+def test_structures_over_a_large_prime(kx4_ctx):
+    ctx = kx4_ctx
+    assert max(ctx.ext_dim(z, a) for z, a in ctx.nonzero_pairs()) == 2
+    structures = enumerate_exact_structures(ctx)
+    assert len(structures) == 8 and len({e.key() for e in structures}) == 8
+    nonproj = ctx.nonprojective_ids()
+    subsets = [set(s) for r in range(len(nonproj) + 1) for s in itertools.combinations(nonproj, r)]
+    generated = [generate_from_ar_subset(ctx, s) for s in subsets]
+    for s, e in zip(subsets, generated):
+        for t, f in zip(subsets, generated):
+            assert e.leq(f) == (s <= t)
+
+
+def test_enumerate_raises_when_two_sets_give_one_structure(kA2_ctx, monkeypatch):
+    monkeypatch.setattr(exactstruct, "generate_from_ar_subset", lambda ctx, chosen: split_structure(ctx))
+    with pytest.raises(ExactstructError, match=r"generate the structure of \[\]"):
+        enumerate_exact_structures(kA2_ctx)
+
+
+def _leq_lattice_dot(structures):
+    """The drawing with covers read off ExactStructure.leq, cubic in the
+    number of structures."""
+    lines = ["digraph exact_structure_lattice {"]
+    for i, e in enumerate(structures):
+        lines.append(f'  "E{i}" [label="E{i} (dim {e.total_dim()})"];')
+    n = len(structures)
+    leq = [[a.leq(b) and a.key() != b.key() for b in structures] for a in structures]
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j] and not any(leq[i][k] and leq[k][j] for k in range(n)):
+                lines.append(f'  "E{i}" -> "E{j}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, edges", [("kA3", 12), ("kA4", 192)])
+def test_lattice_dot_matches_the_leq_cover_relation(name, edges, kA3_ctx):
+    if name == "kA3":
+        ctx = kA3_ctx
+    else:
+        arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]
+        ctx = make_ctx(build_from_quiver(QuiverPresentation(GF2, ["1", "2", "3", "4"], arrows, [], 4)))
+    structures = enumerate_exact_structures(ctx)
+    dot = _lattice_dot(ctx, structures)
+    assert dot == _leq_lattice_dot(structures)
+    assert dot.count("->") == edges
+
+
 def test_enumerate_semisimple_single():
     ctx = make_ctx(algebra_semisimple(GF2, 2))
     assert len(enumerate_exact_structures(ctx)) == 1
@@ -203,6 +281,27 @@ def test_is_exact_structure_reports(kA2_ctx):
     for e in enumerate_exact_structures(ctx):
         report = is_exact_structure(e, multiplicity_bound=2)
         assert report.ok, [i.label for i in report.failures()]
+
+
+def test_axiom_check_notes_a_capped_composition_walk(monkeypatch):
+    ctx = make_ctx(algebra_kA3(GF5, False))
+    e = maximal_structure(ctx)
+    assert not any("spanning set" in note for note in is_exact_structure(e).notes)
+    monkeypatch.setattr(exactstruct, "AXIOM_ELEMENT_CAP", 0)
+    report = is_exact_structure(e)
+    assert report.ok
+    assert "deflation compositions (R1): some Ext^1(E, -) walked on a spanning set only" in report.notes
+    assert "inflation compositions (L1): some Ext^1(-, E) walked on a spanning set only" in report.notes
+
+
+def test_subspace_lines_beyond_the_cap_are_the_rows():
+    field = FieldPrime(65521)
+    rows = Matrix(field, [[1, 0, 7], [0, 1, 3]])
+    lines, exhaustive = _subspace_lines(rows, field.p, AXIOM_ELEMENT_CAP)
+    assert not exhaustive
+    assert [v.tolist() for v in lines] == rows.a.tolist()
+    lines, exhaustive = _subspace_lines(Matrix(GF5, rows.a), 5, AXIOM_ELEMENT_CAP)
+    assert exhaustive and len({tuple(v) for v in lines}) == len(lines) == 6
 
 
 def test_non_action_stable_family_fails():

@@ -402,6 +402,19 @@ def test_ar_sequence_rejects_projective(kA2):
         ar_sequence(index.modules[index.identify(std.projectives[1])], index)
 
 
+def test_ar_sequence_raises_when_the_socle_candidate_fails(kA2, monkeypatch):
+    # a fresh index, since ar_sequence is memoized on the index
+    index = IndecIndex(kA2, all_indecomposables(kA2, dim_cap=6).modules)
+    s1 = index.modules[index.identify(standard_modules(kA2).simples[0])]
+    realized = []
+    realize = ExtSpace.realize
+    monkeypatch.setattr(ExtSpace, "realize", lambda self, coords: realized.append(coords) or realize(self, coords))
+    monkeypatch.setattr(repmod, "is_almost_split", lambda ses, index: False)
+    with pytest.raises(RepmodError, match="no almost split sequence found"):
+        ar_sequence(s1, index)
+    assert len(realized) == 1  # the socle candidate only; no walk over the lines of Ext^1
+
+
 def test_all_indecomposables_counts():
     assert len(all_indecomposables(algebra_kA2(GF2), 8).modules) == 3
     assert len(all_indecomposables(algebra_dual_numbers(GF2), 8).modules) == 2
