@@ -22,10 +22,22 @@ from .exactstruct import (
     ExactStructure,
     classify_morphism,
     enumerate_exact_structures,
+    kinds_in,
     maximal_structure,
+    morphism_classes,
 )
 from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
-from .linalg import ExactcatError, Matrix, _lines, _subspace_elements, column_space_basis, hstack, memo, rank
+from .linalg import (
+    ExactcatError,
+    Matrix,
+    _lines,
+    _subspace_elements,
+    column_space_basis,
+    hstack,
+    line_representative,
+    memo,
+    rank,
+)
 from .repmod import (
     IndecIndex,
     Module,
@@ -124,6 +136,7 @@ class AuslanderContext:
         index = self.side_index(side)
         return frozenset(i for i in range(len(index.modules)) if index.is_projective[i])
 
+    @memo(lambda self, side: side)
     def p2_ids(self, side: str) -> frozenset[int]:
         index = self.side_index(side)
         out = []
@@ -132,6 +145,10 @@ class AuslanderContext:
             if pd is not None and pd <= 2:
                 out.append(i)
         return frozenset(out)
+
+    @memo(lambda self, i, j: (i, j))
+    def _ext1_dim(self, i: int, j: int) -> int:
+        return ext_dim(1, self.gamma_module(i), self.gamma_module(j))
 
     # -- memberships -------------------------------------------------------------
 
@@ -144,11 +161,16 @@ class AuslanderContext:
         f = self.transported(f_mod).f
         return "admissible" in classify_morphism(f, e)
 
+    @memo(lambda self, i: i)
+    def _presentation_classes(self, i: int) -> dict[str, tuple]:
+        """morphism_classes of the transported presentation morphism of F_i."""
+        return morphism_classes(self.cat, self.transported(self.gamma_module(i)).f)
+
     @memo(lambda self, e: e.key())
     def build_subcategories(self, e: ExactStructure) -> SubcategoryQuad:
         eff, smodad, infl = set(), set(), set()
-        for i, f_mod in enumerate(self.gamma_index.modules):
-            kinds = classify_morphism(self.transported(f_mod).f, e)
+        for i in range(len(self.gamma_index.modules)):
+            kinds = kinds_in(e, self._presentation_classes(i))
             if "deflation" in kinds:
                 eff.add(i)
             if "admissible" in kinds:
@@ -193,6 +215,9 @@ class AuslanderContext:
         factorization of the presentation morphism."""
         if not self.smodad_membership(f_mod, e):
             raise AuslanderError("module is not admissibly presented in this structure")
+        return self._torsion_sequence(f_mod)
+
+    def _torsion_sequence(self, f_mod: Module) -> ShortExactSeq:
         data = self.transported(f_mod)
         parts = map_parts(data.f)
         y_epi = self.ea.yoneda_map(parts.epi_part)
@@ -209,6 +234,25 @@ class AuslanderContext:
         ses = ShortExactSeq(mu @ phi, psi @ inverse_map(mu))
         ses.validate()
         return ses
+
+    @memo(lambda self, i: i)
+    def _torsion_parts(self, i: int) -> tuple[frozenset[int], frozenset[int]] | None:
+        """Summand ids (t, f) of the torsion sequence of F_i; None if it fails.
+        The sequence depends on F_i only, not on the structure."""
+        try:
+            ses = self._torsion_sequence(self.gamma_module(i))
+        except (AuslanderError, RepmodError):
+            return None
+        return self._summand_ids(ses.sub), self._summand_ids(ses.quot)
+
+    def _summand_ids(self, m: Module) -> frozenset[int]:
+        return self._interned(frozenset() if m.is_zero() else frozenset(self.gamma_index.parts(m)))
+
+    @memo(lambda self, ids: ids)
+    def _interned(self, ids: frozenset[int]) -> frozenset[int]:
+        """The first equal id set seen: the stores repeat few distinct sets
+        many times, so each is held once."""
+        return ids
 
     def _coker_iso(self, data, mid_proj: ModuleMap) -> ModuleMap:
         """The isomorphism coker(yoneda(f)) -> F through the presentation."""
@@ -272,12 +316,17 @@ class AuslanderContext:
 
     # -- resolving subcategories ---------------------------------------------------
 
-    @memo(lambda self, side, z, a, vec: (side, z, a, tuple(int(c) for c in vec)))
     def ext_middle_parts(self, side: str, z: int, a: int, vec) -> frozenset[int]:
-        """Ids of the summands of the middle term of the realized class (cached)."""
+        """Ids of the summands of the middle term of the realized class.  The
+        middle term of c*xi is that of xi (pushout along c*id), so only the
+        representative of the class's line is realized, once."""
+        return self._line_middle_parts(side, z, a, line_representative(vec, self.gamma.field.p))
+
+    @memo(lambda self, side, z, a, line: (side, z, a, line))
+    def _line_middle_parts(self, side: str, z: int, a: int, line: tuple[int, ...]) -> frozenset[int]:
         index = self.side_index(side)
         space = ext_space(index.modules[z], index.modules[a])
-        return frozenset(index.parts(space.realize(vec).mid))
+        return self._interned(frozenset(index.parts(space.realize(np.array(line, dtype=np.int64)).mid)))
 
     @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
@@ -426,14 +475,8 @@ class AuslanderContext:
         )
         decomp_ok = True
         for i in sorted(smodad):
-            try:
-                ses = self.torsion_decomposition(self.gamma_module(i), e)
-            except (AuslanderError, RepmodError):
-                decomp_ok = False
-                continue
-            t_parts = [] if ses.sub.is_zero() else self.gamma_index.parts(ses.sub)
-            f_parts = [] if ses.quot.is_zero() else self.gamma_index.parts(ses.quot)
-            if not (set(t_parts) <= eff and set(f_parts) <= tf):
+            parts = self._torsion_parts(i)
+            if parts is None or not (parts[0] <= eff and parts[1] <= tf):
                 decomp_ok = False
         report.add("(i) torsion pair: Hom(eff, torsion-free) = 0", hom_vanishes)
         report.add("(i) torsion pair: decomposition exists with correct parts", decomp_ok)
@@ -441,14 +484,13 @@ class AuslanderContext:
         a2_ok = True
         for i in sorted(smodad):
             for t in sorted(eff):
-                src, tgt = self.gamma_module(i), self.gamma_module(t)
-                for g in hom_basis(src, tgt):
-                    if not self._smodad_admissible_with_image_in(g, smodad, eff):
+                for summands, _ in self._basis_map_data(i, t):
+                    if not _admissible_with_image_in(summands, smodad, eff):
                         a2_ok = False
         report.add("(ii) morphisms into eff objects are admissible with image in eff", a2_ok)
 
         rigidity = all(
-            ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
+            self._ext1_dim(t, y) == 0
             for t in sorted(eff)
             for y in self.yoneda_ids
         )
@@ -471,19 +513,20 @@ class AuslanderContext:
         report.add("(iv) length-two projective resolutions inside the subcategory", gl_ok)
         return report
 
-    def _smodad_admissible_with_image_in(self, g: ModuleMap, smodad: frozenset[int], target_class: frozenset[int]) -> bool:
+    def _map_summand_ids(self, g: ModuleMap) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """Summand ids of the image, kernel and cokernel of g."""
         parts = map_parts(g)
-        for piece, required in (
-            (parts.image, target_class),
-            (parts.kernel, smodad),
-            (parts.cokernel, smodad),
-        ):
-            if not piece.is_zero() and not set(self.gamma_index.parts(piece)) <= required:
-                return False
-        return True
+        return self._summand_ids(parts.image), self._summand_ids(parts.kernel), self._summand_ids(parts.cokernel)
 
-    def _smodad_admissible(self, g: ModuleMap, smodad: frozenset[int]) -> bool:
-        return self._smodad_admissible_with_image_in(g, smodad, smodad)
+    @memo(lambda self, i, j: (i, j))
+    def _basis_map_data(self, i: int, j: int) -> tuple:
+        """For each Hom-basis map g: F_i -> F_j, the summand ids of its image,
+        kernel and cokernel, and the classes that make L(g) admissible (None
+        when it is admissible in no structure)."""
+        return tuple(
+            (self._map_summand_ids(g), morphism_classes(self.cat, self.ea.localize_map(g)).get("admissible"))
+            for g in hom_basis(self.gamma_module(i), self.gamma_module(j))
+        )
 
     # -- Auslander's formula and the localization ---------------------------------------
 
@@ -506,15 +549,19 @@ class AuslanderContext:
         )
         report.add("ker L = eff (within the admissibly presented subcategory)", ker_ok)
 
-        mismatches = 0
-        tested = 0
-        for eta in self._sample_smodad_morphisms(smodad, samples):
-            adm_gamma = self._smodad_admissible(eta, smodad)
-            l_eta = self.ea.localize_map(eta)
-            adm_c = "admissible" in classify_morphism(l_eta, e)
-            tested += 1
-            if adm_gamma != adm_c:
-                mismatches += 1
+        outcomes = []
+        ids = sorted(smodad)
+        for i in ids:
+            for j in ids:
+                for summands, l_classes in self._basis_map_data(i, j):
+                    adm_c = l_classes is not None and e.contains_all(l_classes)
+                    outcomes.append(_admissible_with_image_in(summands, smodad, smodad) == adm_c)
+        for eta in self._random_morphisms(ids, samples):
+            adm_gamma = _admissible_with_image_in(self._map_summand_ids(eta), smodad, smodad)
+            adm_c = "admissible" in classify_morphism(self.ea.localize_map(eta), e)
+            outcomes.append(adm_gamma == adm_c)
+        tested = len(outcomes)
+        mismatches = outcomes.count(False)
         report.add(
             f"admissibility reflection on {tested} sampled morphisms",
             mismatches == 0,
@@ -522,12 +569,8 @@ class AuslanderContext:
         )
         return report
 
-    def _sample_smodad_morphisms(self, smodad: frozenset[int], samples: int):
-        ids = sorted(smodad)
-        for i in ids:
-            for j in ids:
-                for g in hom_basis(self.gamma_module(i), self.gamma_module(j)):
-                    yield g
+    def _random_morphisms(self, ids: list[int], samples: int):
+        """Random maps between sums of two members; unique, so not memoized."""
         rng = np.random.RandomState(self.seed)
         produced = 0
         while produced < samples and len(ids) >= 1:
@@ -617,7 +660,7 @@ class AuslanderContext:
         return frozenset(
             j
             for j in smodad
-            if all(ext_dim(1, self.gamma_module(i), self.gamma_module(j)) == 0 for i in smodad)
+            if all(self._ext1_dim(i, j) == 0 for i in smodad)
         )
 
     def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
@@ -653,7 +696,7 @@ class AuslanderContext:
         transfer_inj = all(
             (i in e_inj)
             == all(
-                ext_dim(1, self.gamma_module(s), self.gamma_module(self.yoneda_ids[i])) == 0
+                self._ext1_dim(s, self.yoneda_ids[i]) == 0
                 for s in smodad
             )
             for i in range(len(self.index.modules))
@@ -687,7 +730,7 @@ class AuslanderContext:
 
         if dd2:
             rigid = all(
-                ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
+                self._ext1_dim(t, y) == 0
                 for t in eff
                 for y in self.yoneda_ids
             )
@@ -740,23 +783,27 @@ class AuslanderContext:
         return bases
 
     def _perp_closed_under_admissible_subobjects(self, e: ExactStructure) -> bool:
+        """No member outside eff is an admissible subobject of an eff member
+        or a sum of two: an injective map whose cokernel lies in smodad."""
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
-        targets = [self.gamma_module(t) for t in sorted(eff)]
-        sums = [[t] for t in targets] + [[a, b] for a in targets for b in targets]
-        for i in sorted(smodad):
-            g_mod = self.gamma_module(i)
-            for parts in sums:
-                total, _, _ = direct_sum(parts) if len(parts) > 1 else (parts[0], None, None)
-                for g in hom_basis(g_mod, total):
-                    if not g.is_injective():
-                        continue
-                    cok, _ = cokernel(g)
-                    if not cok.is_zero() and not set(self.gamma_index.parts(cok)) <= smodad:
-                        continue  # not an admissible subobject
-                    if i not in eff:
-                        return False
-        return True
+        targets = sorted(eff)
+        sums = [(t,) for t in targets] + [(a, b) for a in targets for b in targets]
+        return not any(
+            cok <= smodad
+            for i in sorted(smodad - eff)
+            for ts in sums
+            for cok in self._injective_cokernel_ids(i, ts)
+        )
+
+    @memo(lambda self, i, ts: (i, ts))
+    def _injective_cokernel_ids(self, i: int, ts: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+        """Cokernel summand ids of the injective Hom-basis maps F_i -> sum of F_t."""
+        parts = [self.gamma_module(t) for t in ts]
+        total = direct_sum(parts)[0] if len(parts) > 1 else parts[0]
+        return tuple(
+            self._summand_ids(cokernel(g)[0]) for g in hom_basis(self.gamma_module(i), total) if g.is_injective()
+        )
 
     # -- restricted description -----------------------------------------------------------
 
@@ -853,6 +900,13 @@ class AuslanderContext:
 
 
 # -- helpers ---------------------------------------------------------------------
+
+
+def _admissible_with_image_in(summands, smodad: frozenset[int], target_class: frozenset[int]) -> bool:
+    """Admissible in the subcategory, image in target_class, from the summand
+    ids (image, kernel, cokernel) of a map."""
+    image, kernel_ids, cokernel_ids = summands
+    return image <= target_class and kernel_ids <= smodad and cokernel_ids <= smodad
 
 
 def _left_multiplication(alg: Algebra, b: int) -> ModuleMap:

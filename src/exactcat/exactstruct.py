@@ -136,6 +136,17 @@ class CategoryContext:
                 out.append((z2, src.pullback_matrix(tgt, h)))
         return out
 
+    @memo(lambda self, z, a, sources: (z, a, sources))
+    def common_kernel(self, z: int, a: int, sources: tuple[int, ...]) -> Matrix:
+        """Rows spanning the classes of Ext(z, a) that every pullback block
+        from the given sources kills; all of Ext(z, a) when no block is left.
+        Memoized, as many subsets of objects leave the same sources unchosen."""
+        field = self.algebra.field
+        blocks = [mat for w, mat in self.pull_matrices(z, a) if w in sources]
+        if not blocks:
+            return Matrix.identity(field, self.ext_dim(z, a))
+        return kernel_basis(vstack(field, blocks)).transpose()
+
     @memo(lambda self, z_id: z_id)
     def ar_class(self, z_id: int) -> tuple[int, np.ndarray]:
         """(tau-z id, class vector) of the almost split sequence ending at object z_id."""
@@ -205,6 +216,10 @@ class ExactStructure:
         if rows is None:
             return False
         return row_space_contains(rows, Matrix(self.ctx.algebra.field, vec.reshape(1, -1)))
+
+    def contains_all(self, classes) -> bool:
+        """Does the family contain every (z, a, vector) of classes?"""
+        return all(self.contains(z, a, vec) for z, a, vec in classes)
 
     def total_dim(self) -> int:
         return sum(m.rows for m in self.subspaces.values())
@@ -297,41 +312,56 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
 def is_conflation(ses: ShortExactSeq, e: ExactStructure) -> bool:
     """Does the short exact sequence belong to the structure?  All three terms
     must lie in add(M) and every componentwise class must be in the family."""
+    classes = _sequence_classes(e.ctx, ses)
+    return classes is not None and e.contains_all(classes)
+
+
+def _sequence_classes(ctx: CategoryContext, ses: ShortExactSeq) -> tuple | None:
+    """The componentwise classes of a sequence; None when it is not short exact."""
     try:
         ses.validate()
     except RepmodError:
-        return False
-    if e.ctx.parts(ses.mid) is None:
+        return None
+    if ctx.parts(ses.mid) is None:
         raise ExactstructError("middle term does not lie in the category")
-    for (z, a, vec) in componentwise_classes(e.ctx, ses):
-        if not e.contains(z, a, vec):
-            return False
-    return True
+    return tuple(componentwise_classes(ctx, ses))
+
+
+def morphism_classes(ctx: CategoryContext, f: ModuleMap) -> dict[str, tuple]:
+    """For each kind in {"inflation", "deflation", "admissible"} that f can
+    have in some exact structure, the componentwise classes of the sequences
+    the kind needs: f is of that kind in e exactly when e contains them all.
+    None of this depends on a structure, so callers compute it once per map."""
+    if ctx.parts(f.source) is None or ctx.parts(f.target) is None:
+        raise ExactstructError("endpoints do not lie in the category")
+    parts = map_parts(f)
+    kernel_in = ctx.parts(parts.kernel) is not None
+    cokernel_in = ctx.parts(parts.cokernel) is not None
+    out: dict[str, tuple] = {}
+    if parts.cokernel.is_zero() and kernel_in:  # f is onto
+        deflation = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, f))
+        if deflation is not None:
+            out["deflation"] = deflation
+    if parts.kernel.is_zero() and cokernel_in:  # f is one-to-one
+        inflation = _sequence_classes(ctx, ShortExactSeq(f, parts.cokernel_projection))
+        if inflation is not None:
+            out["inflation"] = inflation
+    if ctx.parts(parts.image) is not None:
+        epi = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, parts.epi_part)) if kernel_in else None
+        mono = _sequence_classes(ctx, ShortExactSeq(parts.mono_part, parts.cokernel_projection)) if cokernel_in else None
+        if epi is not None and mono is not None:
+            out["admissible"] = epi + mono
+    return out
+
+
+def kinds_in(e: ExactStructure, classes_by_kind: dict[str, tuple]) -> set[str]:
+    """The kinds of a morphism_classes result that hold in the structure e."""
+    return {kind for kind, classes in classes_by_kind.items() if e.contains_all(classes)}
 
 
 def classify_morphism(f: ModuleMap, e: ExactStructure) -> set[str]:
     """Subset of {"inflation", "deflation", "admissible"} for f, in the structure e."""
-    ctx = e.ctx
-    if ctx.parts(f.source) is None or ctx.parts(f.target) is None:
-        raise ExactstructError("endpoints do not lie in the category")
-    parts = map_parts(f)
-    result: set[str] = set()
-    if f.is_surjective() and ctx.parts(parts.kernel) is not None:
-        if is_conflation(ShortExactSeq(parts.kernel_inclusion, f), e):
-            result.add("deflation")
-    if f.is_injective() and ctx.parts(parts.cokernel) is not None:
-        if is_conflation(ShortExactSeq(f, parts.cokernel_projection), e):
-            result.add("inflation")
-    if ctx.parts(parts.image) is not None:
-        epi_ok = ctx.parts(parts.kernel) is not None and is_conflation(
-            ShortExactSeq(parts.kernel_inclusion, parts.epi_part), e
-        )
-        mono_ok = ctx.parts(parts.cokernel) is not None and is_conflation(
-            ShortExactSeq(parts.mono_part, parts.cokernel_projection), e
-        )
-        if epi_ok and mono_ok:
-            result.add("admissible")
-    return result
+    return kinds_in(e, morphism_classes(e.ctx, f))
 
 
 def ext_action(ctx: CategoryContext, z_id: int, a_id: int, vec, g: ModuleMap, side: str) -> tuple[int, int, np.ndarray]:
@@ -376,15 +406,11 @@ def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
     deflations force further classes in, which the defect criterion accounts
     for.
     """
-    field = ctx.algebra.field
     chosen_set = set(chosen)
     subs: dict[tuple[int, int], Matrix] = {}
     for (z, a) in ctx.nonzero_pairs():
-        blocks = [mat for w, mat in ctx.pull_matrices(z, a) if w not in chosen_set]
-        if blocks:
-            subs[(z, a)] = kernel_basis(vstack(field, blocks)).transpose()
-        else:
-            subs[(z, a)] = Matrix.identity(field, ctx.ext_dim(z, a))
+        unchosen = tuple(sorted({w for w, _ in ctx.pull_matrices(z, a)} - chosen_set))
+        subs[(z, a)] = ctx.common_kernel(z, a, unchosen)
     return ExactStructure(ctx, subs)
 
 

@@ -235,14 +235,15 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Matrix) -> Matrix:
+def kernel_basis(m: Matrix, reduced: tuple[Matrix, list[int]] | None = None) -> Matrix:
     """Basis of the right null space of m, as columns.
 
     The basis is the standard one read off the reduced row echelon form (one
     column per free variable, in increasing column order), so it is
-    deterministic in the input's column order.
+    deterministic in the input's column order.  reduced is rref(m), when the
+    caller has it already.
     """
-    r, pivots = rref(m)
+    r, pivots = reduced or rref(m)
     is_free = np.ones(m.cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -344,6 +345,14 @@ def _lines(dim: int, p: int) -> list[np.ndarray]:
         for lead in range(dim - 1, -1, -1)
         for tail in itertools.product(range(p), repeat=dim - 1 - lead)
     ]
+
+
+def line_representative(vec, p: int) -> tuple[int, ...]:
+    """The multiple of vec whose first nonzero coordinate is 1, the form _lines
+    lists; the zero vector stays zero."""
+    coords = [int(c) % p for c in vec]
+    inv = pow(next((c for c in coords if c), 1), -1, p)
+    return tuple(c * inv % p for c in coords)
 
 
 def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:

@@ -384,9 +384,15 @@ class MapParts:
 
 
 def map_parts(f: ModuleMap) -> MapParts:
-    ker, ker_incl = kernel(f)
-    img, mono, epi = image(f)
-    cok, proj = cokernel(f)
+    """kernel, image and cokernel of f from one rref per vertex: the pivot
+    columns span the image, and the nonzero reduced rows are the coordinates
+    of f's columns in them, i.e. the epi part."""
+    reduced = [rref(mat) for mat in f.mats]
+    ker, ker_incl = submodule(f.source, [kernel_basis(mat, red) for mat, red in zip(f.mats, reduced)])
+    bases = [mat.take_columns(pivots) for mat, (_, pivots) in zip(f.mats, reduced)]
+    img, mono = submodule(f.target, bases)
+    epi = ModuleMap(f.source, img, [Matrix(r.field, r.a[: len(pivots)]) for r, pivots in reduced])
+    cok, proj = quotient(f.target, bases)
     return MapParts(ker, ker_incl, img, epi, mono, cok, proj)
 
 

@@ -1,16 +1,31 @@
 import numpy as np
 import pytest
 
+from exactcat import repmod
 from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3
-from exactcat.auslander import AuslanderContext, AuslanderError
-from exactcat.exactstruct import classify_morphism, is_exact_structure
-from exactcat.linalg import FieldPrime
+from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in
+from exactcat.exactstruct import (
+    ExactstructError,
+    classify_morphism,
+    componentwise_classes,
+    is_exact_structure,
+    kinds_in,
+)
+from exactcat.linalg import FieldPrime, _subspace_elements
 from exactcat.repmod import (
+    MapParts,
     ModuleMap,
+    RepmodError,
+    ShortExactSeq,
+    cokernel,
     decompose,
     direct_sum,
+    ext_space,
+    hom_basis,
     hom_dim,
+    image,
     is_isomorphic,
+    kernel,
     proj_dim,
     standard_modules,
 )
@@ -361,3 +376,118 @@ def test_non_admissible_presentation_in_intermediate_structure():
         assert outside
         for i in sorted(outside):
             assert not ctx.smodad_membership(ctx.gamma_module(i), e)
+
+
+# -- the per-structure classification before it was split (test-side copies) --
+
+
+def _old_map_parts(f):
+    ker, ker_incl = kernel(f)
+    img, mono, epi = image(f)
+    cok, proj = cokernel(f)
+    return MapParts(ker, ker_incl, img, epi, mono, cok, proj)
+
+
+def _old_is_conflation(ses, e):
+    try:
+        ses.validate()
+    except RepmodError:
+        return False
+    if e.ctx.parts(ses.mid) is None:
+        raise ExactstructError("middle term does not lie in the category")
+    return all(e.contains(z, a, vec) for (z, a, vec) in componentwise_classes(e.ctx, ses))
+
+
+def _old_classify_morphism(f, e):
+    ctx = e.ctx
+    if ctx.parts(f.source) is None or ctx.parts(f.target) is None:
+        raise ExactstructError("endpoints do not lie in the category")
+    parts = _old_map_parts(f)
+    result = set()
+    if f.is_surjective() and ctx.parts(parts.kernel) is not None:
+        if _old_is_conflation(ShortExactSeq(parts.kernel_inclusion, f), e):
+            result.add("deflation")
+    if f.is_injective() and ctx.parts(parts.cokernel) is not None:
+        if _old_is_conflation(ShortExactSeq(f, parts.cokernel_projection), e):
+            result.add("inflation")
+    if ctx.parts(parts.image) is not None:
+        epi_ok = ctx.parts(parts.kernel) is not None and _old_is_conflation(
+            ShortExactSeq(parts.kernel_inclusion, parts.epi_part), e
+        )
+        mono_ok = ctx.parts(parts.cokernel) is not None and _old_is_conflation(
+            ShortExactSeq(parts.mono_part, parts.cokernel_projection), e
+        )
+        if epi_ok and mono_ok:
+            result.add("admissible")
+    return result
+
+
+def _old_smodad_admissible(ctx, g, smodad):
+    parts = _old_map_parts(g)
+    for piece in (parts.image, parts.kernel, parts.cokernel):
+        if not piece.is_zero() and not set(ctx.gamma_index.parts(piece)) <= smodad:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: algebra_kA3(GF2, False),
+        lambda: algebra_kA3(GF5, False),
+        lambda: algebra_kA3(GF2, True),
+        lambda: algebra_dual_numbers(GF2),
+    ],
+    ids=["kA3-GF2", "kA3-GF5", "kA3rel-GF2", "dual-GF2"],
+)
+def test_classes_computed_once_agree_with_the_per_structure_path(make):
+    ctx = AuslanderContext(make())
+    n = len(ctx.gamma_index.modules)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    checked = 0
+    for e in ctx.structures():
+        smodad = ctx.build_subcategories(e).smodad.ids
+        for i in range(n):
+            f = ctx.transported(ctx.gamma_module(i)).f
+            old = _old_classify_morphism(f, e)
+            assert classify_morphism(f, e) == old
+            assert kinds_in(e, ctx._presentation_classes(i)) == old
+        for i, j in pairs:
+            basis = hom_basis(ctx.gamma_module(i), ctx.gamma_module(j))
+            data = ctx._basis_map_data(i, j)
+            assert len(data) == len(basis)
+            for g, (summands, l_classes) in zip(basis, data):
+                assert _admissible_with_image_in(summands, smodad, smodad) == _old_smodad_admissible(ctx, g, smodad)
+                l_admissible = l_classes is not None and e.contains_all(l_classes)
+                assert l_admissible == ("admissible" in _old_classify_morphism(ctx.ea.localize_map(g), e))
+                checked += 1
+    assert checked == len(ctx.structures()) * sum(len(ctx._basis_map_data(i, j)) for i, j in pairs) > 0
+
+
+def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):
+    ctx = AuslanderContext(algebra_kA3(GF5, False))
+    index = ctx.gamma_index
+    n = len(index.modules)
+    realized = []
+    realize = repmod.ExtSpace.realize
+
+    def spy(space, vec):
+        realized.append(tuple(int(c) for c in vec))
+        return realize(space, vec)
+
+    compared = 0
+    for z in range(n):
+        for a in range(n):
+            space = ext_space(index.modules[z], index.modules[a])
+            vectors, exhaustive = _subspace_elements(space.dim, 5, 625)
+            assert exhaustive
+            expected = [frozenset(index.parts(space.realize(vec).mid)) for vec in vectors]
+            monkeypatch.setattr(repmod.ExtSpace, "realize", spy)
+            realized.clear()
+            got = [ctx.ext_middle_parts("gamma", z, a, vec) for vec in vectors]
+            monkeypatch.setattr(repmod.ExtSpace, "realize", realize)
+            assert got == expected
+            assert len(realized) == len(vectors) // 4  # p - 1 = 4 nonzero vectors per line
+            assert all(next(c for c in line if c) == 1 for line in realized)
+            compared += len(vectors)
+    assert compared > 0

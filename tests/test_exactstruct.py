@@ -31,7 +31,7 @@ from exactcat.exactstruct import (
     split_structure,
 )
 from exactcat.functorcat import AdditiveCategorySpec
-from exactcat.linalg import FieldPrime, Matrix, _lines, _subspace_elements
+from exactcat.linalg import FieldPrime, Matrix, _lines, _subspace_elements, kernel_basis, vstack
 from exactcat.repmod import (
     ExtSpace,
     ModuleMap,
@@ -183,6 +183,30 @@ def test_enumeration_realizes_nothing(monkeypatch):
     monkeypatch.setattr(ExtSpace, "realize", lambda self, coords: realized.append(coords) or realize(self, coords))
     assert len(enumerate_exact_structures(ctx)) == 8
     assert realized == []
+
+
+def test_common_kernels_are_reduced_once_per_unchosen_set(monkeypatch):
+    ctx = make_ctx(algebra_kA3(GF2, False))
+    nonproj = ctx.nonprojective_ids()
+    reduced = []
+    real = exactstruct.kernel_basis
+    monkeypatch.setattr(exactstruct, "kernel_basis", lambda m: reduced.append(m.key()) or real(m))
+    structures = enumerate_exact_structures(ctx)
+    keys = set(vars(ctx)["_common_kernel_memo"])
+    assert len(reduced) == len([k for k in keys if k[2]])  # one per (z, a, unchosen sources)
+    assert len(reduced) < 2 ** len(nonproj) * len(ctx.nonzero_pairs())
+    # the same structures as stacking every subset's blocks afresh
+    expected = []
+    for r in range(len(nonproj) + 1):
+        for subset in itertools.combinations(nonproj, r):
+            subs = {}
+            for (z, a) in ctx.nonzero_pairs():
+                blocks = [mat for w, mat in ctx.pull_matrices(z, a) if w not in subset]
+                subs[(z, a)] = (
+                    kernel_basis(vstack(GF2, blocks)).transpose() if blocks else Matrix.identity(GF2, ctx.ext_dim(z, a))
+                )
+            expected.append(ExactStructure(ctx, subs))
+    assert [e.key() for e in structures] == [e.key() for e in sorted(expected, key=lambda e: (e.total_dim(), e.key()))]
 
 
 def test_structures_over_a_large_prime(kx4_ctx):

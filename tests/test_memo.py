@@ -5,7 +5,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from exactcat import exactstruct, repmod
+import numpy as np
+
+from exactcat import auslander, exactstruct, functorcat, repmod
 from exactcat.algebra import algebra_kA2, algebra_kA3
 from exactcat.auslander import AuslanderContext
 from exactcat.cli import run_session
@@ -107,6 +109,94 @@ def test_algebras_from_the_same_quiver_share_no_entries():
         for k in shared:
             v1, v2 = getattr(a1, name)[k], getattr(a2, name)[k]
             assert v1 is None or v1 is not v2  # None: no isomorphism, in both
+
+
+# every store AuslanderContext fills with structure-independent work of verify
+HOISTED_STORES = tuple(
+    f"_{name}_memo"
+    for name in (
+        "_presentation_classes",
+        "_basis_map_data",
+        "_torsion_parts",
+        "_injective_cokernel_ids",
+        "_ext1_dim",
+        "_line_middle_parts",
+        "p2_ids",
+    )
+)
+
+
+def _leaves(value):
+    """Every leaf of nested dicts, tuples, lists and sets."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(k)
+            yield from _leaves(v)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_a_second_structure_recomputes_only_its_random_samples(monkeypatch):
+    ctx = AuslanderContext(algebra_kA3(GF2, False))
+    structures = ctx.structures()
+    first, second = structures[-1], structures[1]  # the maximal structure has the largest smodad
+    assert ctx.build_subcategories(second).smodad.ids < ctx.build_subcategories(first).smodad.ids
+    samples = 7
+    assert ctx.verify_formula_and_localization(first, samples).ok
+    assert ctx.check_auslander_axioms(first).ok
+    calls = {"map_parts": [], "localize_map": []}
+    map_parts, localize_map = repmod.map_parts, functorcat.EndAlgebra.localize_map
+    drawn = []
+    random_morphisms = auslander.AuslanderContext._random_morphisms
+
+    def spy_parts(f):
+        calls["map_parts"].append(f)
+        return map_parts(f)
+
+    def spy_localize(ea, eta):
+        calls["localize_map"].append(eta)
+        return localize_map(ea, eta)
+
+    def spy_samples(self, ids, count):
+        for eta in random_morphisms(self, ids, count):
+            drawn.append(eta)
+            yield eta
+
+    for module in (repmod, exactstruct, auslander):
+        monkeypatch.setattr(module, "map_parts", spy_parts)
+    monkeypatch.setattr(functorcat.EndAlgebra, "localize_map", spy_localize)
+    monkeypatch.setattr(auslander.AuslanderContext, "_random_morphisms", spy_samples)
+    assert ctx.verify_formula_and_localization(second, samples).ok
+    assert ctx.check_auslander_axioms(second).ok
+    assert len(drawn) == samples
+    assert calls["localize_map"] == drawn
+    # each sample once on the Gamma side, and its localization once in classify_morphism
+    assert len(calls["map_parts"]) == 2 * samples
+    assert calls["map_parts"][0::2] == drawn
+
+
+def test_hoisted_stores_hold_ids_and_classes_only():
+    ctx = AuslanderContext(algebra_kA3(GF2, False))
+    for e in ctx.structures():
+        for section in (
+            ctx.check_auslander_axioms,
+            ctx.verify_formula_and_localization,
+            ctx.verify_injective_projective_correspondence,
+        ):
+            section(e)
+        quad = ctx.build_subcategories(e)
+        ctx.reconstruct_structure(quad.smodad)
+    stores = vars(ctx)
+    for name in HOISTED_STORES:
+        assert stores.get(name), name
+        for leaf in _leaves(stores[name]):
+            assert leaf is None or isinstance(leaf, (bool, int, str, np.ndarray)), (name, type(leaf))
+    # the componentwise classes of a sequence are plain (z, a, vector) triples
+    classes = [c for data in stores["__presentation_classes_memo"].values() for cs in data.values() for c in cs]
+    assert classes and all(isinstance(v, np.ndarray) for _, _, v in classes)
 
 
 def load_tracer():

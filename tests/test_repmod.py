@@ -38,8 +38,11 @@ from exactcat.repmod import (
     hom_dim,
     hom_from_coords,
     homological_dims,
+    cokernel,
+    image,
     inverse_map,
     is_isomorphic,
+    kernel,
     map_parts,
     minimal_presentation,
     proj_dim,
@@ -126,6 +129,36 @@ def test_map_parts_cover_kernel(kA2):
     # f = mono o epi
     recomposed = parts.mono_part @ parts.epi_part
     assert all((a - b).is_zero() for a, b in zip(recomposed.mats, cover.mats))
+
+
+def test_map_parts_from_one_reduction_match_the_separate_constructions():
+    """map_parts reads kernel, image, epi part and cokernel off one rref per
+    vertex; they must equal kernel(), image() and cokernel() matrix for matrix."""
+    a = algebra_kA3(GF5, False)
+    mods = all_indecomposables(a, 10).modules
+    pairs = [(m, n) for m in mods for n in mods] + [(direct_sum(mods[:3])[0], direct_sum(mods[2:5])[0])]
+    rng = np.random.RandomState(0)
+    compared = 0
+    for m, n in pairs:
+        basis = hom_basis(m, n)
+        maps = [ModuleMap.zero_map(m, n)] + basis
+        if basis:
+            maps.append(hom_from_coords(rng.randint(0, 5, size=len(basis)), basis, m, n))
+        for f in maps:
+            parts = map_parts(f)
+            ker, ker_incl = kernel(f)
+            img, mono, epi = image(f)
+            cok, proj = cokernel(f)
+            for got, want in (
+                (parts.kernel_inclusion, ker_incl),
+                (parts.mono_part, mono),
+                (parts.epi_part, epi),
+                (parts.cokernel_projection, proj),
+            ):
+                assert got.source.key() == want.source.key() and got.target.key() == want.target.key()
+                assert [x.key() for x in got.mats] == [x.key() for x in want.mats]
+            compared += 1
+    assert compared > len(pairs)
 
 
 def test_decompose_sum_of_simples(kA2):
