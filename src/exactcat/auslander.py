@@ -136,7 +136,6 @@ class AuslanderContext:
         index = self.side_index(side)
         return frozenset(i for i in range(len(index.modules)) if index.is_projective[i])
 
-    @memo(lambda self, side: side)
     def p2_ids(self, side: str) -> frozenset[int]:
         index = self.side_index(side)
         out = []
@@ -145,10 +144,6 @@ class AuslanderContext:
             if pd is not None and pd <= 2:
                 out.append(i)
         return frozenset(out)
-
-    @memo(lambda self, i, j: (i, j))
-    def _ext1_dim(self, i: int, j: int) -> int:
-        return ext_dim(1, self.gamma_module(i), self.gamma_module(j))
 
     # -- memberships -------------------------------------------------------------
 
@@ -316,17 +311,14 @@ class AuslanderContext:
 
     # -- resolving subcategories ---------------------------------------------------
 
+    @memo(lambda self, side, z, a, vec: (side, z, a, line_representative(vec, self.gamma.field.p)))
     def ext_middle_parts(self, side: str, z: int, a: int, vec) -> frozenset[int]:
-        """Ids of the summands of the middle term of the realized class.  The
-        middle term of c*xi is that of xi (pushout along c*id), so only the
-        representative of the class's line is realized, once."""
-        return self._line_middle_parts(side, z, a, line_representative(vec, self.gamma.field.p))
-
-    @memo(lambda self, side, z, a, line: (side, z, a, line))
-    def _line_middle_parts(self, side: str, z: int, a: int, line: tuple[int, ...]) -> frozenset[int]:
+        """Ids of the summands of the middle term of the realized class,
+        cached per line: the middle term of c*xi is that of xi (pushout along
+        c*id), so one class of each line is realized."""
         index = self.side_index(side)
         space = ext_space(index.modules[z], index.modules[a])
-        return self._interned(frozenset(index.parts(space.realize(np.array(line, dtype=np.int64)).mid)))
+        return self._interned(frozenset(index.parts(space.realize(vec).mid)))
 
     @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
@@ -490,7 +482,7 @@ class AuslanderContext:
         report.add("(ii) morphisms into eff objects are admissible with image in eff", a2_ok)
 
         rigidity = all(
-            self._ext1_dim(t, y) == 0
+            ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
             for t in sorted(eff)
             for y in self.yoneda_ids
         )
@@ -660,7 +652,7 @@ class AuslanderContext:
         return frozenset(
             j
             for j in smodad
-            if all(self._ext1_dim(i, j) == 0 for i in smodad)
+            if all(ext_dim(1, self.gamma_module(i), self.gamma_module(j)) == 0 for i in smodad)
         )
 
     def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
@@ -696,7 +688,7 @@ class AuslanderContext:
         transfer_inj = all(
             (i in e_inj)
             == all(
-                self._ext1_dim(s, self.yoneda_ids[i]) == 0
+                ext_dim(1, self.gamma_module(s), self.gamma_module(self.yoneda_ids[i])) == 0
                 for s in smodad
             )
             for i in range(len(self.index.modules))
@@ -730,7 +722,7 @@ class AuslanderContext:
 
         if dd2:
             rigid = all(
-                self._ext1_dim(t, y) == 0
+                ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
                 for t in eff
                 for y in self.yoneda_ids
             )

@@ -55,13 +55,10 @@ class Session:
             self.dim_cap = int(caps.get("dim", 12))
             self.resolution_cutoff = int(caps.get("resolution", 8))
             self.multiplicity_bound = int(caps.get("multiplicity", 2))
-            self.gamma_dim_cap = caps.get("gamma_dim", 40)
             self.seed = int(payload.get("seed", 0))
         except (AttributeError, TypeError, ValueError) as exc:
             raise SessionError(f"bad caps or seed: {exc}")
-        if not _is_id(self.gamma_dim_cap):
-            raise SessionError(f"bad caps or seed: gamma_dim {self.gamma_dim_cap!r} is not an integer")
-        if min(self.dim_cap, self.resolution_cutoff, self.multiplicity_bound, self.gamma_dim_cap) <= 0:
+        if min(self.dim_cap, self.resolution_cutoff, self.multiplicity_bound) <= 0:
             raise SessionError("caps must be positive")
         self.algebra = self._load_algebra(payload)
         self.commands = self._load_commands(payload.get("commands", []))
@@ -402,7 +399,6 @@ def run_session(payload: dict, out_dir: Path | None) -> tuple[int, RunOutput]:
         ctx = AuslanderContext(
             session.algebra,
             dim_cap=session.dim_cap,
-            gamma_dim_cap=session.gamma_dim_cap,
             cutoff=session.resolution_cutoff,
             seed=session.seed,
         )

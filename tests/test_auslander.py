@@ -11,7 +11,7 @@ from exactcat.exactstruct import (
     is_exact_structure,
     kinds_in,
 )
-from exactcat.linalg import FieldPrime, _subspace_elements
+from exactcat.linalg import FieldPrime, _subspace_elements, line_representative
 from exactcat.repmod import (
     MapParts,
     ModuleMap,
@@ -488,6 +488,6 @@ def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):
             monkeypatch.setattr(repmod.ExtSpace, "realize", realize)
             assert got == expected
             assert len(realized) == len(vectors) // 4  # p - 1 = 4 nonzero vectors per line
-            assert all(next(c for c in line if c) == 1 for line in realized)
+            assert len({line_representative(v, 5) for v in realized}) == len(realized)
             compared += len(vectors)
     assert compared > 0

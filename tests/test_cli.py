@@ -194,29 +194,6 @@ def test_largest_supported_prime_loads():
     assert Session(session_kA2(["indecomposables"], p=65521)).field.p == 65521
 
 
-def test_gamma_dim_cap_must_be_a_positive_integer():
-    for bad in ("x", 2.5, True, None, 0, -3):
-        code, out = run_session(session_kA2(["indecomposables"], caps={"gamma_dim": bad}), None)
-        assert code == EXIT_INPUT, bad
-        assert len(out.lines) == 1 and out.lines[0].startswith("input error:"), bad
-    assert Session(session_kA2(["indecomposables"], caps={"gamma_dim": 7})).gamma_dim_cap == 7
-    assert Session(session_kA2(["indecomposables"])).gamma_dim_cap == 40
-
-
-def test_gamma_dim_cap_is_hit_on_d4():
-    payload = {
-        "p": 2,
-        "quiver": {"vertices": ["1", "2", "3", "4"], "arrows": [["a", "1", "4"], ["b", "2", "4"], ["c", "3", "4"]]},
-        "caps": {"gamma_dim": 10},
-        "commands": ["indecomposables"],
-    }
-    code, out = run_session(payload, None)
-    assert code == EXIT_CAP
-    assert len(out.lines) == 1
-    assert out.lines[0].startswith("cap exceeded: indecomposable of dimension ")
-    assert out.lines[0].endswith("exceeds dim_cap=10")
-
-
 def test_cap_exceeded(tmp_path):
     payload = session_kA2(["indecomposables"])
     payload["caps"] = {"dim": 1, "resolution": 8, "multiplicity": 2}

@@ -119,9 +119,7 @@ HOISTED_STORES = tuple(
         "_basis_map_data",
         "_torsion_parts",
         "_injective_cokernel_ids",
-        "_ext1_dim",
-        "_line_middle_parts",
-        "p2_ids",
+        "ext_middle_parts",
     )
 )
 
