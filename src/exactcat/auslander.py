@@ -30,13 +30,12 @@ from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
 from .linalg import (
     ExactcatError,
     Matrix,
-    _lines,
-    _subspace_elements,
     column_space_basis,
     hstack,
     line_representative,
     memo,
     rank,
+    subspace_lines,
 )
 from .repmod import (
     IndecIndex,
@@ -76,9 +75,9 @@ class AuslanderError(ExactcatError):
 
 @dataclass(frozen=True)
 class SubcategorySpec:
-    """A set of indecomposable ids over Gamma or Gamma^op, with provenance."""
+    """A set of indecomposable ids over Gamma, Gamma^op or Lambda, with provenance."""
 
-    side: str  # "gamma" or "gamma_op"
+    side: str  # "gamma", "gamma_op" or "lambda" (mod Lambda itself)
     ids: frozenset[int]
     provenance: str
 
@@ -108,9 +107,10 @@ class AuslanderContext:
         self.cat = CategoryContext(self.spec, self.index)
         self.ea = end_algebra(self.spec)
         self.gamma = self.ea.gamma
-        self.gamma_index = all_indecomposables(self.gamma, gamma_dim_cap, seed)
+        gamma_cap = "the Gamma-side cap gamma_dim_cap"
+        self.gamma_index = all_indecomposables(self.gamma, gamma_dim_cap, seed, cap_name=gamma_cap)
         self.gamma_op = self.gamma.opposite()
-        self.gop_index = all_indecomposables(self.gamma_op, gamma_dim_cap, seed)
+        self.gop_index = all_indecomposables(self.gamma_op, gamma_dim_cap, seed, cap_name=gamma_cap)
         self.yoneda_ids = [
             self.gamma_index.identify(self.ea.yoneda(m)) for m in self.index.modules
         ]
@@ -124,7 +124,7 @@ class AuslanderContext:
         return enumerate_exact_structures(self.cat)
 
     def side_index(self, side: str) -> IndecIndex:
-        return self.gamma_index if side == "gamma" else self.gop_index
+        return {"gamma": self.gamma_index, "gamma_op": self.gop_index, "lambda": self.index}[side]
 
     def gamma_module(self, i: int) -> Module:
         return self.gamma_index.modules[i]
@@ -258,9 +258,6 @@ class AuslanderContext:
 
     # -- transpose, star, evaluation ------------------------------------------------
 
-    def transpose_functor(self, f_mod: Module) -> Module:
-        return transpose_module(f_mod)
-
     def star_dual(self, f_mod: Module) -> Module:
         """F^* = ker of the Hom(-, Gamma) dual of the presentation (a module
         over the opposite side)."""
@@ -327,6 +324,25 @@ class AuslanderContext:
         syz, _ = kernel(cover)
         return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
 
+    def _ext_closure(self, side: str, ids) -> tuple[frozenset[int], bool]:
+        """Ids of the summands of the middle terms of the Ext^1 classes between
+        members of ids, and whether every line was walked (each space walks
+        its lines up to ELEMENT_CAP of them, a spanning set beyond)."""
+        index = self.side_index(side)
+        middles, exhaustive = set(), True
+        for z in sorted(ids):
+            for a in sorted(ids):
+                dim = ext_space(index.modules[z], index.modules[a]).dim
+                vectors, walked_all = subspace_lines(Matrix.identity(index.algebra.field, dim), ELEMENT_CAP)
+                exhaustive = exhaustive and walked_all
+                for vec in vectors:
+                    middles |= self.ext_middle_parts(side, z, a, vec)
+        return frozenset(middles), exhaustive
+
+    def _syzygy_closure(self, side: str, ids) -> frozenset[int]:
+        """Ids of the summands of the syzygies of the members of ids."""
+        return frozenset().union(*(self.syzygy_parts(side, i) for i in ids))
+
     def is_resolving(self, sub: SubcategorySpec, ambient_ids: frozenset[int]) -> Report:
         """Resolving in the ambient id-set: generating, extension-closed,
         summand-closed (by construction), closed under kernels of deflations.
@@ -337,52 +353,28 @@ class AuslanderContext:
         inside the subcategory give the kernel.
         """
         report = Report(f"is_resolving[{sub.provenance}]")
-        index = self.side_index(sub.side)
         ids = sub.ids
         report.add("inside the ambient subcategory", ids <= ambient_ids)
         report.add("generating (contains all projectives)", self.projective_ids(sub.side) <= ids)
-        ext_ok = True
-        p = self.gamma.field.p
-        for z in sorted(ids):
-            for a in sorted(ids):
-                dim = ext_space(index.modules[z], index.modules[a]).dim
-                vectors, exhaustive = _subspace_elements(dim, p, ELEMENT_CAP)
-                if not exhaustive:
-                    report.note(f"Ext({z},{a}): spanning-set enumeration only")
-                for vec in vectors:
-                    if not self.ext_middle_parts(sub.side, z, a, vec) <= ids:
-                        ext_ok = False
-        report.add("extension closed", ext_ok)
-        syz_ok = all(self.syzygy_parts(sub.side, i) <= ids for i in sorted(ids))
-        report.add("kernels of deflations (via syzygy reduction)", syz_ok)
+        middles, exhaustive = self._ext_closure(sub.side, ids)
+        if not exhaustive:
+            report.note("extension closure: some Ext^1 walked on a spanning set only")
+        report.add("extension closed", middles <= ids)
+        report.add("kernels of deflations (via syzygy reduction)", self._syzygy_closure(sub.side, ids) <= ids)
         return report
 
     def resolving_closure(self, seed_ids, side: str, ambient_ids: frozenset[int]) -> frozenset[int]:
         """Least id-set containing the seed and the projectives, closed under
         extensions (summands of realized middle terms) and syzygies."""
-        index = self.side_index(side)
-        current = set(seed_ids) | set(self.projective_ids(side))
-        p = self.gamma.field.p
-        changed = True
-        while changed:
-            changed = False
-            for z in sorted(current):
-                for pid in self.syzygy_parts(side, z):
-                    if pid not in current:
-                        current.add(pid)
-                        changed = True
-            for z in sorted(current):
-                for a in sorted(current):
-                    dim = ext_space(index.modules[z], index.modules[a]).dim
-                    vectors, _ = _subspace_elements(dim, p, ELEMENT_CAP)
-                    for vec in vectors:
-                        for pid in self.ext_middle_parts(side, z, a, vec):
-                            if pid not in current:
-                                current.add(pid)
-                                changed = True
+        current = frozenset(seed_ids) | self.projective_ids(side)
+        while True:
+            grown = current | self._syzygy_closure(side, current) | self._ext_closure(side, current)[0]
+            if grown == current:
+                break
+            current = grown
         if not current <= ambient_ids:
             raise AuslanderError("resolving closure escapes the ambient subcategory")
-        return frozenset(current)
+        return current
 
     def tr_subcategory(self, sub: SubcategorySpec) -> SubcategorySpec:
         """Tr(X) over the opposite side: projectives plus the summands of the
@@ -425,10 +417,8 @@ class AuslanderContext:
         p = field.p
         subs = {}
         for (z, a) in self.cat.nonzero_pairs():
-            space = self.cat.ext(z, a)
-            members = [
-                vec for vec in _lines(space.dim, p) if self._inflation_functor_parts(z, a, vec) <= sub.ids
-            ]
+            lines, _ = subspace_lines(Matrix.identity(field, self.cat.ext_dim(z, a)))
+            members = [vec for vec in lines if self._inflation_functor_parts(z, a, vec) <= sub.ids]
             if not members:
                 continue
             rows = Matrix(field, np.vstack(members))
@@ -488,20 +478,8 @@ class AuslanderContext:
         )
         report.add("(iii) Ext^1(eff, representables) = 0", rigidity)
 
-        gl_ok = True
-        for i in sorted(smodad):
-            m = self.gamma_module(i)
-            _, cover = projective_cover(m)
-            omega1, _ = kernel(cover)
-            if not omega1.is_zero():
-                if not set(self.gamma_index.parts(omega1)) <= smodad:
-                    gl_ok = False
-                _, cover1 = projective_cover(omega1)
-                omega2, _ = kernel(cover1)
-                if not omega2.is_zero():
-                    parts2 = self.gamma_index.parts(omega2)
-                    if not all(self.gamma_index.is_projective[pid] for pid in parts2):
-                        gl_ok = False
+        omega1 = self._syzygy_closure("gamma", smodad)
+        gl_ok = omega1 <= smodad and self._syzygy_closure("gamma", omega1) <= self.projective_ids("gamma")
         report.add("(iv) length-two projective resolutions inside the subcategory", gl_ok)
         return report
 
@@ -806,27 +784,12 @@ class AuslanderContext:
         report = Report("restricted_description")
         x_ids = frozenset(x_ids)
         index = self.index
-        proj_ids = frozenset(
-            i for i in range(len(index.modules)) if index.is_projective[i]
-        )
-        report.add("X contains the projectives", proj_ids <= x_ids)
-
-        ext_ok = True
-        p = self.algebra.field.p
-        for z in sorted(x_ids):
-            for a in sorted(x_ids):
-                space = ext_space(index.modules[z], index.modules[a])
-                vectors, _ = _subspace_elements(space.dim, p, ELEMENT_CAP)
-                for vec in vectors:
-                    if not set(index.parts(space.realize(vec).mid)) <= x_ids:
-                        ext_ok = False
-        report.add("X extension closed", ext_ok)
-        syz_ok = True
-        for i in sorted(x_ids):
-            _, cover = projective_cover(index.modules[i])
-            syz, _ = kernel(cover)
-            if not syz.is_zero() and not set(index.parts(syz)) <= x_ids:
-                syz_ok = False
+        report.add("X contains the projectives", self.projective_ids("lambda") <= x_ids)
+        middles, exhaustive = self._ext_closure("lambda", x_ids)
+        if not exhaustive:
+            report.note("X extension closed: some Ext^1 walked on a spanning set only")
+        report.add("X extension closed", middles <= x_ids)
+        syz_ok = self._syzygy_closure("lambda", x_ids) <= x_ids
         report.add("X closed under kernels of deflations (syzygy reduction)", syz_ok)
         if not report.ok:
             return report

@@ -27,14 +27,13 @@ from .functorcat import AdditiveCategorySpec
 from .linalg import (
     ExactcatError,
     Matrix,
-    _lines,
-    _subspace_elements,
     iterate_subspaces,
     kernel_basis,
     memo,
     rank,
     row_space_contains,
     rref,
+    subspace_lines,
     vstack,
 )
 from .repmod import (
@@ -68,9 +67,10 @@ class GuardExceeded(ExactstructError):
     exit_code = 3
 
 
-# Bounded checks walk every vector of an Ext^1 space of at most ELEMENT_CAP
-# elements and a spanning set beyond; the axiom checker realizes at most
-# AXIOM_ELEMENT_CAP lines of each subspace.
+# Caps of linalg.subspace_lines, in lines: closure checks walk every line of an
+# Ext^1 space with at most ELEMENT_CAP lines, the axiom checker every line of a
+# subspace with at most AXIOM_ELEMENT_CAP; beyond the cap both walk the basis
+# and its pairwise sums, a spanning set, which their reports note.
 ELEMENT_CAP = 64
 AXIOM_ELEMENT_CAP = 32
 
@@ -170,22 +170,6 @@ class CategoryContext:
             if oid is None or not self.index.is_projective[oid]:
                 out.append(i)
         return out
-
-    def verify_extension_closed(self) -> Report:
-        """Check that every Ext^1 middle term between generators stays in add(M)."""
-        report = Report("extension_closed")
-        all_ok = True
-        for (z, a) in self.nonzero_pairs():
-            ext = self.ext(z, a)
-            vectors, exhaustive = _subspace_elements(ext.dim, self.algebra.field.p, ELEMENT_CAP)
-            if not exhaustive:
-                report.note(f"pair {(z, a)}: checked a spanning set of classes only")
-            for vec in vectors:
-                if self.parts(ext.realize(vec).mid) is None:
-                    report.add(f"middle of Ext({z},{a}) class {vec.tolist()} leaves add(M)", False)
-                    all_ok = False
-        report.add("all middle terms decompose into generators", all_ok)
-        return report
 
 
 class ExactStructure:
@@ -485,7 +469,6 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
     up to scalar; the bound is recorded in the report.
     """
     ctx = e.ctx
-    p = ctx.algebra.field.p
     report = Report("is_exact_structure")
     report.note(f"multiplicity_bound={multiplicity_bound}; class enumeration up to scalar")
 
@@ -493,7 +476,7 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
 
     middles_ok = True
     for (z, a), rows in e.subspaces.items():
-        vectors, exhaustive = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
+        vectors, exhaustive = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for vec in vectors:
             ses = ctx.ext(z, a).realize(vec)
             if ctx.parts(ses.mid) is None:
@@ -513,31 +496,21 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
     return report
 
 
-def _subspace_lines(rows: Matrix, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    """Elements of the row space, one per scalar line (exhaustive=True); when
-    there are more than cap lines, the rows themselves, a spanning set."""
-    d = rows.rows
-    if (p**d - 1) // (p - 1) > cap:
-        return list(rows.a), False
-    return [(c @ rows.a) % p for c in _lines(d, p)], True
-
-
 def _composition_check(e: ExactStructure) -> tuple[bool, int, bool]:
     """g o f for conflations f: B ->> E, g: E ->> D with indecomposable outer ends.
     Also returns whether every Ext^1 class of each middle term E was walked."""
     ctx = e.ctx
     field = ctx.algebra.field
-    p = field.p
     checked = 0
     exhaustive = True
     for (d_id, ag_id), rows in list(e.subspaces.items()):
-        outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
+        outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
             ses_g = ctx.ext(d_id, ag_id).realize(xg)
             mid = ses_g.mid
             for af_id in range(len(ctx.objects)):
                 full = ext_space(mid, ctx.objects[af_id])
-                inner, walked_all = _subspace_lines(Matrix.identity(field, full.dim), p, AXIOM_ELEMENT_CAP)
+                inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all
                 for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
                     ses_f = full.realize(xf)
@@ -558,17 +531,16 @@ def _composition_check_dual(e: ExactStructure) -> tuple[bool, int, bool]:
     Also returns whether every Ext^1 class of each middle term E was walked."""
     ctx = e.ctx
     field = ctx.algebra.field
-    p = field.p
     checked = 0
     exhaustive = True
     for (c_id, ag_id), rows in list(e.subspaces.items()):
-        outer_classes, _ = _subspace_lines(rows, p, AXIOM_ELEMENT_CAP)
+        outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
             ses_g = ctx.ext(c_id, ag_id).realize(xg)  # ag >-> E ->> c
             mid = ses_g.mid
             for c2_id in range(len(ctx.objects)):
                 full = ext_space(ctx.objects[c2_id], mid)
-                inner, walked_all = _subspace_lines(Matrix.identity(field, full.dim), p, AXIOM_ELEMENT_CAP)
+                inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all
                 for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
                     ses_f = full.realize(xf)  # E >-> B ->> c2

@@ -337,38 +337,29 @@ def count_subspaces(p: int, dim: int, k: int) -> int:
     return num // den
 
 
-def _lines(dim: int, p: int) -> list[np.ndarray]:
-    """One representative per 1-dimensional subspace of GF(p)^dim (first
-    nonzero = 1), in lexicographic order."""
-    return [
-        np.array((0,) * lead + (1,) + tail, dtype=np.int64)
-        for lead in range(dim - 1, -1, -1)
-        for tail in itertools.product(range(p), repeat=dim - 1 - lead)
-    ]
-
-
 def line_representative(vec, p: int) -> tuple[int, ...]:
-    """The multiple of vec whose first nonzero coordinate is 1, the form _lines
-    lists; the zero vector stays zero."""
+    """The multiple of vec whose first nonzero coordinate is 1, the form of the
+    coordinates subspace_lines walks; the zero vector stays zero."""
     coords = [int(c) % p for c in vec]
     inv = pow(next((c for c in coords if c), 1), -1, p)
     return tuple(c * inv % p for c in coords)
 
 
-def _subspace_elements(dim: int, p: int, cap: int) -> tuple[list[np.ndarray], bool]:
-    """Nonzero vectors of GF(p)^dim to test: all of them (exhaustive=True) when
-    p^dim is at most cap, else the basis and the pairwise sums of basis vectors."""
-    if p**dim <= cap:
-        vecs = [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=dim)]
-        return [v for v in vecs if v.any()], True
-    vecs = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[i] = 1
-        vecs.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[i] = e[j] = 1
-            vecs.append(e)
-    return vecs, False
+def subspace_lines(rows: Matrix, cap: int | None = None) -> tuple[list[np.ndarray], bool]:
+    """The Ext^1 classes to walk in the row space of rows (a basis): one vector
+    per line, c @ rows for the coordinates c whose first nonzero entry is 1 in
+    lexicographic order, and True; beyond cap lines, the rows and their
+    pairwise sums, a spanning set, and False.  The middle term of c*xi is that
+    of xi, so walking lines meets every middle term that walking every element
+    meets."""
+    p = rows.field.p
+    d = rows.rows
+    if cap is not None and (p**d - 1) // (p - 1) > cap:
+        sums = [(rows.a[i] + rows.a[j]) % p for i in range(d) for j in range(i + 1, d)]
+        return list(rows.a) + sums, False
+    coords = (
+        np.array((0,) * lead + (1,) + tail, dtype=np.int64)
+        for lead in range(d - 1, -1, -1)
+        for tail in itertools.product(range(p), repeat=d - 1 - lead)
+    )
+    return [(c @ rows.a) % p for c in coords], True

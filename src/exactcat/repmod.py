@@ -1293,16 +1293,16 @@ class IndecIndex:
         return [i for i in range(len(self.modules)) if not self.is_projective[i]]
 
 
-@memo(lambda a, dim_cap, seed=0: dim_cap)
-def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0) -> IndecIndex:
+@memo(lambda a, dim_cap, seed=0, cap_name="dim_cap": dim_cap)
+def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0, cap_name: str = "dim_cap") -> IndecIndex:
     """Enumerate the indecomposables by knitting from the projectives.
 
     The closure adds, for each known indecomposable: the summands of rad P for
     projectives, of I/soc for injectives, the AR translate and the middle of
     the almost split sequence for non-projectives, and the inverse translate
     for non-injectives.  The result is validated by running the definitional
-    almost-split test for every non-projective member.  Raises CapExceeded if
-    a module above the dimension cap shows up.
+    almost-split test for every non-projective member.  Raises CapExceeded,
+    naming the cap by cap_name, if a module above the dimension cap shows up.
     """
     std = standard_modules(a)
     known: list[Module] = []
@@ -1312,7 +1312,7 @@ def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0) -> IndecIndex:
             return False
         if m.total_dim > dim_cap:
             raise CapExceeded(
-                f"indecomposable of dimension {m.total_dim} exceeds dim_cap={dim_cap}"
+                f"indecomposable of dimension {m.total_dim} exceeds {cap_name}={dim_cap}"
             )
         for cand in known:
             if cand.dims == m.dims and is_isomorphic(cand, m) is not None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from exactcat import repmod
 from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3
 from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in
 from exactcat.exactstruct import (
+    ELEMENT_CAP,
     ExactstructError,
     classify_morphism,
     componentwise_classes,
     is_exact_structure,
     kinds_in,
 )
-from exactcat.linalg import FieldPrime, _subspace_elements, line_representative
+from exactcat.linalg import FieldPrime, line_representative
 from exactcat.repmod import (
     MapParts,
     ModuleMap,
@@ -27,6 +30,7 @@ from exactcat.repmod import (
     is_isomorphic,
     kernel,
     proj_dim,
+    projective_cover,
     standard_modules,
 )
 
@@ -128,7 +132,7 @@ def test_evaluation_iso_on_projectives(kA2):
     for y in kA2.yoneda_ids:
         ev = kA2.evaluation_map(kA2.gamma_module(y))
         assert ev.is_isomorphism()
-        assert kA2.transpose_functor(kA2.gamma_module(y)).total_dim == 0
+        assert repmod.transpose_module(kA2.gamma_module(y)).total_dim == 0
 
 
 def test_auslander_bridger_sequence_all_indecomposables(kA2, dn, kA3rel):
@@ -479,8 +483,8 @@ def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):
     for z in range(n):
         for a in range(n):
             space = ext_space(index.modules[z], index.modules[a])
-            vectors, exhaustive = _subspace_elements(space.dim, 5, 625)
-            assert exhaustive
+            assert 5**space.dim <= 625
+            vectors = [np.array(v) for v in itertools.product(range(5), repeat=space.dim) if any(v)]
             expected = [frozenset(index.parts(space.realize(vec).mid)) for vec in vectors]
             monkeypatch.setattr(repmod.ExtSpace, "realize", spy)
             realized.clear()
@@ -491,3 +495,141 @@ def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):
             assert len({line_representative(v, 5) for v in realized}) == len(realized)
             compared += len(vectors)
     assert compared > 0
+
+
+def test_gamma_side_cap_names_the_gamma_cap():
+    with pytest.raises(repmod.CapExceeded) as info:
+        AuslanderContext(algebra_kA3(GF2, False), gamma_dim_cap=2)
+    assert info.value.exit_code == 3
+    assert "exceeds the Gamma-side cap gamma_dim_cap=2" in str(info.value)
+
+
+# -- the extension and syzygy closure loops before they shared one helper (test-side copies) --
+
+
+def _old_elements(dim, p):
+    """Every nonzero vector under ELEMENT_CAP = 64 elements, else the basis and pairwise sums."""
+    if p**dim <= ELEMENT_CAP:
+        return [np.array(v) for v in itertools.product(range(p), repeat=dim) if any(v)]
+    eye = np.eye(dim, dtype=np.int64)
+    return list(eye) + [eye[i] + eye[j] for i in range(dim) for j in range(i + 1, dim)]
+
+
+def _old_middles(ctx, side, z, a, cache):
+    """Summand ids of the middle term of every walked class of Ext(z, a), realized directly."""
+    if (side, z, a) not in cache:
+        index = ctx.side_index(side)
+        space = ext_space(index.modules[z], index.modules[a])
+        cache[side, z, a] = [
+            set(index.parts(space.realize(vec).mid)) for vec in _old_elements(space.dim, ctx.gamma.field.p)
+        ]
+    return cache[side, z, a]
+
+
+def _old_syzygy(ctx, side, i):
+    index = ctx.side_index(side)
+    _, cover = projective_cover(index.modules[i])
+    syz, _ = kernel(cover)
+    return set() if syz.is_zero() else set(index.parts(syz))
+
+
+def _old_is_resolving(ctx, sub, ambient, cache):
+    ids = sub.ids
+    ok = ids <= ambient and ctx.projective_ids(sub.side) <= ids
+    for z in sorted(ids):
+        for a in sorted(ids):
+            if not all(mid <= ids for mid in _old_middles(ctx, sub.side, z, a, cache)):
+                ok = False
+    return ok and all(_old_syzygy(ctx, sub.side, i) <= ids for i in ids)
+
+
+def _old_resolving_closure(ctx, seed, side, cache):
+    current = set(seed) | set(ctx.projective_ids(side))
+    changed = True
+    while changed:
+        changed = False
+        for z in sorted(current):
+            for pid in _old_syzygy(ctx, side, z):
+                if pid not in current:
+                    current.add(pid)
+                    changed = True
+        for z in sorted(current):
+            for a in sorted(current):
+                for mid in _old_middles(ctx, side, z, a, cache):
+                    if not mid <= current:
+                        current |= mid
+                        changed = True
+    return frozenset(current)
+
+
+def _old_axiom_iv(ctx, smodad):
+    ok = True
+    for i in sorted(smodad):
+        _, cover = projective_cover(ctx.gamma_module(i))
+        omega1, _ = kernel(cover)
+        if not omega1.is_zero():
+            if not set(ctx.gamma_index.parts(omega1)) <= smodad:
+                ok = False
+            _, cover1 = projective_cover(omega1)
+            omega2, _ = kernel(cover1)
+            if not omega2.is_zero() and not all(ctx.gamma_index.is_projective[j] for j in ctx.gamma_index.parts(omega2)):
+                ok = False
+    return ok
+
+
+def _old_x_checks(ctx, x_ids, cache):
+    """(contains the projectives, extension closed, syzygy closed) of X in mod Lambda."""
+    index = ctx.index
+    projectives = {i for i in range(len(index.modules)) if index.is_projective[i]}
+    ext_ok = all(mid <= x_ids for z in x_ids for a in x_ids for mid in _old_middles(ctx, "lambda", z, a, cache))
+    syz_ok = all(_old_syzygy(ctx, "lambda", i) <= x_ids for i in x_ids)
+    return projectives <= x_ids, ext_ok, syz_ok
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: algebra_kA2(GF2),
+        lambda: algebra_dual_numbers(GF2),
+        lambda: algebra_kA3(GF2, False),
+        lambda: algebra_kA3(GF5, False),
+        lambda: algebra_kA3(GF2, True),
+    ],
+    ids=["kA2-GF2", "dual-GF2", "kA3-GF2", "kA3-GF5", "kA3rel-GF2"],
+)
+def test_closure_helpers_agree_with_the_old_loops(make):
+    ctx = AuslanderContext(make())
+    cache = {}
+    p2, p2op = ctx.p2_ids("gamma"), ctx.p2_ids("gamma_op")
+    iv_label = "(iv) length-two projective resolutions inside the subcategory"
+    for e in ctx.structures():
+        quad = ctx.build_subcategories(e)
+        tr = ctx.tr_subcategory(quad.smodad)
+        assert ctx.is_resolving(quad.smodad, p2).ok == _old_is_resolving(ctx, quad.smodad, p2, cache)
+        assert ctx.is_resolving(tr, p2op).ok == _old_is_resolving(ctx, tr, p2op, cache)
+        assert ctx.is_resolving(quad.eff, p2).ok == _old_is_resolving(ctx, quad.eff, p2, cache)
+        assert ctx.resolving_closure(quad.eff.ids, "gamma", p2) == _old_resolving_closure(ctx, quad.eff.ids, "gamma", cache)
+        (iv,) = [item for item in ctx.check_auslander_axioms(e).items if item.label == iv_label]
+        assert iv.ok == _old_axiom_iv(ctx, quad.smodad.ids)
+    # the axiom (iv) test on id sets where it can fail: each eff and each single member
+    projectives = ctx.projective_ids("gamma")
+    effs = [ctx.build_subcategories(e).eff.ids for e in ctx.structures()]
+    outcomes = set()
+    for ids in effs + [frozenset({i}) for i in range(len(ctx.gamma_index.modules))]:
+        omega1 = ctx._syzygy_closure("gamma", ids)
+        new = omega1 <= ids and ctx._syzygy_closure("gamma", omega1) <= projectives
+        assert new == _old_axiom_iv(ctx, ids)
+        outcomes.add(new)
+    assert outcomes == {True, False}
+    index = ctx.index
+    projectives = ctx.projective_ids("lambda")
+    everything = frozenset(range(len(index.modules)))
+    candidates = [projectives, everything, everything - projectives, frozenset({0})]
+    candidates += [projectives | {i} for i in range(len(index.modules)) if i not in projectives]
+    outcomes = set()
+    for x_ids in candidates:
+        report = ctx.restricted_description(x_ids)
+        old = _old_x_checks(ctx, x_ids, cache)
+        assert tuple(item.ok for item in report.items[:3]) == old
+        outcomes.add(all(old))
+    assert outcomes == {True, False}  # both passing and failing X are compared

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -199,6 +200,22 @@ def test_cap_exceeded(tmp_path):
     payload["caps"] = {"dim": 1, "resolution": 8, "multiplicity": 2}
     code, out = run_session(payload, tmp_path)
     assert code == EXIT_CAP
+
+
+def test_cap_messages_name_the_side_of_the_cap(monkeypatch):
+    payload = session_kA2(["indecomposables"])
+    payload["quiver"] = {"vertices": ["1", "2", "3"], "arrows": [["a", "1", "2"], ["b", "2", "3"]], "relations": []}
+    payload["caps"]["dim"] = 1
+    code, out = run_session(payload, None)
+    assert code == EXIT_CAP
+    assert out.lines[-1] == "cap exceeded: indecomposable of dimension 3 exceeds dim_cap=1"
+    # the mod-side knit passes; Gamma = End(M) has indecomposables above dimension 2
+    payload["caps"]["dim"] = 12
+    monkeypatch.setattr(cli, "AuslanderContext", functools.partial(cli.AuslanderContext, gamma_dim_cap=2))
+    code, out = run_session(payload, None)
+    assert code == EXIT_CAP
+    assert out.lines[-1].startswith("cap exceeded: indecomposable of dimension ")
+    assert out.lines[-1].endswith(" exceeds the Gamma-side cap gamma_dim_cap=2")
 
 
 def test_determinism(tmp_path):

@@ -1,4 +1,5 @@
-"""Every function, class and method of the package is used somewhere."""
+"""Every function, class and method of the package is used somewhere, and
+every name a package module imports is read there."""
 import ast
 import re
 from collections import Counter
@@ -35,3 +36,19 @@ def test_no_dead_definitions():
                 if used[d.name] == _names(d)[d.name]:  # named only inside its own definition
                     dead.append(f"{path.name}:{d.name}")
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_no_unused_imports():
+    """Every name a module of the package imports is read in that module."""
+    unused = []
+    for path in sorted((ROOT / "src" / "exactcat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno}:{name}")
+    assert not unused, f"imported but never read: {unused}"

@@ -15,10 +15,10 @@ from exactcat.algebra import (
 from exactcat.cli import _lattice_dot
 from exactcat.exactstruct import (
     AXIOM_ELEMENT_CAP,
+    ELEMENT_CAP,
     CategoryContext,
     ExactStructure,
     ExactstructError,
-    _subspace_lines,
     brute_force_structures,
     classify_morphism,
     componentwise_classes,
@@ -31,7 +31,7 @@ from exactcat.exactstruct import (
     split_structure,
 )
 from exactcat.functorcat import AdditiveCategorySpec
-from exactcat.linalg import FieldPrime, Matrix, _lines, _subspace_elements, kernel_basis, vstack
+from exactcat.linalg import FieldPrime, Matrix, kernel_basis, line_representative, subspace_lines, vstack
 from exactcat.repmod import (
     ExtSpace,
     ModuleMap,
@@ -69,10 +69,6 @@ def kx4_ctx():
     lines each; knitting takes seconds, so the context is shared."""
     pres = QuiverPresentation(FieldPrime(65521), ["1"], [("x", "1", "1")], [[(1, ("x",) * 4)]], 4)
     return make_ctx(build_from_quiver(pres))
-
-
-def test_extension_closed_check(kA2_ctx):
-    assert kA2_ctx.verify_extension_closed().ok
 
 
 def test_ar_class_kA2(kA2_ctx):
@@ -319,12 +315,13 @@ def test_axiom_check_notes_a_capped_composition_walk(monkeypatch):
 
 
 def test_subspace_lines_beyond_the_cap_are_the_rows():
+    # 65522 lines: the rows and their pairwise sums, a spanning set
     field = FieldPrime(65521)
     rows = Matrix(field, [[1, 0, 7], [0, 1, 3]])
-    lines, exhaustive = _subspace_lines(rows, field.p, AXIOM_ELEMENT_CAP)
+    lines, exhaustive = subspace_lines(rows, AXIOM_ELEMENT_CAP)
     assert not exhaustive
-    assert [v.tolist() for v in lines] == rows.a.tolist()
-    lines, exhaustive = _subspace_lines(Matrix(GF5, rows.a), 5, AXIOM_ELEMENT_CAP)
+    assert [v.tolist() for v in lines] == rows.a.tolist() + [[1, 1, 10]]
+    lines, exhaustive = subspace_lines(Matrix(GF5, rows.a), AXIOM_ELEMENT_CAP)
     assert exhaustive and len({tuple(v) for v in lines}) == len(lines) == 6
 
 
@@ -409,32 +406,85 @@ def test_brute_force_guard():
         brute_force_structures(ctx, guard=3)
 
 
+def _unitriangular(d: int, p: int) -> np.ndarray:
+    """A basis of a d-dimensional subspace of GF(p)^(d+1) that no coordinate
+    vectors span: unit diagonal, other entries above it."""
+    rows = np.zeros((d, d + 1), dtype=np.int64)
+    for i in range(d):
+        rows[i, i] = 1
+        rows[i, i + 1 :] = [(3 * i + 5 * j + 1) % p for j in range(i + 1, d + 1)]
+    return rows
+
+
 @pytest.mark.parametrize(
     "d, p", [(d, p) for p in (2, 3, 5, 7) for d in (0, 1, 2, 3, 4)] + [(2, 65521)]
 )
 def test_lines_one_normalized_vector_per_line(d, p):
-    lines = _lines(d, p)
-    assert len(lines) == (p**d - 1) // (p - 1)
-    assert all(v[np.nonzero(v)[0][0]] == 1 for v in lines)  # first nonzero entry is 1
-    assert len({tuple(v) for v in lines}) == len(lines)
-    tuples = [tuple(v) for v in lines]
+    """subspace_lines walks one vector per line of the row space, c @ rows for
+    the coordinates c with first nonzero entry 1 in lexicographic order, when
+    there are at most cap lines; beyond the cap, the rows and their pairwise
+    sums.  Every space the element rule walked in full (p^d <= cap) is still
+    walked in full."""
+    field = FieldPrime(p)
+    n_lines = (p**d - 1) // (p - 1)
+    coords, exhaustive = subspace_lines(Matrix.identity(field, d))
+    assert exhaustive and len(coords) == n_lines
+    tuples = [tuple(int(c) for c in v) for v in coords]
+    assert all(v[np.flatnonzero(v)[0]] == 1 for v in tuples)  # first nonzero entry is 1
+    assert len(set(tuples)) == n_lines
     if p**d <= 5000:  # the same list, in the same order, as filtering all of GF(p)^d
         walk = [v for v in itertools.product(range(p), repeat=d) if any(v) and v[np.flatnonzero(v)[0]] == 1]
         assert tuples == walk
     else:  # the walk is lexicographic
         assert tuples == sorted(tuples)
 
+    rows = Matrix(field, _unitriangular(d, p))
+    for cap in (None, AXIOM_ELEMENT_CAP, ELEMENT_CAP):
+        vecs, exhaustive = subspace_lines(rows, cap)
+        assert exhaustive == (cap is None or n_lines <= cap)
+        if cap is not None and p**d <= cap:
+            assert exhaustive
+        if exhaustive:
+            assert [v.tolist() for v in vecs] == [((np.array(c) @ rows.a) % p).tolist() for c in tuples]
+            assert len({line_representative(v, p) for v in vecs}) == n_lines  # one vector per line
+        else:
+            sums = [((rows.a[i] + rows.a[j]) % p).tolist() for i in range(d) for j in range(i + 1, d)]
+            assert [v.tolist() for v in vecs] == rows.a.tolist() + sums
+
 
 @pytest.mark.parametrize("p", [2, 5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_subspace_elements_exhaustive_under_cap(d, p):
-    vecs, exhaustive = _subspace_elements(d, p, p**d)
+    # with every element under the cap, the lines meet every nonzero element up to scalar
+    eye = Matrix.identity(FieldPrime(p), d)
+    lines, exhaustive = subspace_lines(eye, p**d)
     assert exhaustive
-    assert len({tuple(v) for v in vecs}) == len(vecs) == p**d - 1
-    assert all(v.any() for v in vecs)
-    # one below the cap: the basis vectors and the sums of two of them
-    vecs, exhaustive = _subspace_elements(d, p, p**d - 1)
-    eye = np.eye(d, dtype=np.int64)
-    expected = {tuple(eye[i]) for i in range(d)} | {tuple(eye[i] + eye[j]) for i in range(d) for j in range(i + 1, d)}
+    elements = {v for v in itertools.product(range(p), repeat=d) if any(v)}
+    assert {tuple(int(x) for x in (c * v) % p) for v in lines for c in range(1, p)} == elements
+    # one line below the line count: the basis vectors and the sums of two of them
+    vecs, exhaustive = subspace_lines(eye, (p**d - 1) // (p - 1) - 1)
+    expected = {tuple(eye.a[i]) for i in range(d)} | {
+        tuple(eye.a[i] + eye.a[j]) for i in range(d) for j in range(i + 1, d)
+    }
     assert not exhaustive
     assert len(vecs) == len(expected) and {tuple(v) for v in vecs} == expected
+
+
+def test_line_walk_meets_every_middle_term_of_the_element_walk():
+    # k[x]/(x^4) over GF(3): Ext^1(k[x]/(x^2), k[x]/(x^2)) is 2-dimensional and
+    # its lines have different middle terms
+    pres = QuiverPresentation(FieldPrime(3), ["1"], [("x", "1", "1")], [[(1, ("x",) * 4)]], 4)
+    index = all_indecomposables(build_from_quiver(pres), 10)
+    (m2,) = [m for m in index.modules if m.total_dim == 2]
+    space = ext_space(m2, m2)
+    assert space.dim == 2
+
+    def middle(vec):
+        return tuple(sorted(index.parts(space.realize(vec).mid)))
+
+    by_element = {v: middle(np.array(v)) for v in itertools.product(range(3), repeat=2) if any(v)}
+    lines, exhaustive = subspace_lines(Matrix.identity(FieldPrime(3), 2), ELEMENT_CAP)
+    assert exhaustive and len(lines) == 4
+    assert all(by_element[v] == by_element[line_representative(v, 3)] for v in by_element)
+    assert {middle(v) for v in lines} == set(by_element.values())
+    assert len(set(by_element.values())) > 1
