@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .linalg import ExactcatError, FieldPrime, memo
+from .linalg import ExactcatError, FieldPrime, Matrix, memo, rref
 
 
 class AlgebraError(ExactcatError):
@@ -200,7 +200,8 @@ def validate_algebra(a: Algebra) -> Report:
             if not nxt:
                 nilpotent = True
                 break
-            span = _row_reduce_span(np.array(nxt, dtype=np.int64), p)
+            reduced, pivots = rref(Matrix(a.field, np.array(nxt, dtype=np.int64)))
+            span = reduced.a[: len(pivots)]
     report.add("radical nilpotent", nilpotent)
 
     # quotient by the radical: spanned by idempotent images, product of GF(p)'s
@@ -215,24 +216,6 @@ def _basis_vec(dim: int, i: int) -> np.ndarray:
     v = np.zeros(dim, dtype=np.int64)
     v[i] = 1
     return v
-
-
-def _row_reduce_span(rows: np.ndarray, p: int) -> np.ndarray:
-    rows = rows % p
-    out = []
-    pivots = {}
-    for row in rows:
-        row = row.copy()
-        while row.any():
-            c = int(np.nonzero(row)[0][0])
-            if c in pivots:
-                row = (row - row[c] * pow(int(pivots[c][c]), p - 2, p) * pivots[c]) % p
-            else:
-                row = (row * pow(int(row[c]), p - 2, p)) % p
-                pivots[c] = row
-                out.append(row)
-                break
-    return np.array(out, dtype=np.int64) if out else np.zeros((0, rows.shape[1]), dtype=np.int64)
 
 
 # -- quiver presentations ----------------------------------------------------

@@ -30,8 +30,6 @@ from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
 from .linalg import (
     ExactcatError,
     Matrix,
-    column_space_basis,
-    hstack,
     line_representative,
     memo,
     rank,
@@ -63,8 +61,8 @@ from .repmod import (
     proj_dim,
     projective_cover,
     projective_module,
+    std_map_from_coeffs,
     std_projective,
-    submodule,
     transpose_module,
 )
 
@@ -719,38 +717,17 @@ class AuslanderContext:
             if all(hom_dim(self.gamma_module(y), self.gamma_module(t)) == 0 for t in eff)
         ]
         for i in sorted(smodad):
-            f_mod = self.gamma_module(i)
-            trace_bases = self._trace_bases(p_set, f_mod)
-            tr_mod, tr_incl = submodule(f_mod, trace_bases)
-            quot, _ = cokernel(tr_incl)
-            if not quot.is_zero() and not set(self.gamma_index.parts(quot)) <= eff:
-                return False
-            if not tr_mod.is_zero():
-                if not set(self.gamma_index.parts(tr_mod)) <= smodad:
-                    return False
-                approx = self._right_approximation(tr_mod, p_set)
-                if approx is None:
-                    return False
-                _, u = approx
-                if not u.is_surjective():
-                    return False
-                ker_u, _ = kernel(u)
-                if not ker_u.is_zero() and not set(self.gamma_index.parts(ker_u)) <= smodad:
-                    return False
-        return True
-
-    def _trace_bases(self, sources: list[Module], target: Module) -> list[Matrix]:
-        maps = []
-        for s in sources:
-            maps.extend(hom_basis(s, target))
-        bases = []
-        for v in range(self.gamma.nv):
-            cols = [f.mats[v] for f in maps if f.mats[v].cols]
-            if cols:
-                bases.append(column_space_basis(hstack(self.gamma.field, cols)))
+            # the image of the right approximation u of F_i is the trace of
+            # p_set in F_i, and u's epi part is a right approximation of the
+            # trace, whose kernel is that of u
+            approx = self._right_approximation(self.gamma_module(i), p_set)
+            if approx is None:
+                trace, ker_u, quot = frozenset(), frozenset(), frozenset({i})
             else:
-                bases.append(Matrix.zeros(self.gamma.field, target.dims[v], 0))
-        return bases
+                trace, ker_u, quot = self._map_summand_ids(approx[1])
+            if not (quot <= eff and trace <= smodad and ker_u <= smodad):
+                return False
+        return True
 
     def _perp_closed_under_admissible_subobjects(self, e: ExactStructure) -> bool:
         """No member outside eff is an admissible subobject of an eff member
@@ -838,13 +815,15 @@ class AuslanderContext:
         for b in alg.radical_indices:
             u, v = alg.left[b], alg.right[b]
             # left multiplication by b: P_v -> P_u, as an element of Gamma_X
-            lmul = _left_multiplication(alg, b)
+            coeffs = np.zeros((1, 1, alg.dim), dtype=np.int64)
+            coeffs[0, 0, b] = 1
+            lmul = std_map_from_coeffs(std_projective(alg, (v,)), std_projective(alg, (u,)), coeffs)
             blk = [
                 g
                 for g in range(gamma_x.dim)
                 if gamma_x.right[g] == lam_pos[v] and gamma_x.left[g] == lam_pos[u]
             ]
-            coords = hom_coords(lmul, [ea_x.dictionary[g] for g in blk])
+            coords = hom_coords(alg.field, [lmul], [ea_x.dictionary[g] for g in blk])
             mat = Matrix.zeros(alg.field, dims[v], dims[u])
             for row, g in enumerate(blk):
                 c = int(coords.a[row, 0])
@@ -863,20 +842,3 @@ def _admissible_with_image_in(summands, smodad: frozenset[int], target_class: fr
     image, kernel_ids, cokernel_ids = summands
     return image <= target_class and kernel_ids <= smodad and cokernel_ids <= smodad
 
-
-def _left_multiplication(alg: Algebra, b: int) -> ModuleMap:
-    """Left multiplication by basis element b: P_right(b) -> P_left(b)."""
-    u, v = alg.left[b], alg.right[b]
-    pv = projective_module(alg, v)
-    pu = projective_module(alg, u)
-    blocks_v = {w: [c for c in range(alg.dim) if alg.left[c] == v and alg.right[c] == w] for w in range(alg.nv)}
-    blocks_u = {w: [c for c in range(alg.dim) if alg.left[c] == u and alg.right[c] == w] for w in range(alg.nv)}
-    mats = []
-    for w in range(alg.nv):
-        mat = np.zeros((pu.dims[w], pv.dims[w]), dtype=np.int64)
-        for col, c in enumerate(blocks_v[w]):
-            prod = alg.mult[b, c]
-            for k in np.nonzero(prod)[0]:
-                mat[blocks_u[w].index(int(k)), col] = prod[k]
-        mats.append(Matrix(alg.field, mat))
-    return ModuleMap(pv, pu, mats)

@@ -289,7 +289,7 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
         lam = lift_through_epi(quot_inj[k] @ cover, quot_conj)
         phi = factor_through_mono(lam @ syz_incl, sub_conj)
         for j, (aid, _, _) in enumerate(sub_parts):
-            out.append((zid, aid, espaces[j].coords_of_hom(sub_proj[j] @ phi)))
+            out.append((zid, aid, espaces[j].coords_of_homs([sub_proj[j] @ phi]).a[:, 0]))
     return out
 
 

@@ -23,7 +23,6 @@ from .repmod import (
     _local_residue,
     cokernel,
     coeffs_of_std_map,
-    decompose,
     descend,
     direct_sum,
     hom_basis,
@@ -32,7 +31,7 @@ from .repmod import (
     is_isomorphic,
     lift_through_epi,
     minimal_presentation,
-    projective_module,
+    projective_cover,
     std_projective,
 )
 
@@ -104,23 +103,16 @@ class EndAlgebra:
                     right.append(i)
 
         dim = len(dictionary)
-
-        def block(src: int, tgt: int) -> list[int]:
-            return [b for b in range(dim) if right[b] == src and left[b] == tgt]
-
+        blocks = {(i, j): [b for b in range(dim) if right[b] == i and left[b] == j] for i in range(n) for j in range(n)}
         mult = np.zeros((dim, dim, dim), dtype=np.int64)
-        for x in range(dim):
-            for y in range(dim):
-                # x in e_{left x} G e_{right x}, y likewise; x*y is composition
-                # dictionary[x] o dictionary[y], defined when right[x] == left[y]
-                if right[x] != left[y]:
-                    continue
-                comp = dictionary[x] @ dictionary[y]
-                tgt_block = block(right[y], left[x])
-                basis_maps = [dictionary[b] for b in tgt_block]
-                coords = hom_coords(comp, basis_maps)
-                for row, b in enumerate(tgt_block):
-                    mult[x, y, b] = coords.a[row, 0]
+        for (i, j), tgt_block in blocks.items():
+            # x*y is the composition dictionary[x] o dictionary[y] for
+            # y: M_i -> M_k and x: M_k -> M_j, a map M_i -> M_j
+            pairs = [(x, y) for k in range(n) for x in blocks[(k, j)] for y in blocks[(i, k)]]
+            comps = [dictionary[x] @ dictionary[y] for x, y in pairs]
+            coords = hom_coords(field, comps, [dictionary[b] for b in tgt_block])
+            for col, (x, y) in enumerate(pairs):
+                mult[x, y, tgt_block] = coords.a[:, col]
 
         self.gamma = Algebra(field, n, labels, left, right, mult)
         self.dictionary = dictionary
@@ -141,22 +133,13 @@ class EndAlgebra:
         gens = self.spec.generators
         gamma = self.gamma
         bases = [hom_basis(g, x) for g in gens]
-        dims = [len(b) for b in bases]
         act = {}
         for b in gamma.radical_indices:
-            src_summand = gamma.left[b]   # component the action maps from
-            tgt_summand = gamma.right[b]  # component it maps to
-            phi = self.dictionary[b]      # phi: M_{tgt_summand} -> M_{src_summand}
-            cols = []
-            for h in bases[src_summand]:
-                cols.append(hom_coords(h @ phi, bases[tgt_summand]).a[:, 0])
-            mat = (
-                Matrix(gamma.field, np.column_stack(cols))
-                if cols
-                else Matrix.zeros(gamma.field, dims[tgt_summand], 0)
-            )
-            act[b] = mat
-        return Module(gamma, dims, act), bases
+            # b acts from component left[b] to right[b] by precomposition with
+            # phi: M_{right[b]} -> M_{left[b]}
+            phi = self.dictionary[b]
+            act[b] = hom_coords(gamma.field, [h @ phi for h in bases[gamma.left[b]]], bases[gamma.right[b]])
+        return Module(gamma, [len(b) for b in bases], act), bases
 
     def yoneda(self, x: Module) -> Module:
         """The right Gamma-module Hom(M, x)."""
@@ -166,14 +149,7 @@ class EndAlgebra:
         """Hom(M, u): yoneda(source) -> yoneda(target)."""
         src, src_bases = self._yoneda_data(u.source)
         tgt, tgt_bases = self._yoneda_data(u.target)
-        mats = []
-        for i in range(len(self.spec.generators)):
-            cols = [hom_coords(u @ h, tgt_bases[i]).a[:, 0] for h in src_bases[i]]
-            mats.append(
-                Matrix(self.gamma.field, np.column_stack(cols))
-                if cols
-                else Matrix.zeros(self.gamma.field, tgt.dims[i], src.dims[i])
-            )
+        mats = [hom_coords(self.gamma.field, [u @ h for h in hs], ht) for hs, ht in zip(src_bases, tgt_bases)]
         return ModuleMap(src, tgt, mats)
 
     # -- transport of projective maps back to add(M) ---------------------------
@@ -214,20 +190,13 @@ class EndAlgebra:
         gamma = self.gamma
         mats = []
         for i in range(len(self.spec.generators)):
-            cols = []
-            for h in bases[i]:
-                col = np.zeros(sp.module.dims[i], dtype=np.int64)
-                for s, v in enumerate(verts):
-                    blk = [b for b in range(gamma.dim) if gamma.left[b] == v and gamma.right[b] == i]
-                    coords = hom_coords(projections[s] @ h, [self.dictionary[b] for b in blk])
-                    for row, b in enumerate(blk):
-                        col[sp.block_index[(s, b)]] = coords.a[row, 0]
-                cols.append(col)
-            mats.append(
-                Matrix(gamma.field, np.column_stack(cols))
-                if cols
-                else Matrix.zeros(gamma.field, sp.module.dims[i], 0)
-            )
+            mat = np.zeros((sp.module.dims[i], len(bases[i])), dtype=np.int64)
+            for s, v in enumerate(verts):
+                blk = [b for b in range(gamma.dim) if gamma.left[b] == v and gamma.right[b] == i]
+                comps = [projections[s] @ h for h in bases[i]]
+                coords = hom_coords(gamma.field, comps, [self.dictionary[b] for b in blk])
+                mat[[sp.block_index[(s, b)] for b in blk]] = coords.a
+            mats.append(Matrix(gamma.field, mat))
         iso = ModuleMap(yx, sp.module, mats)
         if not iso.is_isomorphism():
             raise FunctorcatError("canonical identification is not invertible")
@@ -256,23 +225,12 @@ class EndAlgebra:
         return TransportedMap(f, phi_src, phi_tgt)
 
     def _projectivize(self, m: Module) -> tuple[StdProjective, ModuleMap]:
-        """An isomorphism std_projective -> m for a projective Gamma-module m."""
-        verts = []
-        for part, _ in decompose(m):
-            v = None
-            for i in range(len(self.spec.generators)):
-                if is_isomorphic(part, projective_module(self.gamma, i)) is not None:
-                    v = i
-                    break
-            if v is None:
-                raise FunctorcatError("module is not projective over the endomorphism algebra")
-            verts.append(v)
-        verts.sort()
-        sp = std_projective(self.gamma, verts)
-        iso = is_isomorphic(sp.module, m)
-        if iso is None:
-            raise FunctorcatError("projectivization failed")
-        return sp, iso
+        """An isomorphism std_projective -> m for a projective Gamma-module m:
+        its projective cover, which is invertible exactly when m is projective."""
+        sp, cover = projective_cover(m)
+        if not cover.is_isomorphism():
+            raise FunctorcatError("module is not projective over the endomorphism algebra")
+        return sp, cover
 
     # -- the left adjoint L -----------------------------------------------------
 

@@ -280,16 +280,21 @@ def _hom_dim_by_rank(m: Module, n: Module) -> int:
     return system.cols - rank(system)
 
 
-def hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> Matrix:
-    """Coordinates of f in a hom basis (column vector)."""
-    field = f.source.algebra.field
+def hom_coords(field, maps: list[ModuleMap], basis: list[ModuleMap]) -> Matrix:
+    """Coordinates of maps in basis, one column per map, from one solve.
+
+    basis may be a dependent spanning list: each column is then the one
+    solving for that map alone gives, with the free coordinates zero.  Raises
+    RepmodError when a map lies outside the span.
+    """
     if not basis:
-        if not f.is_zero():
+        if not all(f.is_zero() for f in maps):
             raise RepmodError("nonzero map in zero hom space")
-        return Matrix.zeros(field, 0, 1)
+        return Matrix.zeros(field, 0, len(maps))
+    if not maps:
+        return Matrix.zeros(field, len(basis), 0)
     mat = Matrix(field, np.column_stack([b.flat() for b in basis]))
-    target = Matrix(field, f.flat().reshape(-1, 1))
-    x = solve_right(mat, target)
+    x = solve_right(mat, Matrix(field, np.column_stack([f.flat() for f in maps])))
     if x is None:
         raise RepmodError("map does not lie in the span of the given hom basis")
     return x
@@ -601,18 +606,7 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
 
 def projective_module(a: Algebra, v: int) -> Module:
     """The indecomposable projective e_v A."""
-    blocks = {w: [b for b in range(a.dim) if a.left[b] == v and a.right[b] == w] for w in range(a.nv)}
-    dims = [len(blocks[w]) for w in range(a.nv)]
-    act = {}
-    for c in a.radical_indices:
-        l, r = a.left[c], a.right[c]
-        mat = np.zeros((dims[r], dims[l]), dtype=np.int64)
-        for col, b in enumerate(blocks[l]):
-            prod = a.mult[b, c]
-            for k in np.nonzero(prod)[0]:
-                mat[blocks[r].index(int(k)), col] = prod[k]
-        act[c] = Matrix(a.field, mat)
-    return Module(a, dims, act)
+    return std_projective(a, (v,)).module
 
 
 def simple_module(a: Algebra, v: int) -> Module:
@@ -843,18 +837,11 @@ def ext_dim(i: int, m: Module, n: Module) -> int:
         return hom_dim(m, n)
     projs, diffs, _ = minimal_resolution(m, i + 1)
     hom_spaces = [hom_basis(sp.module, n) for sp in projs]
-
-    def comp_matrix(k):
-        # Hom(P_{k-1}, n) -> Hom(P_k, n), phi -> phi o d_k
-        src_basis, tgt_basis = hom_spaces[k - 1], hom_spaces[k]
-        field = m.algebra.field
-        cols = []
-        for phi in src_basis:
-            cols.append(hom_coords(phi @ diffs[k - 1], tgt_basis).a[:, 0])
-        return Matrix(field, np.column_stack(cols) if cols else np.zeros((len(tgt_basis), 0), dtype=np.int64))
-
-    mi = comp_matrix(i)
-    mi1 = comp_matrix(i + 1)
+    # the matrices of Hom(P_{k-1}, n) -> Hom(P_k, n), phi -> phi o d_k, for k = i, i + 1
+    mi, mi1 = (
+        hom_coords(m.algebra.field, [phi @ diffs[k - 1] for phi in hom_spaces[k - 1]], hom_spaces[k])
+        for k in (i, i + 1)
+    )
     return (len(hom_spaces[i]) - rank(mi1)) - rank(mi)
 
 
@@ -966,31 +953,21 @@ class ExtSpace:
         self.p0, self.cover = projective_cover(z)
         self.syz, self.syz_incl = kernel(self.cover)
         self.hom_k = hom_basis(self.syz, a)
-        field = self.alg.field
-        restricted_rows = []
-        for psi in hom_basis(self.p0.module, a):
-            restricted_rows.append(hom_coords(psi @ self.syz_incl, self.hom_k).a[:, 0])
-        self.sub_rows = Matrix(
-            field,
-            np.vstack(restricted_rows) if restricted_rows else np.zeros((0, len(self.hom_k)), dtype=np.int64),
-        )
-        r, pivots = rref(self.sub_rows)
-        self.reduced_rows = r
+        restrictions = [psi @ self.syz_incl for psi in hom_basis(self.p0.module, a)]
+        restricted = hom_coords(self.alg.field, restrictions, self.hom_k)
+        r, pivots = rref(restricted.transpose())
+        self.reduced_rows = r.a[: len(pivots)]
         self.pivots = pivots
         self.free = [c for c in range(len(self.hom_k)) if c not in pivots]
         self.dim = len(self.free)
 
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        p = self.alg.field.p
-        v = np.array(vec, dtype=np.int64) % p
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.reduced_rows.a[i]) % p
-        return v
-
-    def coords_of_hom(self, phi: ModuleMap) -> np.ndarray:
-        full = hom_coords(phi, self.hom_k).a[:, 0]
-        return self._reduce(full)[self.free]
+    def coords_of_homs(self, phis: list[ModuleMap]) -> Matrix:
+        """Class coordinates of maps syz -> a, one column per map: their Hom
+        coordinates reduced modulo the restricted rows, at the free columns.
+        The rows are in reduced echelon form, so the reduction subtracts each
+        pivot entry times its row."""
+        full = hom_coords(self.alg.field, phis, self.hom_k).a
+        return Matrix(self.alg.field, full[self.free] - self.reduced_rows[:, self.free].T @ full[self.pivots])
 
     def lift(self, coords) -> ModuleMap:
         coords = np.asarray(coords, dtype=np.int64).reshape(-1)
@@ -1014,33 +991,18 @@ class ExtSpace:
     def class_of(self, ses: ShortExactSeq) -> np.ndarray:
         """Coordinates of a short exact sequence 0 -> a -> B -> z -> 0."""
         lam = lift_through_epi(self.cover, ses.p)
-        return self.coords_of_hom(factor_through_mono(lam @ self.syz_incl, ses.i))
+        return self.coords_of_homs([factor_through_mono(lam @ self.syz_incl, ses.i)]).a[:, 0]
 
     def pushout_matrix(self, other: "ExtSpace", g: ModuleMap) -> Matrix:
-        """Matrix of the pushout action Ext^1(z, a) -> Ext^1(z, a') along g: a -> a'."""
-        cols = []
-        for f in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[f] = 1
-            cols.append(other.coords_of_hom(g @ self.lift(e)))
-        return Matrix(
-            self.alg.field,
-            np.column_stack(cols) if cols else np.zeros((other.dim, 0), dtype=np.int64),
-        )
+        """Matrix of the pushout action Ext^1(z, a) -> Ext^1(z, a') along g: a -> a'.
+        The lift of the f-th unit vector is hom_k[free[f]]."""
+        return other.coords_of_homs([g @ self.hom_k[f] for f in self.free])
 
     def pullback_matrix(self, other: "ExtSpace", h: ModuleMap) -> Matrix:
         """Matrix of the pullback action Ext^1(z, a) -> Ext^1(z', a) along h: z' -> z."""
         lam = lift_through_epi(h @ other.cover, self.cover)
         kappa = factor_through_mono(lam @ other.syz_incl, self.syz_incl)
-        cols = []
-        for f in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[f] = 1
-            cols.append(other.coords_of_hom(self.lift(e) @ kappa))
-        return Matrix(
-            self.alg.field,
-            np.column_stack(cols) if cols else np.zeros((other.dim, 0), dtype=np.int64),
-        )
+        return other.coords_of_homs([self.hom_k[f] @ kappa for f in self.free])
 
 
 @memo(lambda z, a: (z.key(), a.key()), owner=_algebra)
@@ -1052,24 +1014,13 @@ def ext_space(z: Module, a: Module) -> "ExtSpace":
 def lift_through_epi(f: ModuleMap, p: ModuleMap) -> ModuleMap:
     """Some module map lam with p o lam = f, for p a split-free epi onto f's target.
 
-    Solves the combined linear system (intertwiner equations plus p o lam = f);
-    f's source must be projective or p an epi with Ext^1 vanishing; existence is
-    guaranteed by the caller, failure raises.
+    Writes f in the spanning list p o h, h over a basis of Hom(f's source, p's
+    source); f's source must be projective or p an epi with Ext^1 vanishing;
+    existence is guaranteed by the caller, failure raises.
     """
     src, mid = f.source, p.source
-    alg = src.algebra
     homs = hom_basis(src, mid)
-    field = alg.field
-    if not homs:
-        if f.is_zero():
-            return ModuleMap.zero_map(src, mid)
-        raise RepmodError("lift_through_epi: no maps available")
-    cols = [(p @ h).flat() for h in homs]
-    a = Matrix(field, np.column_stack(cols))
-    b = Matrix(field, f.flat().reshape(-1, 1))
-    x = solve_right(a, b)
-    if x is None:
-        raise RepmodError("lift_through_epi: lift does not exist")
+    x = hom_coords(src.algebra.field, [f], [p @ h for h in homs])
     return hom_from_coords(x.a[:, 0], homs, src, mid)
 
 
@@ -1113,20 +1064,11 @@ def _local_residue(m: Module) -> list[ModuleMap]:
         cand = h + ident.scale(shift[0])
         if not cand.is_zero():
             rad.append(cand)
-    # prune to an independent set
-    out: list[ModuleMap] = []
-    field = m.algebra.field
-    flats: list[np.ndarray] = []
-    for r in rad:
-        if not flats:
-            out.append(r)
-            flats.append(r.flat())
-            continue
-        a = Matrix(field, np.column_stack(flats))
-        if solve_right(a, Matrix(field, r.flat().reshape(-1, 1))) is None:
-            out.append(r)
-            flats.append(r.flat())
-    return out
+    if not rad:
+        return []
+    # the pivot columns: each map not in the span of the ones before it
+    _, pivots = rref(Matrix(m.algebra.field, np.column_stack([r.flat() for r in rad])))
+    return [rad[j] for j in pivots]
 
 
 def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
@@ -1149,19 +1091,11 @@ def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
             required = [u @ r for r in _local_residue(w)]
         else:
             required = homs
-        mid_homs = hom_basis(w, ses.mid)
-        field = z.algebra.field
-        flat_size = sum(z.dims[v] * w.dims[v] for v in range(z.algebra.nv))
-        img_cols = [(ses.p @ h).flat() for h in mid_homs]
-        img = Matrix(
-            field,
-            np.column_stack(img_cols) if img_cols else np.zeros((flat_size, 0), dtype=np.int64),
-        )
-        for g in required:
-            if g.is_zero():
-                continue
-            if solve_right(img, Matrix(field, g.flat().reshape(-1, 1))) is None:
-                return False
+        images = [ses.p @ h for h in hom_basis(w, ses.mid)]
+        try:
+            hom_coords(z.algebra.field, required, images)
+        except RepmodError:
+            return False
     return True
 
 

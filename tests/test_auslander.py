@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exactcat import repmod
-from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_kA3
+from exactcat.algebra import QuiverPresentation, algebra_dual_numbers, algebra_kA2, algebra_kA3, build_from_quiver
 from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in
 from exactcat.exactstruct import (
     ELEMENT_CAP,
@@ -633,3 +633,25 @@ def test_closure_helpers_agree_with_the_old_loops(make):
         assert tuple(item.ok for item in report.items[:3]) == old
         outcomes.add(all(old))
     assert outcomes == {True, False}  # both passing and failing X are compared
+
+
+def test_ext_closure_walks_every_line_of_a_two_dimensional_ext():
+    """k[x]/(x^3) over GF(2): on the Gamma side some Ext^1(z, a) are
+    2-dimensional with a different middle term on each of their 3 lines; the
+    closure over {z, a} is the union over every element of every Ext^1
+    between the two."""
+    alg = build_from_quiver(QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
+    ctx = AuslanderContext(alg)
+    modules = ctx.gamma_index.modules
+    pairs = [
+        (z, a)
+        for z, a in itertools.product(range(len(modules)), repeat=2)
+        if ext_space(modules[z], modules[a]).dim == 2
+    ]
+    assert pairs
+    cache = {}
+    for z, a in pairs:
+        assert len({frozenset(mid) for mid in _old_middles(ctx, "gamma", z, a, cache)}) == 3
+        ids = frozenset({z, a})
+        every = set().union(*(mid for y in ids for b in ids for mid in _old_middles(ctx, "gamma", y, b, cache)))
+        assert ctx._ext_closure("gamma", ids) == (every, True)

@@ -108,6 +108,11 @@ def test_unyoneda_identity(kA2_ctx):
     transported = ea.unyoneda_map(ModuleMap.identity(p0))
     assert transported.f.is_isomorphism()
     assert is_isomorphic(transported.f.source, index.modules[0]) is not None
+    std = standard_modules(ea.gamma)
+    nonprojective = [s for s, pv in zip(std.simples, std.projectives) if s.dims != pv.dims]
+    assert nonprojective
+    with pytest.raises(FunctorcatError, match="not projective"):
+        ea.unyoneda_map(ModuleMap.identity(nonprojective[0]))
 
 
 def test_unyoneda_round_trip_random(kA2_ctx):

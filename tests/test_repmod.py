@@ -13,7 +13,7 @@ from exactcat.algebra import (
     build_from_quiver,
 )
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
-from exactcat.linalg import FieldPrime, Matrix
+from exactcat.linalg import FieldPrime, Matrix, solve_right
 from exactcat.repmod import (
     ExtSpace,
     IndecIndex,
@@ -35,6 +35,7 @@ from exactcat.repmod import (
     ext_dim,
     ext_space,
     hom_basis,
+    hom_coords,
     hom_dim,
     hom_from_coords,
     homological_dims,
@@ -397,6 +398,47 @@ def test_ext_space_realize_round_trip(kA2):
     assert ext.class_of(split).tolist() == [0]
 
 
+def _kx3(field):
+    """k[x]/(x^3)."""
+    return build_from_quiver(QuiverPresentation(field, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: algebra_kA3(GF5, zero_relation=False), lambda: algebra_dual_numbers(FieldPrime(3)), lambda: _kx3(GF2)],
+    ids=["kA3-GF5", "dual-GF3", "kx3-GF2"],
+)
+def test_hom_coords_solves_a_list_of_maps_at_once(make):
+    alg = make()
+    field, p = alg.field, alg.field.p
+    rng = np.random.RandomState(0)
+    mods = all_indecomposables(alg, 12).modules + [direct_sum(standard_modules(alg).projectives)[0], Module.zero(alg)]
+    for m, n in itertools.product(mods, repeat=2):
+        basis = hom_basis(m, n)
+        if not basis:
+            zero = ModuleMap.zero_map(m, n)
+            assert hom_coords(field, [zero, zero], []) == Matrix.zeros(field, 0, 2)
+            assert hom_coords(field, [], []) == Matrix.zeros(field, 0, 0)
+            if zero.flat().size:
+                ones = ModuleMap(m, n, [Matrix(field, np.ones(z.a.shape, dtype=np.int64)) for z in zero.mats])
+                with pytest.raises(RepmodError):
+                    hom_coords(field, [zero, ones], [])
+            continue
+        combos = rng.randint(0, p, size=(len(basis), 4))
+        maps = [hom_from_coords(c, basis, m, n) for c in combos.T]
+        assert hom_coords(field, maps, basis).a.tolist() == combos.tolist()
+        assert hom_coords(field, [], basis) == Matrix.zeros(field, len(basis), 0)
+        # each column is the solution of the solve for that map alone, on the
+        # basis and on a dependent spanning list
+        spanning = [basis[0] + basis[-1]] + basis + [basis[0]]
+        for gens in (basis, spanning):
+            stacked = Matrix(field, np.column_stack([g.flat() for g in gens]))
+            per_map = [solve_right(stacked, Matrix(field, f.flat().reshape(-1, 1))).a[:, 0] for f in maps]
+            assert hom_coords(field, maps, gens).a.tolist() == np.column_stack(per_map).tolist()
+        with pytest.raises(RepmodError):
+            hom_coords(field, maps + [basis[-1]], basis[:-1])
+
+
 def test_ext_space_pushout_to_zero(kA2):
     std = standard_modules(kA2)
     s1, s2 = std.simples
@@ -562,8 +604,7 @@ def test_hom_system_matches_kron():
 
 def _gamma_kx3():
     """Gamma = End of the additive generator of mod k[x]/(x^3) over GF(2)."""
-    pres = QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3)
-    a = build_from_quiver(pres)
+    a = _kx3(GF2)
     index = all_indecomposables(a, 12)
     return end_algebra(AdditiveCategorySpec(a, index.modules)).gamma
 
