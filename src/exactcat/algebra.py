@@ -100,6 +100,26 @@ class Algebra:
         return u
 
     @memo()
+    def generator_indices(self) -> tuple[int, ...]:
+        """Radical basis elements whose classes span rad/rad^2, in increasing order.
+
+        The pivots of one rref whose columns are the nonzero products of two
+        radical basis elements (spanning rad^2) followed by the radical unit
+        vectors.  The radical of a validated algebra is nilpotent, so these
+        elements generate it: a linear map intertwining their actions
+        intertwines every radical element.  The hom systems of repmod use only
+        these; check_module, check_map, _action_closed, the brute-force oracle
+        and validate_algebra keep every radical element, so the oracles stay
+        independent of this cut.
+        """
+        rad = list(self.radical_indices)
+        products = [self.mult[b, c] for b in rad for c in rad if self.mult[b, c].any()]
+        units = np.eye(self.dim, dtype=np.int64)[:, rad]
+        cols = np.column_stack(products + [units]) if products else units
+        _, pivots = rref(Matrix(self.field, cols))
+        return tuple(rad[c - len(products)] for c in pivots if c >= len(products))
+
+    @memo()
     def opposite(self) -> "Algebra":
         """The opposite algebra: same basis, reversed products, swapped tags."""
         op = Algebra(self.field, self.nv, self.labels, self.right, self.left, np.swapaxes(self.mult, 0, 1))

@@ -100,6 +100,13 @@ class CategoryContext:
     def ext(self, z_id: int, a_id: int) -> ExtSpace:
         return ext_space(self.objects[z_id], self.objects[a_id])
 
+    @memo(lambda self, space, vec: (space.z.key(), space.a.key(), tuple(int(c) % self.algebra.field.p for c in vec)))
+    def realize(self, space: ExtSpace, vec) -> ShortExactSeq:
+        """space.realize(vec), remembered per reduced class vector: the axiom
+        checks realize the same classes for every structure.  Only this
+        context keeps them; callers must not mutate the sequence."""
+        return space.realize(vec)
+
     def ext_dim(self, z_id: int, a_id: int) -> int:
         return self.ext(z_id, a_id).dim
 
@@ -478,7 +485,7 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
     for (z, a), rows in e.subspaces.items():
         vectors, exhaustive = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for vec in vectors:
-            ses = ctx.ext(z, a).realize(vec)
+            ses = ctx.realize(ctx.ext(z, a), vec)
             if ctx.parts(ses.mid) is None:
                 middles_ok = False
         if not exhaustive:
@@ -506,14 +513,14 @@ def _composition_check(e: ExactStructure) -> tuple[bool, int, bool]:
     for (d_id, ag_id), rows in list(e.subspaces.items()):
         outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
-            ses_g = ctx.ext(d_id, ag_id).realize(xg)
+            ses_g = ctx.realize(ctx.ext(d_id, ag_id), xg)
             mid = ses_g.mid
             for af_id in range(len(ctx.objects)):
                 full = ext_space(mid, ctx.objects[af_id])
                 inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all
                 for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
-                    ses_f = full.realize(xf)
+                    ses_f = ctx.realize(full, xf)
                     if not is_conflation(ses_f, e):
                         continue
                     composite = ses_g.p @ ses_f.p
@@ -536,14 +543,14 @@ def _composition_check_dual(e: ExactStructure) -> tuple[bool, int, bool]:
     for (c_id, ag_id), rows in list(e.subspaces.items()):
         outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for xg in outer_classes:
-            ses_g = ctx.ext(c_id, ag_id).realize(xg)  # ag >-> E ->> c
+            ses_g = ctx.realize(ctx.ext(c_id, ag_id), xg)  # ag >-> E ->> c
             mid = ses_g.mid
             for c2_id in range(len(ctx.objects)):
                 full = ext_space(ctx.objects[c2_id], mid)
                 inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all
                 for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
-                    ses_f = full.realize(xf)  # E >-> B ->> c2
+                    ses_f = ctx.realize(full, xf)  # E >-> B ->> c2
                     if not is_conflation(ses_f, e):
                         continue
                     composite = ses_f.i @ ses_g.i  # ag >-> B

@@ -154,12 +154,15 @@ class EndAlgebra:
 
     # -- transport of projective maps back to add(M) ---------------------------
 
-    def sum_of_generators(self, verts) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
+    @memo(lambda self, verts: tuple(verts))
+    def sum_of_generators(self, verts) -> tuple[Module, tuple[ModuleMap, ...], tuple[ModuleMap, ...]]:
+        """The direct sum of the generators at verts with its injections and
+        projections, remembered per verts tuple."""
         mods = [self.spec.generators[v] for v in verts]
         if not mods:
-            z = Module.zero(self.spec.algebra)
-            return z, [], []
-        return direct_sum(mods)
+            return Module.zero(self.spec.algebra), (), ()
+        total, injections, projections = direct_sum(mods)
+        return total, tuple(injections), tuple(projections)
 
     def unyoneda_std(self, d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
         """The map f in add(M) with yoneda(f) = d, for d between standard projectives."""

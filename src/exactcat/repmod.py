@@ -230,13 +230,14 @@ def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[Mod
 
 def _hom_system(m: Module, n: Module) -> tuple[Matrix, np.ndarray]:
     """The intertwiner equations f_r A_b = B_b f_l on the stacked vec(f_v),
-    with the offset of each vertex block of unknowns."""
+    with the offset of each vertex block of unknowns.  Only the generators of
+    the radical get a block: a map intertwining them intertwines all of it."""
     alg = m.algebra
     sizes = [n.dims[v] * m.dims[v] for v in range(alg.nv)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
     rows = []
-    for b in alg.radical_indices:
+    for b in alg.generator_indices():
         l, r = alg.left[b], alg.right[b]
         n_r, m_l, n_l, m_r = n.dims[r], m.dims[l], n.dims[l], m.dims[r]
         if n_r * m_l == 0:
@@ -312,16 +313,26 @@ def hom_from_coords(coords, basis: list[ModuleMap], source: Module, target: Modu
 
 
 def submodule(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
-    """The submodule spanned per vertex by the given (independent) columns."""
+    """The submodule spanned per vertex by the given (independent) columns.
+    The actions into each vertex are restricted with one solve."""
     alg = m.algebra
     dims = [bases[v].cols for v in range(alg.nv)]
-    act = {}
+    into = [[] for _ in range(alg.nv)]
     for b in alg.radical_indices:
-        l, r = alg.left[b], alg.right[b]
-        restricted = solve_right(bases[r], m.act[b] @ bases[l])
+        into[alg.right[b]].append(b)
+    act = {}
+    for r, elements in enumerate(into):
+        if not elements:
+            continue
+        images = np.hstack([m.act[b].a @ bases[alg.left[b]].a for b in elements])
+        restricted = solve_right(bases[r], Matrix(alg.field, images))
         if restricted is None:
             raise RepmodError("subspaces are not closed under the action")
-        act[b] = restricted
+        lo = 0
+        for b in elements:
+            hi = lo + dims[alg.left[b]]
+            act[b] = Matrix(alg.field, restricted.a[:, lo:hi])
+            lo = hi
     sub = Module(alg, dims, act)
     return sub, ModuleMap(sub, m, bases)
 

@@ -303,6 +303,30 @@ def test_is_exact_structure_reports(kA2_ctx):
         assert report.ok, [i.label for i in report.failures()]
 
 
+def test_axiom_checks_realize_each_class_once_per_context(monkeypatch):
+    ctx = make_ctx(algebra_kA3(GF5, False))
+    structures = enumerate_exact_structures(ctx)
+    realized = []
+    original = ExtSpace.realize
+
+    def counting(space, coords):
+        realized.append((id(space), tuple(int(c) % 5 for c in coords)))
+        return original(space, coords)
+
+    monkeypatch.setattr(ExtSpace, "realize", counting)
+    for e in structures:
+        assert is_exact_structure(e).ok
+    assert realized and len(realized) == len(set(realized))
+    count = len(realized)
+    for e in structures:
+        is_exact_structure(e)
+    assert len(realized) == count
+    z, a = ctx.nonzero_pairs()[0]
+    space = ctx.ext(z, a)
+    unit = np.eye(space.dim, dtype=np.int64)[0]
+    assert ctx.realize(space, 6 * unit) is ctx.realize(space, unit)  # keyed on the reduced vector
+
+
 def test_axiom_check_notes_a_capped_composition_walk(monkeypatch):
     ctx = make_ctx(algebra_kA3(GF5, False))
     e = maximal_structure(ctx)

@@ -115,6 +115,15 @@ def test_unyoneda_identity(kA2_ctx):
         ea.unyoneda_map(ModuleMap.identity(nonprojective[0]))
 
 
+def test_sum_of_generators_is_shared_per_verts(kA2_ctx):
+    a, index, ea = kA2_ctx
+    total, injections, projections = ea.sum_of_generators((0, 2, 0))
+    assert ea.sum_of_generators([0, 2, 0]) == (total, injections, projections)
+    assert isinstance(injections, tuple) and isinstance(projections, tuple)
+    assert total.dims == direct_sum([index.modules[v] for v in (0, 2, 0)])[0].dims
+    assert ea.sum_of_generators(())[1:] == ((), ())
+
+
 def test_unyoneda_round_trip_random(kA2_ctx):
     a, index, ea = kA2_ctx
     rng = np.random.RandomState(1)

@@ -13,7 +13,7 @@ from exactcat.algebra import (
     build_from_quiver,
 )
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
-from exactcat.linalg import FieldPrime, Matrix, solve_right
+from exactcat.linalg import FieldPrime, Matrix, rref, solve_right
 from exactcat.repmod import (
     ExtSpace,
     IndecIndex,
@@ -48,8 +48,10 @@ from exactcat.repmod import (
     minimal_presentation,
     proj_dim,
     projective_cover,
+    radical_submodule,
     simple_module,
     standard_modules,
+    submodule,
     transpose_module,
 )
 
@@ -577,13 +579,21 @@ def test_inverse_map_round_trip_kA3():
     assert (f @ g - ident).is_zero()
 
 
-def _kron_hom_system(m, n):
-    """The intertwiner system as hom_basis built it with np.kron, kept as the reference."""
+def _gamma_kx3():
+    """Gamma = End of the additive generator of mod k[x]/(x^3) over GF(2)."""
+    a = _kx3(GF2)
+    index = all_indecomposables(a, 12)
+    return end_algebra(AdditiveCategorySpec(a, index.modules)).gamma
+
+
+def _kron_hom_system(m, n, indices=None):
+    """The intertwiner system as hom_basis built it with np.kron, one block per
+    element of indices (by default all of rad A), kept as the reference."""
     alg = m.algebra
     sizes = [n.dims[v] * m.dims[v] for v in range(alg.nv)]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     rows = []
-    for b in alg.radical_indices:
+    for b in alg.radical_indices if indices is None else indices:
         l, r = alg.left[b], alg.right[b]
         block = np.zeros((n.dims[r] * m.dims[l], offsets[-1]), dtype=np.int64)
         block[:, offsets[r] : offsets[r + 1]] = np.kron(np.eye(n.dims[r], dtype=np.int64), m.act[b].a.T)
@@ -592,21 +602,71 @@ def _kron_hom_system(m, n):
     return np.vstack(rows) % alg.field.p
 
 
+def _row_space(field, rows):
+    reduced, pivots = rref(Matrix(field, rows))
+    return reduced.a[: len(pivots)]
+
+
 def test_hom_system_matches_kron():
+    # the system is the kron blocks of the generators, with the row space (so
+    # the RREF, so the hom_basis output) of the system over all of rad A.
     # kA3 simples have zero components; the dual numbers' arrow is a loop (l == r)
-    for alg in (algebra_kA3(GF5, zero_relation=False), algebra_dual_numbers(GF5)):
+    for alg in (algebra_kA3(GF5, zero_relation=False), algebra_dual_numbers(GF5), _gamma_kx3()):
         std = standard_modules(alg)
         regular, _, _ = direct_sum(std.projectives)
         mods = [Module.zero(alg), regular] + std.simples + std.projectives + std.injectives
         for m, n in itertools.product(mods, repeat=2):
-            assert np.array_equal(_hom_system(m, n)[0].a, _kron_hom_system(m, n))
+            system = _hom_system(m, n)[0].a
+            assert np.array_equal(system, _kron_hom_system(m, n, alg.generator_indices()))
+            assert np.array_equal(_row_space(alg.field, system), _row_space(alg.field, _kron_hom_system(m, n)))
 
 
-def _gamma_kx3():
-    """Gamma = End of the additive generator of mod k[x]/(x^3) over GF(2)."""
-    a = _kx3(GF2)
-    index = all_indecomposables(a, 12)
-    return end_algebra(AdditiveCategorySpec(a, index.modules)).gamma
+def _span_of_words(alg, indices):
+    """Row space of every nonempty product of the given basis elements."""
+    words = [np.eye(alg.dim, dtype=np.int64)[b] for b in indices]
+    span = _row_space(alg.field, np.array(words).reshape(len(words), alg.dim))
+    while True:
+        products = [alg.multiply(x, w) for x in span for w in words]
+        grown = _row_space(alg.field, np.vstack([span] + products)) if products else span
+        if grown.shape == span.shape:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize(
+    "make, labels",
+    [
+        (lambda: algebra_kA3(GF5, zero_relation=False), ["a", "b"]),
+        (lambda: algebra_dual_numbers(GF2), ["x"]),
+        (lambda: algebra_semisimple(GF2, 3), []),
+        (_gamma_kx3, ["r0.1.1", "r1.0.1", "r1.2.0", "r2.1.0"]),
+    ],
+    ids=["kA3-GF5", "dual-GF2", "semisimple-GF2", "gamma_kx3-GF2"],
+)
+def test_generator_indices_span_rad_mod_rad2_and_generate_rad(make, labels):
+    alg = make()
+    gens = alg.generator_indices()
+    assert [alg.labels[b] for b in gens] == labels
+    rad = list(alg.radical_indices)
+    assert set(gens) <= set(rad)
+    if rad:
+        full = _row_space(alg.field, np.eye(alg.dim, dtype=np.int64)[rad])
+        assert np.array_equal(_span_of_words(alg, gens), full)
+
+
+def test_submodule_restricts_per_element_and_rejects_non_closed_subspaces():
+    alg = algebra_kA3(GF5, zero_relation=False)
+    std = standard_modules(alg)
+    regular, _, _ = direct_sum(std.projectives)
+    rad, incl = radical_submodule(regular)
+    for b in alg.radical_indices:
+        l, r = alg.left[b], alg.right[b]
+        assert rad.act[b] == solve_right(incl.mats[r], regular.act[b] @ incl.mats[l])
+    # the top of P_1 without its radical is not closed under the arrow a
+    p1 = std.projectives[0]
+    bases = [Matrix.identity(GF5, p1.dims[0])] + [Matrix.zeros(GF5, d, 0) for d in p1.dims[1:]]
+    with pytest.raises(RepmodError, match="not closed under the action"):
+        submodule(p1, bases)
 
 
 PARTS_ALGEBRAS = {
