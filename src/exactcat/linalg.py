@@ -3,7 +3,9 @@
 Everything downstream (modules, hom spaces, Ext groups, exact structures)
 reduces to the operations in this module.  Matrices carry their field and are
 immutable after construction; all arithmetic is done on reduced residues, so
-comparisons are exact equality.
+comparisons are exact equality.  Row reduction runs on lists of Python ints
+rather than numpy, because its inputs are tiny and sparse: per-call numpy
+overhead would outweigh the arithmetic.
 """
 from __future__ import annotations
 
@@ -80,12 +82,6 @@ class FieldPrime:
     def __post_init__(self):
         if not _is_prime(self.p):
             raise LinalgError(f"{self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
 
 
 class Matrix:
@@ -208,24 +204,28 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if m.a.size == 0:
         return m, []
     p = m.field.p
-    a = m.a.copy()
-    rows, cols = a.shape
+    a = m.a.tolist()
+    rows, cols = m.a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * m.field.inv(int(a[r, c]))) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        a[r], a[i] = a[i], a[r]
+        pivot_row = a[r]
+        v = pivot_row[c]
+        if v != 1:
+            v = pow(v, p - 2, p)
+            pivot_row = a[r] = [x * v % p for x in pivot_row]
+        for j, row in enumerate(a):
+            f = row[c]
+            if f and j != r:
+                a[j] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
     return Matrix(m.field, a), pivots

@@ -1110,6 +1110,7 @@ def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
     return True
 
 
+@memo(Module.key, owner=lambda z: z.algebra)
 def ar_candidate(z: Module) -> ShortExactSeq:
     """An almost-split candidate ending at z: realize a socle class of Ext^1(z, tau z).
 

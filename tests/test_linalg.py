@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from exactcat.algebra import algebra_kA3
 from exactcat.linalg import (
     FieldPrime,
     LinalgError,
@@ -15,6 +18,7 @@ from exactcat.linalg import (
     rref,
     solve_right,
 )
+from exactcat.repmod import _hom_system, direct_sum, standard_modules
 
 GF2 = FieldPrime(2)
 GF3 = FieldPrime(3)
@@ -73,14 +77,75 @@ def test_rref_all_ones_gf2():
     assert pivots == [0]
 
 
-def test_rref_matches_naive_oracle_gf5():
+def _oracle_kernel(oracle, pivots, cols, p):
+    """The standard kernel basis read off the oracle's reduced form."""
+    free = [c for c in range(cols) if c not in pivots]
+    k = [[0] * len(free) for _ in range(cols)]
+    for j, f in enumerate(free):
+        k[f][j] = 1
+        for i, c in enumerate(pivots):
+            k[c][j] = -oracle[i][f] % p
+    return k
+
+
+def _oracle_solution(a, b, p):
+    """The solution solve_right reads off the oracle's reduced [a | b], or None."""
+    cols = a.shape[1]
+    reduced, pivots = naive_row_reduce(np.hstack([a, b]).tolist(), p)
+    if any(c >= cols for c in pivots):
+        return None
+    x = [[0] * b.shape[1] for _ in range(cols)]
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][cols:]
+    return x
+
+
+def _sparse_hom_systems(field):
+    """Intertwiner systems as hom_basis builds them: sparse kron-style blocks."""
+    alg = algebra_kA3(field, zero_relation=False)
+    std = standard_modules(alg)
+    regular, _, _ = direct_sum(std.projectives)
+    mods = [regular] + std.simples + std.projectives + std.injectives
+    return [_hom_system(m, n)[0].a for m, n in itertools.product(mods, repeat=2)]
+
+
+def _oracle_cases(field, rng):
+    p = field.p
+    cases = [rng.randint(0, p, size=(4, 5)) for _ in range(30)]
+    for rows, cols in [(0, 0), (0, 4), (4, 0), (1, 1), (1, 7), (7, 1), (9, 3), (3, 9), (12, 12), (20, 6), (6, 20)]:
+        cases.append(rng.randint(0, p, size=(rows, cols)))
+        cases.append(np.zeros((rows, cols), dtype=np.int64))
+        for k in range(min(rows, cols)):
+            # rank at most k < min(rows, cols)
+            cases.append(rng.randint(0, p, size=(rows, k)) @ rng.randint(0, p, size=(k, cols)))
+    cases.append(np.eye(6, dtype=np.int64) * (p - 1))
+    return cases + _sparse_hom_systems(field)
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, FieldPrime(65521)], ids=["GF2", "GF5", "GF65521"])
+def test_rref_matches_naive_oracle(field):
+    p = field.p
     rng = np.random.RandomState(7)
-    for _ in range(30):
-        data = rng.randint(0, 5, size=(4, 5))
-        r, pivots = rref(Matrix(GF5, data))
-        oracle, oracle_pivots = naive_row_reduce(data.tolist(), 5)
+    for data in _oracle_cases(field, rng):
+        data = np.asarray(data, dtype=np.int64) % p
+        rows, cols = data.shape
+        m = Matrix(field, data)
+        r, pivots = rref(m)
+        oracle, oracle_pivots = naive_row_reduce(data.tolist(), p)
         assert pivots == oracle_pivots
-        assert r.a.tolist() == oracle
+        assert all(type(c) is int for c in pivots) and pivots == sorted(set(pivots))
+        assert r.a.shape == (rows, cols) and r.a.tolist() == oracle
+        assert r.a.dtype == np.int64 and not r.a.flags.writeable
+        assert ((r.a >= 0) & (r.a < p)).all()
+        assert rank(m) == len(oracle_pivots)
+        assert kernel_basis(m).a.tolist() == _oracle_kernel(oracle, oracle_pivots, cols, p)
+        # one consistent right-hand side, and one that usually is not
+        for b in (data @ rng.randint(0, p, size=(cols, 2)) % p, rng.randint(0, p, size=(rows, 2))):
+            x = solve_right(m, Matrix(field, b))
+            expected = _oracle_solution(data, b, p)
+            assert (x is None) == (expected is None)
+            if x is not None:
+                assert x.a.tolist() == expected
 
 
 def test_rref_idempotent():

@@ -479,10 +479,12 @@ def test_ar_sequence_rejects_projective(kA2):
         ar_sequence(index.modules[index.identify(std.projectives[1])], index)
 
 
-def test_ar_sequence_raises_when_the_socle_candidate_fails(kA2, monkeypatch):
-    # a fresh index, since ar_sequence is memoized on the index
-    index = IndecIndex(kA2, all_indecomposables(kA2, dim_cap=6).modules)
-    s1 = index.modules[index.identify(standard_modules(kA2).simples[0])]
+def test_ar_sequence_raises_when_the_socle_candidate_fails(monkeypatch):
+    # a fresh algebra and an index found without knitting, since ar_candidate
+    # is memoized on the algebra and ar_sequence on the index
+    a = algebra_kA2(GF2)
+    index = IndecIndex(a, brute_force_indecomposables(a, 2))
+    s1 = index.modules[index.identify(standard_modules(a).simples[0])]
     realized = []
     realize = ExtSpace.realize
     monkeypatch.setattr(ExtSpace, "realize", lambda self, coords: realized.append(coords) or realize(self, coords))
@@ -490,6 +492,23 @@ def test_ar_sequence_raises_when_the_socle_candidate_fails(kA2, monkeypatch):
     with pytest.raises(RepmodError, match="no almost split sequence found"):
         ar_sequence(s1, index)
     assert len(realized) == 1  # the socle candidate only; no walk over the lines of Ext^1
+
+
+def test_knitting_and_validation_realize_each_class_once(monkeypatch):
+    # a fresh algebra, since ar_candidate is memoized on it: the validation
+    # pass reuses the candidate knitting realized instead of realizing it again
+    a = algebra_kA3(GF5, zero_relation=False)
+    realized = []
+    realize = ExtSpace.realize
+
+    def spy(space, coords):
+        realized.append((space.z.key(), space.a.key(), tuple(int(c) for c in coords)))
+        return realize(space, coords)
+
+    monkeypatch.setattr(ExtSpace, "realize", spy)
+    index = all_indecomposables(a, 8)
+    assert len(realized) == len(index.nonprojective_ids()) > 0
+    assert len(set(realized)) == len(realized)
 
 
 def test_all_indecomposables_counts():
