@@ -97,6 +97,22 @@ class CategoryContext:
             out.append((oid, part, incl))
         return out
 
+    def contains(self, m: Module) -> bool:
+        """Does m lie in the category?  With an index, its summands are counted
+        (IndecIndex.parts) rather than split off, and each is looked up among
+        the objects; without one, m is decomposed."""
+        if self.index is None:
+            return self.parts(m) is not None
+        try:
+            ids = self.index.parts(m)
+        except RepmodError:
+            return False
+        return all(self._object_of_member(i) is not None for i in set(ids))
+
+    @memo(lambda self, i: i)
+    def _object_of_member(self, i: int) -> int | None:
+        return self.identify(self.index.modules[i])
+
     def ext(self, z_id: int, a_id: int) -> ExtSpace:
         return ext_space(self.objects[z_id], self.objects[a_id])
 
@@ -313,7 +329,7 @@ def _sequence_classes(ctx: CategoryContext, ses: ShortExactSeq) -> tuple | None:
         ses.validate()
     except RepmodError:
         return None
-    if ctx.parts(ses.mid) is None:
+    if not ctx.contains(ses.mid):
         raise ExactstructError("middle term does not lie in the category")
     return tuple(componentwise_classes(ctx, ses))
 
@@ -323,11 +339,11 @@ def morphism_classes(ctx: CategoryContext, f: ModuleMap) -> dict[str, tuple]:
     have in some exact structure, the componentwise classes of the sequences
     the kind needs: f is of that kind in e exactly when e contains them all.
     None of this depends on a structure, so callers compute it once per map."""
-    if ctx.parts(f.source) is None or ctx.parts(f.target) is None:
+    if not (ctx.contains(f.source) and ctx.contains(f.target)):
         raise ExactstructError("endpoints do not lie in the category")
     parts = map_parts(f)
-    kernel_in = ctx.parts(parts.kernel) is not None
-    cokernel_in = ctx.parts(parts.cokernel) is not None
+    kernel_in = ctx.contains(parts.kernel)
+    cokernel_in = ctx.contains(parts.cokernel)
     out: dict[str, tuple] = {}
     if parts.cokernel.is_zero() and kernel_in:  # f is onto
         deflation = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, f))
@@ -337,7 +353,7 @@ def morphism_classes(ctx: CategoryContext, f: ModuleMap) -> dict[str, tuple]:
         inflation = _sequence_classes(ctx, ShortExactSeq(f, parts.cokernel_projection))
         if inflation is not None:
             out["inflation"] = inflation
-    if ctx.parts(parts.image) is not None:
+    if ctx.contains(parts.image):
         epi = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, parts.epi_part)) if kernel_in else None
         mono = _sequence_classes(ctx, ShortExactSeq(parts.mono_part, parts.cokernel_projection)) if cokernel_in else None
         if epi is not None and mono is not None:
@@ -486,7 +502,7 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
         vectors, exhaustive = subspace_lines(rows, AXIOM_ELEMENT_CAP)
         for vec in vectors:
             ses = ctx.realize(ctx.ext(z, a), vec)
-            if ctx.parts(ses.mid) is None:
+            if not ctx.contains(ses.mid):
                 middles_ok = False
         if not exhaustive:
             report.note(f"pair {(z, a)}: realization check on a spanning set only")
@@ -525,7 +541,7 @@ def _composition_check(e: ExactStructure) -> tuple[bool, int, bool]:
                         continue
                     composite = ses_g.p @ ses_f.p
                     ker, incl = kernel(composite)
-                    if ctx.parts(ker) is None:
+                    if not ctx.contains(ker):
                         return False, checked, exhaustive
                     if not is_conflation(ShortExactSeq(incl, composite), e):
                         return False, checked, exhaustive
@@ -555,7 +571,7 @@ def _composition_check_dual(e: ExactStructure) -> tuple[bool, int, bool]:
                         continue
                     composite = ses_f.i @ ses_g.i  # ag >-> B
                     cok, proj = cokernel(composite)
-                    if ctx.parts(cok) is None:
+                    if not ctx.contains(cok):
                         return False, checked, exhaustive
                     if not is_conflation(ShortExactSeq(composite, proj), e):
                         return False, checked, exhaustive

@@ -217,15 +217,18 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         else:
             continue
         a[r], a[i] = a[i], a[r]
+        # rows r and below are zero left of c, so scaling the pivot row and
+        # subtracting it change only the columns from c on
         pivot_row = a[r]
         v = pivot_row[c]
         if v != 1:
             v = pow(v, p - 2, p)
-            pivot_row = a[r] = [x * v % p for x in pivot_row]
-        for j, row in enumerate(a):
+            pivot_row[c:] = [x * v % p for x in pivot_row[c:]]
+        tail = pivot_row[c:]
+        for row in a:
             f = row[c]
-            if f and j != r:
-                a[j] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+            if f and row is not pivot_row:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
     return Matrix(m.field, a), pivots

@@ -275,12 +275,6 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_basis(m, n))
 
 
-def _hom_dim_by_rank(m: Module, n: Module) -> int:
-    """dim Hom(m, n) as unknowns minus rank, without building (or caching) a basis."""
-    system, _ = _hom_system(m, n)
-    return system.cols - rank(system)
-
-
 def hom_coords(field, maps: list[ModuleMap], basis: list[ModuleMap]) -> Matrix:
     """Coordinates of maps in basis, one column per map, from one solve.
 
@@ -725,6 +719,39 @@ def std_map_from_coeffs(src: StdProjective, tgt: StdProjective, coeffs: np.ndarr
     return ModuleMap(src.module, tgt.module, [Matrix(a.field, mat) for mat in mats])
 
 
+@dataclass(frozen=True)
+class StdMapTerms:
+    """A map d: Q1 -> Q0 between standard projectives on the vertices
+    src_verts and tgt_verts, by its nonzero coefficients: d(gen_s) is the sum
+    of gen_t * c b over its terms (s, t, b, c)."""
+
+    src_verts: tuple[int, ...]
+    tgt_verts: tuple[int, ...]
+    terms: tuple[tuple[int, int, int, int], ...]
+
+    @classmethod
+    def of(cls, f: ModuleMap, src: StdProjective, tgt: StdProjective) -> "StdMapTerms":
+        coeffs = coeffs_of_std_map(f, src, tgt)
+        terms = tuple((int(s), int(t), int(b), int(coeffs[t, s, b])) for t, s, b in zip(*np.nonzero(coeffs)))
+        return cls(src.verts, tgt.verts, terms)
+
+
+def hom_of_std_map(d: StdMapTerms, n: Module) -> Matrix:
+    """The matrix of Hom(d, n): Hom(Q0, n) -> Hom(Q1, n), phi -> phi o d.
+
+    Hom(e_v A, n) is n_v through phi -> phi(e_v), so the columns are the sum
+    of n_v over Q0's vertices and the rows that over Q1's; as
+    (phi o d)(gen_s) = sum_t phi(gen_t) x_ts, block (s, t) is the sum of
+    x_ts[b] times the action of b on n.  Its kernel is Hom(coker d, n).
+    """
+    rows = [0, *itertools.accumulate(n.dims[u] for u in d.src_verts)]
+    cols = [0, *itertools.accumulate(n.dims[v] for v in d.tgt_verts)]
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for s, t, b, c in d.terms:
+        out[rows[s] : rows[s + 1], cols[t] : cols[t + 1]] += c * n.action(b).a
+    return Matrix(n.algebra.field, out)
+
+
 def dual_std_map(d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
     """The Hom(-, A)-dual of d: p1 -> p0, a map p0^ -> p1^ between the standard
     projectives on the same vertices over the opposite algebra."""
@@ -847,13 +874,9 @@ def ext_dim(i: int, m: Module, n: Module) -> int:
     if i == 0:
         return hom_dim(m, n)
     projs, diffs, _ = minimal_resolution(m, i + 1)
-    hom_spaces = [hom_basis(sp.module, n) for sp in projs]
     # the matrices of Hom(P_{k-1}, n) -> Hom(P_k, n), phi -> phi o d_k, for k = i, i + 1
-    mi, mi1 = (
-        hom_coords(m.algebra.field, [phi @ diffs[k - 1] for phi in hom_spaces[k - 1]], hom_spaces[k])
-        for k in (i, i + 1)
-    )
-    return (len(hom_spaces[i]) - rank(mi1)) - rank(mi)
+    mi, mi1 = (hom_of_std_map(StdMapTerms.of(diffs[k - 1], projs[k], projs[k - 1]), n) for k in (i, i + 1))
+    return (mi1.cols - rank(mi1)) - rank(mi)
 
 
 def proj_dim(m: Module, cutoff: int) -> int | None:
@@ -1198,9 +1221,16 @@ class IndecIndex:
         as a fixed integer combination of the h_j = dim Hom(m, X_j).  Equal
         dimension vectors then prove, by Krull-Schmidt, that m has no summand
         outside the index.
+
+        Each h_j comes from the dual presentation, not from an intertwiner
+        system: Hom(m, X_j) = Hom(DX_j, Dm) is the kernel of Hom(d_j, Dm) for
+        the minimal presentation d_j: Q1 -> Q0 of DX_j over the opposite
+        algebra, a matrix with sum_t m_{v_t} columns over the vertices of Q0.
         """
         rows, residue_dims = self._relations()
-        h = np.array([_hom_dim_by_rank(m, x) for x in self.modules], dtype=np.int64)
+        dm = dual_module(m)
+        homs = [hom_of_std_map(d, dm) for d in self._dual_presentations()]
+        h = np.array([mat.cols - rank(mat) for mat in homs], dtype=np.int64)
         counts = rows @ h
         if (counts < 0).any() or (counts % residue_dims).any():
             raise RepmodError("module has a summand outside the index")
@@ -1228,6 +1258,16 @@ class IndecIndex:
                 rows[i, self._member(part)] -= 1
             residue_dims[i] = len(hom_basis(x, x)) - len(_local_residue(x))
         return rows, residue_dims
+
+    @memo()
+    def _dual_presentations(self) -> list[StdMapTerms]:
+        """The minimal presentation of DX over the opposite algebra, for each
+        member X."""
+        out = []
+        for x in self.modules:
+            pres = minimal_presentation(dual_module(x))
+            out.append(StdMapTerms.of(pres.d, pres.p1, pres.p0))
+        return out
 
     def _member(self, m: Module) -> int:
         i = self.identify(m)

@@ -38,8 +38,10 @@ from exactcat.repmod import (
     ShortExactSeq,
     all_indecomposables,
     ar_sequence,
+    direct_sum,
     ext_space,
     hom_basis,
+    map_parts,
     standard_modules,
 )
 
@@ -512,3 +514,36 @@ def test_line_walk_meets_every_middle_term_of_the_element_walk():
     assert all(by_element[v] == by_element[line_representative(v, 3)] for v in by_element)
     assert {middle(v) for v in lines} == set(by_element.values())
     assert len(set(by_element.values())) > 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: algebra_kA3(GF5, zero_relation=False),
+        lambda: algebra_dual_numbers(GF2),
+        lambda: algebra_kA3(GF2, zero_relation=True),
+    ],
+    ids=["kA3_gf5", "dual_numbers", "kA3_relation"],
+)
+def test_contains_agrees_with_parts(make):
+    """Counting summands through the index answers membership as splitting
+    them does: on the whole of mod(Lambda), on add(projectives) with the
+    index, and on add(projectives) without one, as restricted_description
+    builds its context."""
+    ctx = make_ctx(make())
+    index = ctx.index
+    mods = index.modules
+    regular = direct_sum(standard_modules(ctx.algebra).projectives)[0]
+    cases = list(mods) + [regular]
+    cases += [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
+    for x, y in itertools.product(mods, repeat=2):
+        for f in hom_basis(x, y):
+            parts = map_parts(f)
+            cases += [parts.kernel, parts.image, parts.cokernel]
+    projectives = AdditiveCategorySpec(ctx.algebra, [m for i, m in enumerate(mods) if index.is_projective[i]])
+    outside = mods[next(i for i in range(len(mods)) if not index.is_projective[i])]
+    for c in (ctx, CategoryContext(projectives, index), CategoryContext(projectives)):
+        assert [c.contains(m) for m in cases] == [c.parts(m) is not None for m in cases]
+    for c in (CategoryContext(projectives, index), CategoryContext(projectives)):
+        assert c.contains(regular) and not c.contains(outside)
+    assert all(ctx.contains(m) for m in cases)

@@ -13,13 +13,14 @@ from exactcat.algebra import (
     build_from_quiver,
 )
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
-from exactcat.linalg import FieldPrime, Matrix, rref, solve_right
+from exactcat.linalg import FieldPrime, Matrix, rank, rref, solve_right
 from exactcat.repmod import (
     ExtSpace,
     IndecIndex,
     Module,
     ModuleMap,
     RepmodError,
+    StdMapTerms,
     _hom_system,
     all_indecomposables,
     ar_sequence,
@@ -38,6 +39,7 @@ from exactcat.repmod import (
     hom_coords,
     hom_dim,
     hom_from_coords,
+    hom_of_std_map,
     homological_dims,
     cokernel,
     image,
@@ -46,6 +48,7 @@ from exactcat.repmod import (
     kernel,
     map_parts,
     minimal_presentation,
+    minimal_resolution,
     proj_dim,
     projective_cover,
     radical_submodule,
@@ -716,3 +719,42 @@ def test_parts_rejects_summand_outside_index(name):
     partial = IndecIndex(alg, mods[:-1])
     with pytest.raises(RepmodError):
         partial.parts(direct_sum([mods[0], mods[-1]])[0])
+
+
+def _ext_dim_by_hom_bases(i, m, n):
+    """dim Ext^i(m, n) through Hom bases, the reference for ext_dim: Hom(P_k, n)
+    solved as intertwiner systems and phi -> phi o d_k written in them."""
+    projs, diffs, _ = minimal_resolution(m, i + 1)
+    homs = [hom_basis(sp.module, n) for sp in projs]
+    mi, mi1 = (
+        hom_coords(m.algebra.field, [phi @ diffs[k - 1] for phi in homs[k - 1]], homs[k]) for k in (i, i + 1)
+    )
+    return (len(homs[i]) - rank(mi1)) - rank(mi)
+
+
+@pytest.mark.parametrize("name", sorted(PARTS_ALGEBRAS))
+def test_presentation_hom_dims_match_hom_basis(name):
+    """dim Hom(m, X) from the dual presentation of X equals the intertwiner
+    count, and ext_dim from the resolution differentials equals both the
+    ExtSpace dimension and the count through Hom bases."""
+    alg = PARTS_ALGEBRAS[name]()
+    index = all_indecomposables(alg, 40)
+    mods = index.modules
+    regular = direct_sum(standard_modules(alg).projectives)[0]
+    cases = list(mods) + [regular, Module.zero(alg)]
+    cases += [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
+    presentations = []
+    for x in mods:
+        pres = minimal_presentation(dual_module(x))
+        presentations.append(StdMapTerms.of(pres.d, pres.p1, pres.p0))
+    assert index._dual_presentations() == presentations
+    for m in cases:
+        dm = dual_module(m)
+        for x, d in zip(mods, presentations):
+            mat = hom_of_std_map(d, dm)
+            assert mat.cols == sum(m.dims[v] for v in d.tgt_verts)
+            assert mat.cols - rank(mat) == len(hom_basis(m, x))
+    for z, a in itertools.product(mods + [regular], mods):
+        assert ext_dim(1, z, a) == ext_space(z, a).dim
+        for i in (1, 2):
+            assert ext_dim(i, z, a) == _ext_dim_by_hom_bases(i, z, a)
