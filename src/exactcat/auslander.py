@@ -322,6 +322,13 @@ class AuslanderContext:
         syz, _ = kernel(cover)
         return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
 
+    @memo(lambda self, side, z, a: (side, z, a))
+    def _ext1_dim(self, side: str, z: int, a: int) -> int:
+        """dim Ext^1 between two members, counted without building the space:
+        most pairs the closures walk have none."""
+        index = self.side_index(side)
+        return ext_dim(1, index.modules[z], index.modules[a])
+
     def _ext_closure(self, side: str, ids) -> tuple[frozenset[int], bool]:
         """Ids of the summands of the middle terms of the Ext^1 classes between
         members of ids, and whether every line was walked (each space walks
@@ -330,6 +337,8 @@ class AuslanderContext:
         middles, exhaustive = set(), True
         for z in sorted(ids):
             for a in sorted(ids):
+                if self._ext1_dim(side, z, a) == 0:
+                    continue
                 dim = ext_space(index.modules[z], index.modules[a]).dim
                 vectors, walked_all = subspace_lines(Matrix.identity(index.algebra.field, dim), ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all

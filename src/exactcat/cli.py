@@ -30,6 +30,7 @@ EXIT_CAP = 3
 PREFIX = {EXIT_VERIFY: "verification error", EXIT_INPUT: "input error", EXIT_CAP: "cap exceeded"}
 
 P_LIMIT = 2**16  # p below this keeps every int64 matrix product exact: (p-1)^2 < 2^32
+SEED_LIMIT = 2**32  # numpy's RandomState takes seeds in [0, 2^32)
 
 
 class SessionError(ExactcatError):
@@ -44,22 +45,31 @@ def _is_id(x) -> bool:
 class Session:
     def __init__(self, payload: dict):
         try:
-            p = int(payload["p"])
+            p = payload["p"]
+            if not _is_id(p):
+                raise ValueError(f"p = {p!r} is not an integer")
             if p >= P_LIMIT:
                 raise ValueError(f"p = {p} is not below {P_LIMIT}")
             self.field = FieldPrime(p)
         except (KeyError, TypeError, ValueError, LinalgError) as exc:
             raise SessionError(f"bad field: {exc}")
-        try:
-            caps = payload.get("caps", {})
-            self.dim_cap = int(caps.get("dim", 12))
-            self.resolution_cutoff = int(caps.get("resolution", 8))
-            self.multiplicity_bound = int(caps.get("multiplicity", 2))
-            self.seed = int(payload.get("seed", 0))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SessionError(f"bad caps or seed: {exc}")
+        caps = payload.get("caps", {})
+        if not isinstance(caps, dict):
+            raise SessionError("bad caps or seed: caps must be an object")
+        values = {
+            "dim": caps.get("dim", 12),
+            "resolution": caps.get("resolution", 8),
+            "multiplicity": caps.get("multiplicity", 2),
+            "seed": payload.get("seed", 0),
+        }
+        for name, value in values.items():
+            if not _is_id(value):
+                raise SessionError(f"bad caps or seed: {name} = {value!r} is not an integer")
+        self.dim_cap, self.resolution_cutoff, self.multiplicity_bound, self.seed = values.values()
         if min(self.dim_cap, self.resolution_cutoff, self.multiplicity_bound) <= 0:
             raise SessionError("caps must be positive")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise SessionError(f"bad caps or seed: seed = {self.seed} is not in [0, 2^32)")
         self.algebra = self._load_algebra(payload)
         self.commands = self._load_commands(payload.get("commands", []))
         self.given_structures = payload.get("structures")

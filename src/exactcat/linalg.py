@@ -88,16 +88,23 @@ class Matrix:
     """A rows x cols matrix over GF(p), stored as reduced residues.
 
     Instances are immutable; operations return new matrices.  Vectors are
-    columns (shape (n, 1)).
+    columns (shape (n, 1)).  reduced=True wraps data as it is: the caller
+    vouches that it is a fresh 2-dimensional int64 array owning its memory
+    (no view), with entries in [0, p), as the output of rref, of a solve or
+    of an operation after its one % p is; every other caller gets its data
+    converted and reduced.
     """
 
     __slots__ = ("field", "a")
 
-    def __init__(self, field: FieldPrime, data):
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise LinalgError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        arr = np.mod(arr, field.p)
+    def __init__(self, field: FieldPrime, data, *, reduced: bool = False):
+        if reduced:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.int64)
+            if arr.ndim != 2:
+                raise LinalgError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
+            arr = np.mod(arr, field.p)
         arr.setflags(write=False)
         self.field = field
         self.a = arr
@@ -106,11 +113,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldPrime, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, np.zeros((rows, cols), dtype=np.int64), reduced=True)
 
     @classmethod
     def identity(cls, field: FieldPrime, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls(field, np.eye(n, dtype=np.int64), reduced=True)
 
     # -- basic properties ---------------------------------------------
 
@@ -144,43 +151,42 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch in product: {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.field, self.a @ other.a)
+        return Matrix(self.field, self.a @ other.a % self.field.p, reduced=True)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a + other.a)
+        return Matrix(self.field, (self.a + other.a) % self.field.p, reduced=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a - other.a)
+        return Matrix(self.field, (self.a - other.a) % self.field.p, reduced=True)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.a)
+        return Matrix(self.field, -self.a % self.field.p, reduced=True)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.a * (c % self.field.p))
+        return Matrix(self.field, self.a * (c % self.field.p) % self.field.p, reduced=True)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T)
+        return Matrix(self.field, self.a.T.copy(), reduced=True)
 
     def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.a[:, j : j + 1])
+        return Matrix(self.field, self.a[:, j : j + 1].copy(), reduced=True)
 
     def take_columns(self, indices) -> "Matrix":
-        idx = list(indices)
-        return Matrix(self.field, self.a[:, idx].reshape(self.rows, len(idx)))
+        return Matrix(self.field, np.take(self.a, list(indices), axis=1), reduced=True)
 
 
 def hstack(field: FieldPrime, mats) -> Matrix:
     mats = list(mats)
     if not mats:
         raise LinalgError("hstack of no matrices")
-    return Matrix(field, np.hstack([m.a for m in mats]))
+    return Matrix(field, np.concatenate([m.a for m in mats], axis=1), reduced=True)
 
 
 def vstack(field: FieldPrime, mats) -> Matrix:
     mats = list(mats)
     if not mats:
         raise LinalgError("vstack of no matrices")
-    return Matrix(field, np.vstack([m.a for m in mats]))
+    return Matrix(field, np.concatenate([m.a for m in mats]), reduced=True)
 
 
 def block_diag(field: FieldPrime, mats) -> Matrix:
@@ -193,7 +199,7 @@ def block_diag(field: FieldPrime, mats) -> Matrix:
         out[r : r + m.rows, c : c + m.cols] = m.a
         r += m.rows
         c += m.cols
-    return Matrix(field, out)
+    return Matrix(field, out, reduced=True)
 
 
 # -- row reduction ----------------------------------------------------
@@ -231,7 +237,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
                 row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return Matrix(m.field, a), pivots
+    return Matrix(m.field, np.array(a, dtype=np.int64), reduced=True), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -252,22 +258,22 @@ def kernel_basis(m: Matrix, reduced: tuple[Matrix, list[int]] | None = None) -> 
     free = np.flatnonzero(is_free)
     k = np.zeros((m.cols, free.size), dtype=np.int64)
     k[free, np.arange(free.size)] = 1
-    k[pivots] = -r.a[: len(pivots), free]
-    return Matrix(m.field, k)
+    k[pivots] = -r.a[: len(pivots), free] % m.field.p
+    return Matrix(m.field, k, reduced=True)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of a @ x = b, or None when the system is inconsistent."""
     if a.rows != b.rows:
         raise LinalgError(f"solve_right: row mismatch {a.rows} vs {b.rows}")
-    aug = Matrix(a.field, np.hstack([a.a, b.a]))
+    aug = Matrix(a.field, np.concatenate([a.a, b.a], axis=1), reduced=True)
     r, pivots = rref(aug)
     if any(c >= a.cols for c in pivots):
         return None
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
     for i, c in enumerate(pivots):
         x[c] = r.a[i, a.cols :]
-    return Matrix(a.field, x)
+    return Matrix(a.field, x, reduced=True)
 
 
 def inverse(m: Matrix) -> Matrix:

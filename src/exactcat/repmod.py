@@ -15,6 +15,7 @@ independent brute-force oracle).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,39 +194,62 @@ def check_map(f: ModuleMap) -> None:
             raise RepmodError(f"map does not intertwine basis element {alg.labels[b]}")
 
 
-def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
+def _unit_columns(d: int, cols) -> np.ndarray:
+    """The identity columns of I_d at cols."""
+    out = np.zeros((d, len(cols)), dtype=np.int64)
+    out[cols, np.arange(len(cols))] = 1
+    return out
+
+
+class SumMaps(Sequence):
+    """The injections or the projections of a direct sum, each map built the
+    first time it is read: most callers use one of the two lists, or none."""
+
+    def __init__(self, build, n: int):
+        self._build = build
+        self._maps: list[ModuleMap | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __getitem__(self, i: int) -> ModuleMap:
+        i = range(len(self._maps))[i]  # IndexError past the end ends iteration
+        if self._maps[i] is None:
+            self._maps[i] = self._build(i)
+        return self._maps[i]
+
+
+def direct_sum(modules: list[Module]) -> tuple[Module, SumMaps, SumMaps]:
     """Direct sum with its injections and projections."""
     if not modules:
         raise RepmodError("direct sum of no modules needs an algebra; use Module.zero")
     alg = modules[0].algebra
     field = alg.field
-    dims = [sum(m.dims[v] for m in modules) for v in range(alg.nv)]
+    offsets = [[0] * alg.nv]  # offsets[i][v]: where summand i starts at vertex v
+    for m in modules:
+        offsets.append([o + d for o, d in zip(offsets[-1], m.dims)])
+    dims = offsets[-1]
     act = {}
     for b in alg.radical_indices:
-        blocks = [m.act[b] for m in modules]
-        total = Matrix.zeros(field, dims[alg.right[b]], dims[alg.left[b]])
-        arr = np.array(total.a)
-        ro = co = 0
-        for m, blk in zip(modules, blocks):
-            arr[ro : ro + blk.rows, co : co + blk.cols] = blk.a
-            ro += m.dims[alg.right[b]]
-            co += m.dims[alg.left[b]]
-        act[b] = Matrix(field, arr)
-    total_mod = Module(alg, dims, act)
-    injections, projections = [], []
-    offsets = [0] * alg.nv
-    for m in modules:
-        inj, proj = [], []
+        l, r = alg.left[b], alg.right[b]
+        arr = np.zeros((dims[r], dims[l]), dtype=np.int64)
+        for m, o in zip(modules, offsets):
+            arr[o[r] : o[r] + m.dims[r], o[l] : o[l] + m.dims[l]] = m.act[b].a
+        act[b] = Matrix(field, arr, reduced=True)
+    total = Module(alg, dims, act)
+
+    def unit_blocks(i: int, transpose: bool) -> list[Matrix]:
+        """Per vertex, the identity columns of summand i in the sum (the
+        injection), or their transpose (the projection)."""
+        out = []
         for v in range(alg.nv):
-            e = np.zeros((dims[v], m.dims[v]), dtype=np.int64)
-            e[offsets[v] : offsets[v] + m.dims[v], :] = np.eye(m.dims[v], dtype=np.int64)
-            inj.append(Matrix(field, e))
-            proj.append(Matrix(field, e.T))
-        injections.append(ModuleMap(m, total_mod, inj))
-        projections.append(ModuleMap(total_mod, m, proj))
-        for v in range(alg.nv):
-            offsets[v] += m.dims[v]
-    return total_mod, injections, projections
+            e = _unit_columns(dims[v], range(offsets[i][v], offsets[i + 1][v]))
+            out.append(Matrix(field, e.T.copy() if transpose else e, reduced=True))
+        return out
+
+    injections = SumMaps(lambda i: ModuleMap(modules[i], total, unit_blocks(i, False)), len(modules))
+    projections = SumMaps(lambda i: ModuleMap(total, modules[i], unit_blocks(i, True)), len(modules))
+    return total, injections, projections
 
 
 def _hom_system(m: Module, n: Module) -> tuple[Matrix, np.ndarray]:
@@ -296,20 +320,54 @@ def hom_coords(field, maps: list[ModuleMap], basis: list[ModuleMap]) -> Matrix:
 
 
 def hom_from_coords(coords, basis: list[ModuleMap], source: Module, target: Module) -> ModuleMap:
-    out = ModuleMap.zero_map(source, target)
+    """The map sum c_i basis_i, summed per vertex in int64 and reduced once:
+    each term is below p^2 < 2^32."""
+    p = source.algebra.field.p
+    sums = [np.zeros((target.dims[v], source.dims[v]), dtype=np.int64) for v in range(source.algebra.nv)]
     for c, b in zip(np.asarray(coords).reshape(-1), basis):
-        if int(c) % source.algebra.field.p:
-            out = out + b.scale(int(c))
-    return out
+        c = int(c) % p
+        if c:
+            for acc, mat in zip(sums, b.mats):
+                acc += c * mat.a
+    for acc in sums:
+        acc %= p
+    return ModuleMap(source, target, [Matrix(source.algebra.field, acc, reduced=True) for acc in sums])
 
 
 # -- submodules, quotients, kernels, images ----------------------------------
 
 
-def submodule(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
-    """The submodule spanned per vertex by the given (independent) columns.
-    The actions into each vertex are restricted with one solve."""
+@dataclass
+class Frame:
+    """A basis u (k independent columns) of a subspace of GF(p)^d completed
+    by identity columns w: the rows of [u | w]^-1 split into coords (the
+    first k, coordinates along u) and proj (the rest, along w, which is the
+    projection onto the quotient), and extra lists the columns of w."""
+
+    coords: np.ndarray
+    proj: np.ndarray
+    extra: list[int]
+
+
+def frame(u: Matrix, d: int) -> Frame:
+    """The frame of u in GF(p)^d from one rref([u | I_d]).  Its pivots are u's
+    columns, then the identity columns w that complete them, so the reduced
+    matrix is E [u | I_d] with E [u | w] = I_d: its last d columns are
+    E = [u | w]^-1.  Raises RepmodError when u is dependent."""
+    k = u.cols
+    aug = np.zeros((d, k + d), dtype=np.int64)
+    aug[:, :k] = u.a
+    aug.reshape(-1)[k :: k + d + 1] = 1  # the entries (i, k + i): I_d
+    r, pivots = rref(Matrix(u.field, aug, reduced=True))
+    if pivots[:k] != list(range(k)):
+        raise RepmodError("subspace basis is not independent")
+    inv = r.a[:, k:]
+    return Frame(inv[:k], inv[k:], [c - k for c in pivots[k:]])
+
+
+def _submodule_in_frames(m: Module, bases: list[Matrix], frames: list[Frame]) -> tuple[Module, ModuleMap]:
     alg = m.algebra
+    p = alg.field.p
     dims = [bases[v].cols for v in range(alg.nv)]
     into = [[] for _ in range(alg.nv)]
     for b in alg.radical_indices:
@@ -318,48 +376,46 @@ def submodule(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
     for r, elements in enumerate(into):
         if not elements:
             continue
-        images = np.hstack([m.act[b].a @ bases[alg.left[b]].a for b in elements])
-        restricted = solve_right(bases[r], Matrix(alg.field, images))
-        if restricted is None:
+        images = np.concatenate([m.act[b].a @ bases[alg.left[b]].a for b in elements], axis=1) % p
+        if (frames[r].proj @ images % p).any():
             raise RepmodError("subspaces are not closed under the action")
+        restricted = frames[r].coords @ images % p
         lo = 0
         for b in elements:
             hi = lo + dims[alg.left[b]]
-            act[b] = Matrix(alg.field, restricted.a[:, lo:hi])
+            act[b] = Matrix(alg.field, restricted[:, lo:hi].copy(), reduced=True)
             lo = hi
     sub = Module(alg, dims, act)
     return sub, ModuleMap(sub, m, bases)
 
 
-def quotient(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
-    """The quotient of m by the submodule spanned by the given columns."""
+def _quotient_in_frames(m: Module, frames: list[Frame]) -> tuple[Module, ModuleMap]:
     alg = m.algebra
     field = alg.field
-    projections, lifts = [], []
-    for v in range(alg.nv):
-        u = bases[v]
-        d = m.dims[v]
-        ext = Matrix(field, np.hstack([u.a, np.eye(d, dtype=np.int64)]))
-        _, pivots = rref(ext)
-        if len([c for c in pivots if c < u.cols]) != u.cols:
-            raise RepmodError("quotient: submodule basis is not independent")
-        extra = [c - u.cols for c in pivots if c >= u.cols]
-        w = Matrix(field, np.eye(d, dtype=np.int64)[:, extra].reshape(d, len(extra)))
-        change = hstack(field, [u, w]) if u.cols + w.cols else Matrix.zeros(field, d, 0)
-        if d:
-            inv = inverse(change)
-            pi = Matrix(field, inv.a[u.cols :, :])
-        else:
-            pi = Matrix.zeros(field, 0, 0)
-        projections.append(pi)
-        lifts.append(w)
-    dims = [projections[v].rows for v in range(alg.nv)]
+    projections = [Matrix(field, fr.proj.copy(), reduced=True) for fr in frames]
     act = {}
     for b in alg.radical_indices:
         l, r = alg.left[b], alg.right[b]
-        act[b] = projections[r] @ m.act[b] @ lifts[l]
-    quot = Module(alg, dims, act)
+        # pi_r A_b w_l, where A_b w_l picks the columns of A_b at w_l
+        lifted = np.take(m.act[b].a, frames[l].extra, axis=1)
+        act[b] = Matrix(field, frames[r].proj @ lifted % field.p, reduced=True)
+    quot = Module(alg, [pi.rows for pi in projections], act)
     return quot, ModuleMap(m, quot, projections)
+
+
+def submodule(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
+    """The submodule spanned per vertex by the given independent columns.
+    The actions into each vertex are restricted through its frame, which
+    also proves them closed; raises RepmodError when a basis is dependent or
+    the span is not closed under the action."""
+    return _submodule_in_frames(m, bases, [frame(u, d) for u, d in zip(bases, m.dims)])
+
+
+def quotient(m: Module, bases: list[Matrix]) -> tuple[Module, ModuleMap]:
+    """The quotient of m by the submodule spanned by the given independent
+    columns: at each vertex the projection is the last rows of the frame's
+    inverse and the quotient basis lifts to its identity columns."""
+    return _quotient_in_frames(m, [frame(u, d) for u, d in zip(bases, m.dims)])
 
 
 def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
@@ -396,13 +452,15 @@ class MapParts:
 def map_parts(f: ModuleMap) -> MapParts:
     """kernel, image and cokernel of f from one rref per vertex: the pivot
     columns span the image, and the nonzero reduced rows are the coordinates
-    of f's columns in them, i.e. the epi part."""
+    of f's columns in them, i.e. the epi part.  The image and the cokernel
+    share the frames of the image basis."""
     reduced = [rref(mat) for mat in f.mats]
     ker, ker_incl = submodule(f.source, [kernel_basis(mat, red) for mat, red in zip(f.mats, reduced)])
     bases = [mat.take_columns(pivots) for mat, (_, pivots) in zip(f.mats, reduced)]
-    img, mono = submodule(f.target, bases)
-    epi = ModuleMap(f.source, img, [Matrix(r.field, r.a[: len(pivots)]) for r, pivots in reduced])
-    cok, proj = quotient(f.target, bases)
+    frames = [frame(u, d) for u, d in zip(bases, f.target.dims)]
+    img, mono = _submodule_in_frames(f.target, bases, frames)
+    epi = ModuleMap(f.source, img, [Matrix(r.field, r.a[: len(pivots)].copy(), reduced=True) for r, pivots in reduced])
+    cok, proj = _quotient_in_frames(f.target, frames)
     return MapParts(ker, ker_incl, img, epi, mono, cok, proj)
 
 
@@ -784,13 +842,9 @@ def top_data(m: Module) -> tuple[list[int], list[Matrix]]:
     _, rad_incl = radical_submodule(m)
     tops, reps = [], []
     for v in range(alg.nv):
-        u = rad_incl.mats[v]
-        d = m.dims[v]
-        ext = Matrix(field, np.hstack([u.a, np.eye(d, dtype=np.int64)]))
-        _, pivots = rref(ext)
-        extra = [c - u.cols for c in pivots if c >= u.cols]
+        extra = frame(rad_incl.mats[v], m.dims[v]).extra
         tops.append(len(extra))
-        reps.append(Matrix(field, np.eye(d, dtype=np.int64)[:, extra].reshape(d, len(extra))))
+        reps.append(Matrix(field, _unit_columns(m.dims[v], extra), reduced=True))
     return tops, reps
 
 
@@ -1014,7 +1068,8 @@ class ExtSpace:
         """A short exact sequence 0 -> a -> E -> z -> 0 with the given class."""
         phi = self.lift(coords)
         field = self.alg.field
-        _, (inj_a, inj_p), (_, proj_p) = direct_sum([self.a, self.p0.module])
+        _, (inj_a, inj_p), projections = direct_sum([self.a, self.p0.module])
+        proj_p = projections[1]
         kappa = (inj_a @ phi.scale(field.p - 1)) + (inj_p @ self.syz_incl)
         _, proj = cokernel(kappa)
         # the deflation E -> z is induced by (0, cover) on a + P0

@@ -188,6 +188,43 @@ def test_resolving_closure(kA2, dn, kA3rel):
             assert ctx.resolving_closure(closure, "gamma", p2) == closure
 
 
+def test_ext_closure_builds_ext_spaces_only_where_ext1_is_nonzero(monkeypatch):
+    """The extension closure skips the pairs with Ext^1 = 0 before building
+    their space, counting each pair's dimension once, and closes as walking
+    every pair does."""
+    from exactcat import auslander
+    from exactcat.linalg import Matrix, subspace_lines
+
+    ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
+    built, counted = [], []
+    real_space, real_dim = auslander.ext_space, auslander.ext_dim
+    monkeypatch.setattr(auslander, "ext_space", lambda z, a: built.append((z.key(), a.key())) or real_space(z, a))
+    monkeypatch.setattr(auslander, "ext_dim", lambda i, z, a: counted.append((z, a)) or real_dim(i, z, a))
+    checked = 0
+    for side in ("gamma", "gamma_op"):
+        index = ctx.side_index(side)
+        ids = frozenset(range(len(index.modules)))
+        built.clear()
+        counted.clear()
+        got = ctx._ext_closure(side, ids)
+        pairs = [(index.modules[z], index.modules[a]) for z in sorted(ids) for a in sorted(ids)]
+        nonzero = {(z.key(), a.key()) for z, a in pairs if real_space(z, a).dim}
+        assert 0 < len(nonzero) < len(pairs)
+        # the realized classes build their spaces again, so compare as sets
+        assert set(built) == nonzero and counted == pairs
+        counted.clear()
+        assert ctx._ext_closure(side, ids) == got and counted == []
+        middles = set()
+        for z in sorted(ids):
+            for a in sorted(ids):
+                dim = real_space(index.modules[z], index.modules[a]).dim
+                for vec in subspace_lines(Matrix.identity(GF2, dim), ELEMENT_CAP)[0]:
+                    middles |= ctx.ext_middle_parts(side, z, a, vec)
+        assert got == (frozenset(middles), True)
+        checked += 1
+    assert checked == 2
+
+
 def test_axioms_all_structures(kA2, dn, kA3rel):
     for ctx in (kA2, dn, kA3rel):
         for e in ctx.structures():

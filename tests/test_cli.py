@@ -172,6 +172,50 @@ def test_malformed_session():
         assert len(out.lines) == 1 and out.lines[0].startswith("input error: bad quiver: ")
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"seed": -1}, "seed = -1 is not in [0, 2^32)"),
+        ({"seed": 2**40}, "seed = 1099511627776 is not in [0, 2^32)"),
+        ({"seed": 2**32}, "seed = 4294967296 is not in [0, 2^32)"),
+        ({"seed": 1.7}, "seed = 1.7 is not an integer"),
+        ({"seed": True}, "seed = True is not an integer"),
+        ({"seed": "1"}, "seed = '1' is not an integer"),
+        ({"caps": {"dim": 2.5}}, "dim = 2.5 is not an integer"),
+        ({"caps": {"resolution": False}}, "resolution = False is not an integer"),
+        ({"caps": {"multiplicity": 2.0}}, "multiplicity = 2.0 is not an integer"),
+        ({"caps": [12]}, "caps must be an object"),
+        ({"p": 2.0}, "p = 2.0 is not an integer"),
+        ({"p": True}, "p = True is not an integer"),
+    ],
+    ids=[
+        "seed_negative",
+        "seed_2^40",
+        "seed_2^32",
+        "seed_float",
+        "seed_bool",
+        "seed_string",
+        "dim_float",
+        "resolution_bool",
+        "multiplicity_float",
+        "caps_list",
+        "p_float",
+        "p_bool",
+    ],
+)
+def test_non_integer_or_out_of_range_settings_exit_2(extra, message):
+    """JSON integers only (no floats, strings or booleans) for p, caps and
+    seed, and a seed numpy accepts; rejected before any context is built."""
+    code, out = run_session(session_kA2(["verify"], **extra), None)
+    assert code == EXIT_INPUT
+    assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)
+
+
+def test_largest_seed_runs():
+    code, _ = run_session(session_kA2(["exact_structures"], seed=2**32 - 1), None)
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("error", [FunctorcatError, ExactstructError, LinalgError])
 def test_internal_errors_exit_as_verification_errors(monkeypatch, error):
     def fail(*args, **kwargs):

@@ -13,7 +13,7 @@ from exactcat.algebra import (
     build_from_quiver,
 )
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
-from exactcat.linalg import FieldPrime, Matrix, rank, rref, solve_right
+from exactcat.linalg import FieldPrime, Matrix, block_diag, hstack, inverse, rank, rref, solve_right
 from exactcat.repmod import (
     ExtSpace,
     IndecIndex,
@@ -51,6 +51,7 @@ from exactcat.repmod import (
     minimal_resolution,
     proj_dim,
     projective_cover,
+    quotient,
     radical_submodule,
     simple_module,
     standard_modules,
@@ -758,3 +759,183 @@ def test_presentation_hom_dims_match_hom_basis(name):
         assert ext_dim(1, z, a) == ext_space(z, a).dim
         for i in (1, 2):
             assert ext_dim(i, z, a) == _ext_dim_by_hom_bases(i, z, a)
+
+
+# -- subquotients from one elimination, lazy direct-sum maps, reduced arrays --
+
+
+def _solve_submodule(m, bases):
+    """The reference for submodule: each action restricted by its own solve."""
+    alg = m.algebra
+    act = {}
+    for b in alg.radical_indices:
+        l, r = alg.left[b], alg.right[b]
+        x = solve_right(bases[r], m.act[b] @ bases[l])
+        if x is None:
+            raise RepmodError("subspaces are not closed under the action")
+        act[b] = x
+    sub = Module(alg, [u.cols for u in bases], act)
+    return sub, ModuleMap(sub, m, bases)
+
+
+def _two_elimination_quotient(m, bases):
+    """The reference for quotient, with two eliminations per vertex:
+    rref([u | I]) picks the complement w, then [u | w] is inverted."""
+    alg = m.algebra
+    field = alg.field
+    projections, lifts = [], []
+    for u, d in zip(bases, m.dims):
+        _, pivots = rref(Matrix(field, np.hstack([u.a, np.eye(d, dtype=np.int64)])))
+        if len([c for c in pivots if c < u.cols]) != u.cols:
+            raise RepmodError("submodule basis is not independent")
+        w = Matrix(field, np.eye(d, dtype=np.int64)[:, [c - u.cols for c in pivots if c >= u.cols]])
+        inv = inverse(hstack(field, [u, w])) if d else Matrix.zeros(field, 0, 0)
+        projections.append(Matrix(field, inv.a[u.cols :]))
+        lifts.append(w)
+    act = {b: projections[alg.right[b]] @ m.act[b] @ lifts[alg.left[b]] for b in alg.radical_indices}
+    quot = Module(alg, [pi.rows for pi in projections], act)
+    return quot, ModuleMap(m, quot, projections)
+
+
+def _maps_equal(f, g):
+    return f.source.key() == g.source.key() and f.target.key() == g.target.key() and f.mats == g.mats
+
+
+def _random_basis_change(u, rng):
+    """Another basis of the column space of u: u times a random invertible matrix."""
+    p = u.field.p
+    while True:
+        c = Matrix(u.field, rng.randint(0, p, size=(u.cols, u.cols)))
+        if rank(c) == u.cols:
+            return u @ c
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_subquotients_from_one_elimination_match_the_solve_based_versions(p):
+    field = FieldPrime(p)
+    alg = algebra_kA3(field, zero_relation=False)
+    std = standard_modules(alg)
+    mods = [std.projectives[0], std.simples[1], std.injectives[2]]
+    # zero-dimensional vertices: the simples, and sums with a zero vertex
+    mods += [direct_sum([std.simples[0], std.projectives[1]])[0], direct_sum(std.projectives)[0]]
+    rng = np.random.RandomState(p)
+    compared = 0
+    for m, n in itertools.product(mods, repeat=2):
+        basis = hom_basis(m, n)
+        for _ in range(3):
+            coeffs = rng.randint(-p, 2 * p, size=len(basis))
+            f = hom_from_coords(coeffs, basis, m, n)
+            naive = ModuleMap.zero_map(m, n)
+            for c, g in zip(coeffs, basis):
+                naive = naive + g.scale(int(c))
+            assert f.mats == naive.mats
+            # a spanning list with repeats: the int64 sums pass p before the one reduction
+            assert hom_from_coords(np.concatenate([coeffs, coeffs]), basis + basis, m, n).mats == (naive + naive).mats
+            # closed subspaces: the kernel of f in m and its image in n, in random bases
+            for target, bases in (
+                (m, [kernel(f)[1].mats[v] for v in range(alg.nv)]),
+                (n, [image(f)[1].mats[v] for v in range(alg.nv)]),
+            ):
+                bases = [_random_basis_change(u, rng) for u in bases]
+                for new, old in ((submodule, _solve_submodule), (quotient, _two_elimination_quotient)):
+                    got, want = new(target, bases), old(target, bases)
+                    assert got[0].key() == want[0].key()
+                    assert _maps_equal(got[1], want[1])
+                    compared += 1
+        # a quotient by an independent subspace that need not be closed
+        bases = []
+        for d in m.dims:
+            cols = Matrix(field, rng.randint(0, p, size=(d, rng.randint(0, d + 1))))
+            bases.append(cols.take_columns(rref(cols)[1]))
+        got, want = quotient(m, bases), _two_elimination_quotient(m, bases)
+        assert got[0].key() == want[0].key() and _maps_equal(got[1], want[1])
+    assert compared >= 4 * len(mods) ** 2 * 3
+
+    regular = mods[-1]
+    full = [Matrix.identity(field, d) for d in regular.dims]
+    dependent = list(full)
+    dependent[1] = hstack(field, [full[1], full[1].column(0)])  # vertex 2 has an incoming arrow
+    for build in (submodule, quotient):
+        with pytest.raises(RepmodError, match="not independent"):
+            build(regular, dependent)
+    # the top of P_1 without its radical is not closed under the arrow a
+    p1 = std.projectives[0]
+    with pytest.raises(RepmodError, match="not closed under the action"):
+        submodule(p1, [Matrix.identity(field, 1), Matrix.zeros(field, 1, 0), Matrix.zeros(field, 1, 0)])
+
+
+def _eager_direct_sum(modules):
+    """The reference for direct_sum: block_diag actions, every map built up front."""
+    alg = modules[0].algebra
+    field = alg.field
+    dims = [sum(m.dims[v] for m in modules) for v in range(alg.nv)]
+    act = {}
+    for b in alg.radical_indices:
+        act[b] = block_diag(field, [m.act[b] for m in modules])
+    total = Module(alg, dims, act)
+    injections, projections, offsets = [], [], [0] * alg.nv
+    for m in modules:
+        inj = []
+        for v in range(alg.nv):
+            e = np.zeros((dims[v], m.dims[v]), dtype=np.int64)
+            e[offsets[v] : offsets[v] + m.dims[v]] = np.eye(m.dims[v], dtype=np.int64)
+            inj.append(Matrix(field, e))
+        injections.append(ModuleMap(m, total, inj))
+        projections.append(ModuleMap(total, m, [mat.transpose() for mat in inj]))
+        offsets = [o + d for o, d in zip(offsets, m.dims)]
+    return total, injections, projections
+
+
+def test_direct_sum_maps_split_the_sum_and_match_the_eager_construction():
+    alg = algebra_kA3(GF5, zero_relation=True)
+    std = standard_modules(alg)
+    cases = [[std.projectives[0]], [std.simples[0], std.simples[2]], [std.projectives[0], std.simples[1], std.projectives[0]]]
+    cases.append([Module.zero(alg), std.injectives[1], Module.zero(alg), std.projectives[2]])
+    for modules in cases:
+        total, injections, projections = direct_sum(modules)
+        want_total, want_inj, want_proj = _eager_direct_sum(modules)
+        assert total.key() == want_total.key()
+        assert len(injections) == len(projections) == len(modules)
+        # read out of order and twice: each map is built once and kept
+        for i in reversed(range(len(modules))):
+            assert _maps_equal(projections[i], want_proj[i]) and projections[i] is projections[i]
+        assert all(_maps_equal(f, g) for f, g in zip(injections, want_inj))
+        assert _maps_equal(injections[-1], want_inj[-1])
+        with pytest.raises(IndexError):
+            injections[len(modules)]
+        for (i, pi), (j, iota) in itertools.product(enumerate(projections), enumerate(injections)):
+            want = ModuleMap.identity(modules[i]) if i == j else ModuleMap.zero_map(modules[j], modules[i])
+            assert (pi @ iota).mats == want.mats
+        ident = ModuleMap.zero_map(total, total)
+        for iota, pi in zip(injections, projections):
+            ident = ident + iota @ pi
+        assert ident.mats == ModuleMap.identity(total).mats
+
+
+@pytest.mark.parametrize("session", ["kA2", "dual_numbers", "kA3_relation"])
+def test_reduced_matrices_are_owned_read_only_residues(session, monkeypatch, tmp_path):
+    """Every array wrapped without reduction is a fresh int64 array with
+    entries in [0, p), read-only once wrapped and owning its memory."""
+    import json
+    from pathlib import Path
+
+    from exactcat.cli import run_session
+
+    original = Matrix.__init__
+    wrapped = []
+
+    def checked(self, field, data, *, reduced=False):
+        original(self, field, data, reduced=reduced)
+        if reduced:
+            a = self.a
+            assert a is data and a.dtype == np.int64 and a.ndim == 2
+            assert a.base is None, "a view of another array was wrapped"
+            assert not a.flags.writeable
+            assert a.size == 0 or (a.min() >= 0 and a.max() < field.p)
+            wrapped.append(a.size)
+
+    monkeypatch.setattr(Matrix, "__init__", checked)
+    payload = json.loads((Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text())
+    code, _ = run_session(payload, tmp_path)
+    assert code == 0
+    assert len(wrapped) > 1000
