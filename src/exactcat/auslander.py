@@ -46,6 +46,7 @@ from .repmod import (
     decompose,
     descend,
     direct_sum,
+    dual_module,
     dual_std_map,
     ext_dim,
     ext_space,
@@ -59,7 +60,6 @@ from .repmod import (
     map_parts,
     minimal_presentation,
     proj_dim,
-    projective_cover,
     projective_module,
     std_map_from_coeffs,
     std_projective,
@@ -96,19 +96,23 @@ class AuslanderContext:
     """All derived data of one ground algebra: the category C = mod(Lambda),
     its endomorphism algebra, and the indecomposables on both sides."""
 
+    GAMMA_CAP = "the Gamma-side cap gamma_dim_cap"
+
     def __init__(self, algebra: Algebra, dim_cap: int = 12, gamma_dim_cap: int = 40, cutoff: int = 8, seed: int = 0):
         self.algebra = algebra
         self.cutoff = cutoff
         self.seed = seed
-        self.index = all_indecomposables(algebra, dim_cap, seed)
+        self.gamma_dim_cap = gamma_dim_cap
+        self.index = all_indecomposables(algebra, dim_cap)
         self.spec = AdditiveCategorySpec(algebra, self.index.modules)
         self.cat = CategoryContext(self.spec, self.index)
         self.ea = end_algebra(self.spec)
         self.gamma = self.ea.gamma
-        gamma_cap = "the Gamma-side cap gamma_dim_cap"
-        self.gamma_index = all_indecomposables(self.gamma, gamma_dim_cap, seed, cap_name=gamma_cap)
+        self.gamma_index = all_indecomposables(self.gamma, gamma_dim_cap, cap_name=self.GAMMA_CAP)
         self.gamma_op = self.gamma.opposite()
-        self.gop_index = all_indecomposables(self.gamma_op, gamma_dim_cap, seed, cap_name=gamma_cap)
+        # D = Hom_k(-, k) is a duality mod(Gamma) -> mod(Gamma^op): member i
+        # of this index is D of Gamma's member i
+        self.gop_index = IndecIndex(self.gamma_op, [dual_module(m) for m in self.gamma_index.modules])
         self.yoneda_ids = [
             self.gamma_index.identify(self.ea.yoneda(m)) for m in self.index.modules
         ]
@@ -268,14 +272,11 @@ class AuslanderContext:
         pres = minimal_presentation(f_mod)
         g = dual_std_map(pres.d, pres.p1, pres.p0)  # P0^ -> P1^ over the opposite algebra
         star, iota = kernel(g)
-        q0, q_cover = projective_cover(star)
-        syz, syz_incl = kernel(q_cover)
-        q1, q1_cover = projective_cover(syz)
-        dstar = syz_incl @ q1_cover  # Q1 -> Q0 over the opposite algebra
-        h = iota @ q_cover  # Q0 -> P0^
+        star_pres = minimal_presentation(star)  # d: Q1 -> Q0 over the opposite algebra
+        h = iota @ star_pres.aug  # Q0 -> P0^
         p0_dual = std_projective(g.source.algebra, pres.p0.verts)
-        h_dual = dual_std_map(h, q0, p0_dual)  # P0 -> Q0^ over the original algebra
-        k = dual_std_map(dstar, q1, q0)  # Q0^ -> Q1^ over the original algebra
+        h_dual = dual_std_map(h, star_pres.p0, p0_dual)  # P0 -> Q0^ over the original algebra
+        k = dual_std_map(star_pres.d, star_pres.p1, star_pres.p0)  # Q0^ -> Q1^ over the original algebra
         _, j = kernel(k)  # F** inside Q0^
         e0 = factor_through_mono(h_dual, j)
         # descend e0: P0 -> F** through the augmentation P0 ->> F
@@ -318,8 +319,7 @@ class AuslanderContext:
     @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
         index = self.side_index(side)
-        _, cover = projective_cover(index.modules[i])
-        syz, _ = kernel(cover)
+        syz = minimal_presentation(index.modules[i]).syz
         return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
 
     @memo(lambda self, side, z, a: (side, z, a))
@@ -547,7 +547,8 @@ class AuslanderContext:
         return report
 
     def _random_morphisms(self, ids: list[int], samples: int):
-        """Random maps between sums of two members; unique, so not memoized."""
+        """Random maps between sums of two members; unique, so not memoized.
+        The only randomized step the session seed drives."""
         rng = np.random.RandomState(self.seed)
         produced = 0
         while produced < samples and len(ids) >= 1:
@@ -785,7 +786,7 @@ class AuslanderContext:
         sub_ctx = CategoryContext(subspec)
         ea_x = end_algebra(subspec)
         gamma_x = ea_x.gamma
-        gx_index = all_indecomposables(gamma_x, 60, self.seed)
+        gx_index = all_indecomposables(gamma_x, self.gamma_dim_cap, cap_name=self.GAMMA_CAP)
 
         full = maximal_structure(sub_ctx)
         route1 = set()

@@ -59,20 +59,21 @@ class Session:
         values = {
             "dim": caps.get("dim", 12),
             "resolution": caps.get("resolution", 8),
-            "multiplicity": caps.get("multiplicity", 2),
             "seed": payload.get("seed", 0),
         }
         for name, value in values.items():
             if not _is_id(value):
                 raise SessionError(f"bad caps or seed: {name} = {value!r} is not an integer")
-        self.dim_cap, self.resolution_cutoff, self.multiplicity_bound, self.seed = values.values()
-        if min(self.dim_cap, self.resolution_cutoff, self.multiplicity_bound) <= 0:
+        self.dim_cap, self.resolution_cutoff, self.seed = values.values()
+        if min(self.dim_cap, self.resolution_cutoff) <= 0:
             raise SessionError("caps must be positive")
         if not 0 <= self.seed < SEED_LIMIT:
             raise SessionError(f"bad caps or seed: seed = {self.seed} is not in [0, 2^32)")
         self.algebra = self._load_algebra(payload)
         self.commands = self._load_commands(payload.get("commands", []))
         self.given_structures = payload.get("structures")
+        if not isinstance(self.given_structures, (list, type(None))):
+            raise SessionError("structures must be a list")
         generators = payload.get("generators", "all")
         if generators != "all" and not (
             isinstance(generators, list) and all(_is_id(i) for i in generators)
@@ -126,6 +127,8 @@ class Session:
         raise SessionError("session needs a 'quiver' or a 'table'")
 
     def _load_commands(self, raw) -> list[dict]:
+        if not isinstance(raw, list):
+            raise SessionError("commands must be a list")
         out = []
         for c in raw:
             if isinstance(c, str):
@@ -251,7 +254,7 @@ def cmd_exact_structures(session: Session, ctx: AuslanderContext, out: RunOutput
     for i, e in enumerate(structures):
         out.emit(f"  E{i}: total Ext dimension {e.total_dim()}, {len(e.subspaces)} nonzero pairs")
     if options.get("oracle"):
-        oracle = brute_force_structures(ctx.cat, session.multiplicity_bound)
+        oracle = brute_force_structures(ctx.cat)
         same = {e.key() for e in structures} == {e.key() for e in oracle}
         out.emit(f"  oracle cross-check: {'PASS' if same else 'FAIL'} ({len(oracle)} structures)")
         if not same:
@@ -277,7 +280,7 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
             out.failed = True
 
     sections = [
-        ("exact structure axioms (bounded)", lambda e: is_exact_structure(e, session.multiplicity_bound)),
+        ("exact structure axioms (bounded)", is_exact_structure),
         ("Auslander exact axioms", ctx.check_auslander_axioms),
         ("Auslander formula and localization", ctx.verify_formula_and_localization),
         ("injectives and dominant dimension", ctx.verify_injective_projective_correspondence),

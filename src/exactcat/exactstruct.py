@@ -439,9 +439,7 @@ def enumerate_exact_structures(ctx: CategoryContext) -> list[ExactStructure]:
     return sorted(out, key=lambda e: (e.total_dim(), e.key()))
 
 
-def brute_force_structures(
-    ctx: CategoryContext, multiplicity_bound: int = 2, guard: int = 100000
-) -> list[ExactStructure]:
+def brute_force_structures(ctx: CategoryContext, guard: int = 100000) -> list[ExactStructure]:
     """Independent oracle: enumerate every subspace family of the Ext bifunctor,
     keep the action-stable ones that pass the bounded axiom checker."""
     field = ctx.algebra.field
@@ -464,7 +462,7 @@ def brute_force_structures(
         e = ExactStructure(ctx, subs)
         if not _action_stable(e):
             continue
-        if is_exact_structure(e, multiplicity_bound).ok:
+        if is_exact_structure(e).ok:
             out.append(e)
     return sorted(out, key=lambda e: (e.total_dim(), e.key()))
 
@@ -483,7 +481,7 @@ def _action_stable(e: ExactStructure) -> bool:
     return True
 
 
-def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report:
+def is_exact_structure(e: ExactStructure) -> Report:
     """Bounded-but-exhaustive verification of the exact category axioms.
 
     Bifunctor (action) closure is exact.  The composition axioms R1/L1 are
@@ -493,7 +491,7 @@ def is_exact_structure(e: ExactStructure, multiplicity_bound: int = 2) -> Report
     """
     ctx = e.ctx
     report = Report("is_exact_structure")
-    report.note(f"multiplicity_bound={multiplicity_bound}; class enumeration up to scalar")
+    report.note("composition checks: indecomposable outer end terms; class enumeration up to scalar")
 
     report.add("action closure (class-level R2/L2)", _action_stable(e))
 

@@ -548,7 +548,7 @@ def _fitting_projection(field, power: np.ndarray) -> Matrix:
 # -- Krull-Schmidt decomposition ----------------------------------------------
 
 
-def _endo_candidates(end: list[ModuleMap], seed: int, p: int):
+def _endo_candidates(end: list[ModuleMap], p: int):
     """Deterministic schedule of endomorphisms to probe for splitting idempotents."""
     for f in end:
         yield f
@@ -565,7 +565,7 @@ def _endo_candidates(end: list[ModuleMap], seed: int, p: int):
             if f is not None:
                 yield f
     else:
-        rng = np.random.RandomState(seed)
+        rng = np.random.RandomState(0)
         for _ in range(300):
             coeffs = rng.randint(0, p, size=n)
             f = None
@@ -576,7 +576,7 @@ def _endo_candidates(end: list[ModuleMap], seed: int, p: int):
                 yield f
 
 
-def _splitting_idempotent(m: Module, seed: int) -> ModuleMap | None:
+def _splitting_idempotent(m: Module) -> ModuleMap | None:
     """A nontrivial idempotent endomorphism of m, or None if none is found.
 
     Probes the schedule of _endo_candidates.  For the first candidate f with
@@ -588,7 +588,7 @@ def _splitting_idempotent(m: Module, seed: int) -> ModuleMap | None:
     end = hom_basis(m, m)
     if len(end) <= 1:
         return None
-    for f in _endo_candidates(end, seed, field.p):
+    for f in _endo_candidates(end, field.p):
         shift = _least_shift(f)
         if shift is None or not any(w.any() for w in shift[1]):
             continue
@@ -599,12 +599,8 @@ def _splitting_idempotent(m: Module, seed: int) -> ModuleMap | None:
     return None
 
 
-@memo(
-    lambda m, seed=0: (m.key(), seed),
-    owner=lambda m, seed=0: m.algebra,
-    store="decompose_cache",
-)
-def decompose(m: Module, seed: int = 0) -> list[tuple[Module, ModuleMap]]:
+@memo(Module.key, owner=lambda m: m.algebra, store="decompose_cache")
+def decompose(m: Module) -> list[tuple[Module, ModuleMap]]:
     """Indecomposable summands of m, each with its inclusion map.
 
     The direct sum of the returned summands is isomorphic to m; stacking the
@@ -614,7 +610,7 @@ def decompose(m: Module, seed: int = 0) -> list[tuple[Module, ModuleMap]]:
     """
     if m.is_zero():
         return []
-    e = _splitting_idempotent(m, seed)
+    e = _splitting_idempotent(m)
     if e is None:
         _local_residue(m)
         return [(m, ModuleMap.identity(m))]
@@ -622,7 +618,7 @@ def decompose(m: Module, seed: int = 0) -> list[tuple[Module, ModuleMap]]:
     for part_map in (e, ModuleMap.identity(m) - e):
         bases = [column_space_basis(mat) for mat in part_map.mats]
         part, incl = submodule(m, bases)
-        for piece, piece_incl in decompose(part, seed):
+        for piece, piece_incl in decompose(part):
             result.append((piece, incl @ piece_incl))
     return result
 
@@ -658,7 +654,7 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
         return None
     if len(hom_basis(n, m)) != len(homs) or len(hom_basis(m, m)) != len(hom_basis(n, n)):
         return None
-    for f in _endo_candidates(homs, 0, m.algebra.field.p):
+    for f in _endo_candidates(homs, m.algebra.field.p):
         if f.is_isomorphism():
             return f
     return None
@@ -881,12 +877,15 @@ def projective_cover(m: Module) -> tuple[StdProjective, ModuleMap]:
 
 @dataclass
 class Presentation:
-    """A minimal projective presentation P1 -> P0 -> m -> 0."""
+    """A minimal projective presentation P1 -> P0 -> m -> 0, with the first
+    syzygy syz = ker(aug) it goes through: d = syz_incl o (cover of syz)."""
 
     p1: StdProjective
     p0: StdProjective
     d: ModuleMap
     aug: ModuleMap
+    syz: Module
+    syz_incl: ModuleMap
 
     @property
     def module(self) -> Module:
@@ -898,7 +897,7 @@ def minimal_presentation(m: Module) -> Presentation:
     p0, cover = projective_cover(m)
     syz, incl = kernel(cover)
     p1, cover1 = projective_cover(syz)
-    return Presentation(p1, p0, incl @ cover1, cover)
+    return Presentation(p1, p0, incl @ cover1, cover, syz, incl)
 
 
 @memo(lambda m, length: (m.key(), length), owner=lambda m, length: m.algebra)
@@ -906,19 +905,15 @@ def minimal_resolution(m: Module, length: int) -> tuple[list[StdProjective], lis
     """Minimal projective resolution P_length -> ... -> P_0 -> m -> 0.
 
     Returns (projectives, differentials d_k: P_k -> P_{k-1} for k >= 1, aug).
-    Trailing zero projectives appear once the resolution has terminated.
+    d_k is the presentation map of the (k-1)-st syzygy, so every length
+    shares the memoized presentations.  Trailing zero projectives appear once
+    the resolution has terminated.
     """
-    p0, cover = projective_cover(m)
-    projs = [p0]
-    diffs: list[ModuleMap] = []
-    current_cover = cover
-    for _ in range(length):
-        syz, incl = kernel(current_cover)
-        pk, coverk = projective_cover(syz)
-        diffs.append(incl @ coverk)
-        projs.append(pk)
-        current_cover = coverk
-    return projs, diffs, cover
+    chain = [minimal_presentation(m)]
+    while len(chain) < length:
+        chain.append(minimal_presentation(chain[-1].syz))
+    first, chain = chain[0], chain[:length]
+    return [first.p0] + [pres.p1 for pres in chain], [pres.d for pres in chain], first.aug
 
 
 def ext_dim(i: int, m: Module, n: Module) -> int:
@@ -1038,8 +1033,8 @@ class ExtSpace:
         self.alg = _algebra(z, a)
         self.z = z
         self.a = a
-        self.p0, self.cover = projective_cover(z)
-        self.syz, self.syz_incl = kernel(self.cover)
+        pres = minimal_presentation(z)
+        self.p0, self.cover, self.syz, self.syz_incl = pres.p0, pres.aug, pres.syz, pres.syz_incl
         self.hom_k = hom_basis(self.syz, a)
         restrictions = [psi @ self.syz_incl for psi in hom_basis(self.p0.module, a)]
         restricted = hom_coords(self.alg.field, restrictions, self.hom_k)
@@ -1334,8 +1329,8 @@ class IndecIndex:
         return [i for i in range(len(self.modules)) if not self.is_projective[i]]
 
 
-@memo(lambda a, dim_cap, seed=0, cap_name="dim_cap": dim_cap)
-def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0, cap_name: str = "dim_cap") -> IndecIndex:
+@memo(lambda a, dim_cap, cap_name="dim_cap": dim_cap)
+def all_indecomposables(a: Algebra, dim_cap: int, cap_name: str = "dim_cap") -> IndecIndex:
     """Enumerate the indecomposables by knitting from the projectives.
 
     The closure adds, for each known indecomposable: the summands of rad P for
@@ -1383,33 +1378,33 @@ def all_indecomposables(a: Algebra, dim_cap: int, seed: int = 0, cap_name: str =
             inj = is_inj(m)
             if proj:
                 radm, _ = radical_submodule(m)
-                for part, _ in decompose(radm, seed):
+                for part, _ in decompose(radm):
                     add(part)
             if inj:
                 radop, _ = radical_submodule(dual_module(m))
-                for part, _ in decompose(dual_module(radop), seed):
+                for part, _ in decompose(dual_module(radop)):
                     add(part)
             if not proj:
-                for part, _ in decompose(ar_translate(m), seed):
+                for part, _ in decompose(ar_translate(m)):
                     add(part)
                 ses = ar_candidate(m)
-                for part, _ in decompose(ses.mid, seed):
+                for part, _ in decompose(ses.mid):
                     add(part)
             if not inj:
-                for part, _ in decompose(ar_translate_inverse(m), seed):
+                for part, _ in decompose(ar_translate_inverse(m)):
                     add(part)
 
     index = IndecIndex(a, known)
     # validation pass: every non-projective member gets a genuine AR sequence
     for i in index.nonprojective_ids():
         ses = ar_sequence(index.modules[i], index)
-        for part, _ in decompose(ses.mid, seed):
+        for part, _ in decompose(ses.mid):
             if index.identify(part) is None:
                 raise RepmodError("validated AR sequence leaves the enumerated list")
     return index
 
 
-def brute_force_indecomposables(a: Algebra, dim_cap: int, guard: int = 300000, seed: int = 0) -> list[Module]:
+def brute_force_indecomposables(a: Algebra, dim_cap: int, guard: int = 300000) -> list[Module]:
     """Independent oracle: every indecomposable of total dimension <= dim_cap.
 
     Enumerates, for every possible top, the radical submodules of the matching
@@ -1444,7 +1439,7 @@ def brute_force_indecomposables(a: Algebra, dim_cap: int, guard: int = 300000, s
                         continue
                     in_p = [rad_incl.mats[v] @ bases[v] for v in range(a.nv)]
                     quot, _ = quotient(sp.module, in_p)
-                    for part, _ in decompose(quot, seed):
+                    for part, _ in decompose(quot):
                         add(part)
     found.sort(key=lambda m: (m.total_dim, m.dims, m.key()))
     return found

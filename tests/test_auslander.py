@@ -20,15 +20,19 @@ from exactcat.repmod import (
     ModuleMap,
     RepmodError,
     ShortExactSeq,
+    all_indecomposables,
     cokernel,
     decompose,
     direct_sum,
+    dual_module,
     ext_space,
     hom_basis,
     hom_dim,
     image,
     is_isomorphic,
     kernel,
+    minimal_presentation,
+    minimal_resolution,
     proj_dim,
     projective_cover,
     standard_modules,
@@ -539,6 +543,60 @@ def test_gamma_side_cap_names_the_gamma_cap():
         AuslanderContext(algebra_kA3(GF2, False), gamma_dim_cap=2)
     assert info.value.exit_code == 3
     assert "exceeds the Gamma-side cap gamma_dim_cap=2" in str(info.value)
+
+
+def test_restricted_description_knits_under_the_gamma_cap():
+    ctx = AuslanderContext(algebra_dual_numbers(GF2))
+    ctx.gamma_dim_cap = 1
+    with pytest.raises(repmod.CapExceeded, match="exceeds the Gamma-side cap gamma_dim_cap=1"):
+        ctx.restricted_description(range(len(ctx.index.modules)))
+
+
+def test_gamma_op_index_is_the_dual_of_the_gamma_index(kA2, dn, kA3rel):
+    """Member i of the Gamma^op index is D of Gamma's member i.  The members
+    are a knitted enumeration of mod(Gamma^op) up to isomorphism, D swaps the
+    projective and injective flags, and the AR relations of parts hold."""
+    for ctx in (kA2, dn, kA3rel):
+        gamma, gop = ctx.gamma_index, ctx.gop_index
+        assert gop.algebra is ctx.gamma_op
+        assert [m.key() for m in gop.modules] == [dual_module(m).key() for m in gamma.modules]
+        assert (gop.is_projective, gop.is_injective) == (gamma.is_injective, gamma.is_projective)
+        assert gop.is_simple == gamma.is_simple
+        knitted = all_indecomposables(ctx.gamma_op, 40)
+        ids = [gop.identify(m) for m in knitted.modules]
+        assert sorted(ids) == list(range(len(gop.modules)))
+        for k, i in enumerate(ids):
+            assert (knitted.is_projective[k], knitted.is_injective[k]) == (gop.is_projective[i], gop.is_injective[i])
+        total, _, _ = direct_sum(gop.modules)
+        assert gop.parts(total) == list(range(len(gop.modules)))
+
+
+def _old_minimal_resolution(m, length):
+    """minimal_resolution before it chained the memoized presentations."""
+    p0, cover = projective_cover(m)
+    projs, diffs, current_cover = [p0], [], cover
+    for _ in range(length):
+        syz, incl = kernel(current_cover)
+        pk, coverk = projective_cover(syz)
+        diffs.append(incl @ coverk)
+        projs.append(pk)
+        current_cover = coverk
+    return projs, diffs, cover
+
+
+def test_minimal_resolution_matches_the_old_loop_and_shares_presentations(kA2, dn, kA3rel):
+    for ctx in (kA2, dn, kA3rel):
+        for m in ctx.gamma_index.modules:
+            projs, diffs, aug = minimal_resolution(m, 9)
+            old_projs, old_diffs, old_aug = _old_minimal_resolution(m, 9)
+            assert [q.verts for q in projs] == [q.verts for q in old_projs]
+            assert [q.module.key() for q in projs] == [q.module.key() for q in old_projs]
+            assert [d.mats for d in diffs] == [d.mats for d in old_diffs]
+            assert aug.mats == old_aug.mats
+            short = minimal_resolution(m, 2)
+            assert all(a is b for a, b in zip(short[0] + short[1], projs[:3] + diffs[:2])) and short[2] is aug
+            pres = minimal_presentation(m)
+            assert diffs[0] is pres.d and diffs[1] is minimal_presentation(pres.syz).d
 
 
 # -- the extension and syzygy closure loops before they shared one helper (test-side copies) --

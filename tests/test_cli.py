@@ -183,10 +183,12 @@ def test_malformed_session():
         ({"seed": "1"}, "seed = '1' is not an integer"),
         ({"caps": {"dim": 2.5}}, "dim = 2.5 is not an integer"),
         ({"caps": {"resolution": False}}, "resolution = False is not an integer"),
-        ({"caps": {"multiplicity": 2.0}}, "multiplicity = 2.0 is not an integer"),
         ({"caps": [12]}, "caps must be an object"),
         ({"p": 2.0}, "p = 2.0 is not an integer"),
         ({"p": True}, "p = True is not an integer"),
+        ({"commands": 5}, "commands must be a list"),
+        ({"commands": "verify"}, "commands must be a list"),
+        ({"structures": 5}, "structures must be a list"),
     ],
     ids=[
         "seed_negative",
@@ -197,16 +199,22 @@ def test_malformed_session():
         "seed_string",
         "dim_float",
         "resolution_bool",
-        "multiplicity_float",
         "caps_list",
         "p_float",
         "p_bool",
+        "commands_int",
+        "commands_string",
+        "structures_int",
     ],
 )
-def test_non_integer_or_out_of_range_settings_exit_2(extra, message):
+def test_non_integer_or_out_of_range_settings_exit_2(monkeypatch, extra, message):
     """JSON integers only (no floats, strings or booleans) for p, caps and
-    seed, and a seed numpy accepts; rejected before any context is built."""
-    code, out = run_session(session_kA2(["verify"], **extra), None)
+    seed, a seed numpy accepts, and lists of commands and structures;
+    rejected before any context is built."""
+    monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
+    payload = session_kA2(["verify"])
+    payload.update(extra)
+    code, out = run_session(payload, None)
     assert code == EXIT_INPUT
     assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)
 
@@ -269,6 +277,23 @@ def test_determinism(tmp_path):
     run_session(json.loads(json.dumps(payload)), d2)
     for name in ("report.txt", "report.json", "ar_quiver.dot", "structures.dot"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("session", ["kA2", "dual_numbers", "kA3_relation"])
+def test_reports_do_not_depend_on_the_seed(tmp_path, session):
+    """The seed drives only the sampled morphisms of verify: every output file
+    is byte-identical at any seed."""
+    text = (Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text()
+    outputs = []
+    for seed in (0, 1, 7):
+        payload = json.loads(text)
+        payload["seed"] = seed
+        assert "verify" in payload["commands"]
+        code, _ = run_session(payload, tmp_path / str(seed))
+        assert code == EXIT_OK
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / str(seed)).iterdir()})
+    assert {"report.txt", "report.json", "ar_quiver.dot", "structures.dot"} <= set(outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_main_entry_point(tmp_path):

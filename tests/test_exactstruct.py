@@ -301,7 +301,7 @@ def test_unchosen_ar_classes_stay_out(kA3_ctx):
 def test_is_exact_structure_reports(kA2_ctx):
     ctx = kA2_ctx
     for e in enumerate_exact_structures(ctx):
-        report = is_exact_structure(e, multiplicity_bound=2)
+        report = is_exact_structure(e)
         assert report.ok, [i.label for i in report.failures()]
 
 
@@ -392,7 +392,7 @@ def test_componentwise_classes_of_direct_sum_sequence(kA2_ctx):
 
 def test_all_generated_structures_pass_axioms_kA3(kA3_ctx):
     for e in enumerate_exact_structures(kA3_ctx):
-        report = is_exact_structure(e, multiplicity_bound=2)
+        report = is_exact_structure(e)
         assert report.ok, [i.label for i in report.failures()]
 
 
@@ -415,12 +415,12 @@ def test_action_stable_family_can_fail_composition(kA3_ctx):
         subs[(z, a)] = Matrix(ctx.algebra.field, np.array(vec).reshape(1, -1))
     bad = ExactStructure(ctx, subs)
     assert _action_stable(bad)
-    report = is_exact_structure(bad, multiplicity_bound=2)
+    report = is_exact_structure(bad)
     assert not report.ok
     # the honest generation includes the forced third pair and passes
     good = generate_from_ar_subset(ctx, [long_mod, mid_simple])
     assert bad.total_dim() < good.total_dim()
-    assert is_exact_structure(good, multiplicity_bound=2).ok
+    assert is_exact_structure(good).ok
 
 
 def test_brute_force_guard():
