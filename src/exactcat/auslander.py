@@ -42,11 +42,13 @@ from .repmod import (
     RepmodError,
     ShortExactSeq,
     all_indecomposables,
+    block_map,
     cokernel,
     decompose,
     descend,
     direct_sum,
     dual_module,
+    dual_presentation,
     dual_std_map,
     ext_dim,
     ext_space,
@@ -183,7 +185,7 @@ class AuslanderContext:
                 continue
             if all(hom_dim(f_mod, self.gamma_module(y)) == 0 for y in self.yoneda_ids):
                 perp.add(i)
-            if self._embeds_in_representable(f_mod):
+            if self._left_approximation(f_mod, [self.gamma_module(y) for y in self.yoneda_ids]).is_injective():
                 cogen.add(i)
         return SubcategoryQuad(
             SubcategorySpec("gamma", frozenset(eff), "eff"),
@@ -192,18 +194,6 @@ class AuslanderContext:
             SubcategorySpec("gamma", frozenset(perp), "perpP"),
             SubcategorySpec("gamma", frozenset(infl), "restricted"),
         )
-
-    def _embeds_in_representable(self, f_mod: Module) -> bool:
-        maps = []
-        for y in self.yoneda_ids:
-            maps.extend(hom_basis(f_mod, self.gamma_module(y)))
-        if not maps:
-            return f_mod.is_zero()
-        for v in range(self.gamma.nv):
-            stacked = np.vstack([m.mats[v].a for m in maps])
-            if rank(Matrix(self.gamma.field, stacked)) < f_mod.dims[v]:
-                return False
-        return True
 
     # -- torsion ------------------------------------------------------------------
 
@@ -263,20 +253,18 @@ class AuslanderContext:
     def star_dual(self, f_mod: Module) -> Module:
         """F^* = ker of the Hom(-, Gamma) dual of the presentation (a module
         over the opposite side)."""
-        pres = minimal_presentation(f_mod)
-        star, _ = kernel(dual_std_map(pres.d, pres.p1, pres.p0))
-        return star
+        return kernel(dual_presentation(f_mod))[0]
 
     def evaluation_map(self, f_mod: Module) -> ModuleMap:
         """The natural map F -> F** with its per-vertex matrices."""
         pres = minimal_presentation(f_mod)
-        g = dual_std_map(pres.d, pres.p1, pres.p0)  # P0^ -> P1^ over the opposite algebra
+        g = dual_presentation(f_mod)  # P0^ -> P1^ over the opposite algebra
         star, iota = kernel(g)
         star_pres = minimal_presentation(star)  # d: Q1 -> Q0 over the opposite algebra
         h = iota @ star_pres.aug  # Q0 -> P0^
         p0_dual = std_projective(g.source.algebra, pres.p0.verts)
         h_dual = dual_std_map(h, star_pres.p0, p0_dual)  # P0 -> Q0^ over the original algebra
-        k = dual_std_map(star_pres.d, star_pres.p1, star_pres.p0)  # Q0^ -> Q1^ over the original algebra
+        k = dual_presentation(star)  # Q0^ -> Q1^ over the original algebra
         _, j = kernel(k)  # F** inside Q0^
         e0 = factor_through_mono(h_dual, j)
         # descend e0: P0 -> F** through the augmentation P0 ->> F
@@ -577,31 +565,19 @@ class AuslanderContext:
             z for z in range(n) if all(e.subspace(z, a).rows == 0 for a in range(n))
         )
 
-    def _left_approximation(self, m: Module, targets: list[Module]) -> tuple[Module, ModuleMap] | None:
-        maps = []
-        for t in targets:
-            maps.extend(hom_basis(m, t))
-        if not maps:
-            return None
-        total, injections, _ = direct_sum([f.target for f in maps])
-        u = None
-        for f, inj in zip(maps, injections):
-            term = inj @ f
-            u = term if u is None else u + term
-        return total, u
+    def _left_approximation(self, m: Module, targets: list[Module]) -> ModuleMap:
+        """The map from m into one copy of t per Hom-basis map m -> t, over
+        the targets t; the zero map into zero when there is none."""
+        maps = [f for t in targets for f in hom_basis(m, t)]
+        total = direct_sum([f.target for f in maps])[0] if maps else Module.zero(m.algebra)
+        return block_map(m, total, [[f] for f in maps])
 
-    def _right_approximation(self, m: Module, sources: list[Module]) -> tuple[Module, ModuleMap] | None:
-        maps = []
-        for s in sources:
-            maps.extend(hom_basis(s, m))
-        if not maps:
-            return None
-        total, _, projections = direct_sum([f.source for f in maps])
-        u = None
-        for f, proj in zip(maps, projections):
-            term = f @ proj
-            u = term if u is None else u + term
-        return total, u
+    def _right_approximation(self, m: Module, sources: list[Module]) -> ModuleMap:
+        """The map into m from one copy of s per Hom-basis map s -> m, over
+        the sources s; the zero map from zero when there is none."""
+        maps = [f for s in sources for f in hom_basis(s, m)]
+        total = direct_sum([f.source for f in maps])[0] if maps else Module.zero(m.algebra)
+        return block_map(total, m, [maps])
 
     def has_enough_injectives(self, e: ExactStructure) -> bool:
         """Every object admits an inflation into a sum of e-injectives; by the
@@ -611,11 +587,7 @@ class AuslanderContext:
         for z in self.index.modules:
             if z.is_zero():
                 continue
-            approx = self._left_approximation(z, inj)
-            if approx is None:
-                return False
-            _, u = approx
-            if "inflation" not in classify_morphism(u, e):
+            if "inflation" not in classify_morphism(self._left_approximation(z, inj), e):
                 return False
         return True
 
@@ -624,11 +596,7 @@ class AuslanderContext:
         for z in self.index.modules:
             if z.is_zero():
                 continue
-            approx = self._right_approximation(z, proj)
-            if approx is None:
-                return False
-            _, u = approx
-            if "deflation" not in classify_morphism(u, e):
+            if "deflation" not in classify_morphism(self._right_approximation(z, proj), e):
                 return False
         return True
 
@@ -653,10 +621,7 @@ class AuslanderContext:
             for _ in range(n):
                 if current.is_zero():
                     break
-                approx = self._left_approximation(current, pi_mods)
-                if approx is None:
-                    return False
-                total, u = approx
+                u = self._left_approximation(current, pi_mods)
                 if not u.is_injective():
                     return False
                 cok, _ = cokernel(u)
@@ -730,11 +695,7 @@ class AuslanderContext:
             # the image of the right approximation u of F_i is the trace of
             # p_set in F_i, and u's epi part is a right approximation of the
             # trace, whose kernel is that of u
-            approx = self._right_approximation(self.gamma_module(i), p_set)
-            if approx is None:
-                trace, ker_u, quot = frozenset(), frozenset(), frozenset({i})
-            else:
-                trace, ker_u, quot = self._map_summand_ids(approx[1])
+            trace, ker_u, quot = self._map_summand_ids(self._right_approximation(self.gamma_module(i), p_set))
             if not (quot <= eff and trace <= smodad and ker_u <= smodad):
                 return False
         return True

@@ -44,14 +44,13 @@ from .repmod import (
     RepmodError,
     ShortExactSeq,
     ar_sequence,
+    block_map,
     cokernel,
     decompose,
-    decompose_iso,
     direct_sum,
     ext_space,
     factor_through_mono,
     hom_basis,
-    inverse_map,
     is_isomorphic,
     kernel,
     lift_through_epi,
@@ -277,87 +276,71 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
     """The classes (z_id, a_id, vector) of a short exact sequence along the
     indecomposable summands of its end terms.  Raises if an end term leaves
     the category.  The classes do not depend on an exact structure, so each
-    sequence is classified once per context."""
+    sequence is classified once per context.
+
+    The subobject side is one block map from the sum of the representatives:
+    block j is ses.i o incl_j o iso(rep_j -> part_j).  On the quotient side
+    the cover of rep_k, taken through iso(rep_k -> part_k) and incl_k, lifts
+    straight through ses.p; the vector does not depend on the lift, as
+    coords_of_homs reduces modulo the maps that factor through the cover."""
     sub_parts = ctx.parts(ses.sub)
     quot_parts = ctx.parts(ses.quot)
     if sub_parts is None or quot_parts is None:
         raise ExactstructError("end terms do not lie in the category")
     if not sub_parts or not quot_parts:
         return []
-    # conjugate both end terms onto direct sums of the chosen representatives
-    _, _, sub_proj = direct_sum([ctx.objects[oid] for oid, _, _ in sub_parts])
-    sub_conj = None
-    for (oid, part, incl), proj in zip(sub_parts, sub_proj):
-        iso = is_isomorphic(ctx.objects[oid], part)
-        term = ses.i @ incl @ iso @ proj
-        sub_conj = term if sub_conj is None else sub_conj + term
-
-    _, quot_inj, _ = direct_sum([ctx.objects[oid] for oid, _, _ in quot_parts])
-    assembly = decompose_iso(ses.quot, [(part, incl) for _, part, incl in quot_parts])
-    to_parts = inverse_map(assembly)  # quot -> sum of the literal parts
-    _, _, part_proj = direct_sum([part for _, part, _ in quot_parts])
-    quot_conj = None
-    for k, ((oid, part, _), sel) in enumerate(zip(quot_parts, part_proj)):
-        iso = is_isomorphic(part, ctx.objects[oid])
-        term = quot_inj[k] @ iso @ sel @ to_parts
-        quot_conj = term if quot_conj is None else quot_conj + term
-    quot_conj = quot_conj @ ses.p  # mid -> sum of representatives
-
+    reps = [ctx.objects[oid] for oid, _, _ in sub_parts]
+    reps_sum, _, sub_proj = direct_sum(reps)
+    into_mid = [ses.i @ incl @ is_isomorphic(rep, part) for rep, (_, part, incl) in zip(reps, sub_parts)]
+    sub_conj = block_map(reps_sum, ses.mid, [into_mid])
     out = []
-    for k, (zid, _, _) in enumerate(quot_parts):
+    for zid, part, incl in quot_parts:
         zk = ctx.objects[zid]
-        espaces = [ext_space(zk, ctx.objects[aid]) for aid, _, _ in sub_parts]
-        cover = espaces[0].cover
-        syz_incl = espaces[0].syz_incl
-        lam = lift_through_epi(quot_inj[k] @ cover, quot_conj)
-        phi = factor_through_mono(lam @ syz_incl, sub_conj)
-        for j, (aid, _, _) in enumerate(sub_parts):
-            out.append((zid, aid, espaces[j].coords_of_homs([sub_proj[j] @ phi]).a[:, 0]))
+        espaces = [ext_space(zk, rep) for rep in reps]
+        lam = lift_through_epi(incl @ is_isomorphic(zk, part) @ espaces[0].cover, ses.p)
+        phi = factor_through_mono(lam @ espaces[0].syz_incl, sub_conj)
+        for (aid, _, _), proj, space in zip(sub_parts, sub_proj, espaces):
+            out.append((zid, aid, space.coords_of_homs([proj @ phi]).a[:, 0]))
     return out
 
 
 def is_conflation(ses: ShortExactSeq, e: ExactStructure) -> bool:
     """Does the short exact sequence belong to the structure?  All three terms
     must lie in add(M) and every componentwise class must be in the family."""
-    classes = _sequence_classes(e.ctx, ses)
-    return classes is not None and e.contains_all(classes)
-
-
-def _sequence_classes(ctx: CategoryContext, ses: ShortExactSeq) -> tuple | None:
-    """The componentwise classes of a sequence; None when it is not short exact."""
     try:
         ses.validate()
     except RepmodError:
-        return None
-    if not ctx.contains(ses.mid):
+        return False
+    if not e.ctx.contains(ses.mid):
         raise ExactstructError("middle term does not lie in the category")
-    return tuple(componentwise_classes(ctx, ses))
+    return e.contains_all(componentwise_classes(e.ctx, ses))
 
 
 def morphism_classes(ctx: CategoryContext, f: ModuleMap) -> dict[str, tuple]:
     """For each kind in {"inflation", "deflation", "admissible"} that f can
     have in some exact structure, the componentwise classes of the sequences
     the kind needs: f is of that kind in e exactly when e contains them all.
-    None of this depends on a structure, so callers compute it once per map."""
+    None of this depends on a structure, so callers compute it once per map.
+    The sequences come from map_parts, so they are exact, and their middle
+    terms are f's endpoints, checked first."""
     if not (ctx.contains(f.source) and ctx.contains(f.target)):
         raise ExactstructError("endpoints do not lie in the category")
     parts = map_parts(f)
     kernel_in = ctx.contains(parts.kernel)
     cokernel_in = ctx.contains(parts.cokernel)
+
+    def classes(i: ModuleMap, p: ModuleMap) -> tuple:
+        return tuple(componentwise_classes(ctx, ShortExactSeq(i, p)))
+
     out: dict[str, tuple] = {}
     if parts.cokernel.is_zero() and kernel_in:  # f is onto
-        deflation = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, f))
-        if deflation is not None:
-            out["deflation"] = deflation
+        out["deflation"] = classes(parts.kernel_inclusion, f)
     if parts.kernel.is_zero() and cokernel_in:  # f is one-to-one
-        inflation = _sequence_classes(ctx, ShortExactSeq(f, parts.cokernel_projection))
-        if inflation is not None:
-            out["inflation"] = inflation
-    if ctx.contains(parts.image):
-        epi = _sequence_classes(ctx, ShortExactSeq(parts.kernel_inclusion, parts.epi_part)) if kernel_in else None
-        mono = _sequence_classes(ctx, ShortExactSeq(parts.mono_part, parts.cokernel_projection)) if cokernel_in else None
-        if epi is not None and mono is not None:
-            out["admissible"] = epi + mono
+        out["inflation"] = classes(f, parts.cokernel_projection)
+    if kernel_in and cokernel_in and ctx.contains(parts.image):
+        out["admissible"] = classes(parts.kernel_inclusion, parts.epi_part) + classes(
+            parts.mono_part, parts.cokernel_projection
+        )
     return out
 
 

@@ -9,6 +9,7 @@ transported presentation morphism.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,14 @@ from .repmod import (
     Presentation,
     StdProjective,
     _local_residue,
+    block_map,
     cokernel,
     coeffs_of_std_map,
     descend,
     direct_sum,
     hom_basis,
     hom_coords,
+    hom_from_coords,
     inverse_map,
     is_isomorphic,
     lift_through_epi,
@@ -155,29 +158,25 @@ class EndAlgebra:
     # -- transport of projective maps back to add(M) ---------------------------
 
     @memo(lambda self, verts: tuple(verts))
-    def sum_of_generators(self, verts) -> tuple[Module, tuple[ModuleMap, ...], tuple[ModuleMap, ...]]:
-        """The direct sum of the generators at verts with its injections and
-        projections, remembered per verts tuple."""
+    def sum_of_generators(self, verts) -> tuple[Module, Sequence[ModuleMap], Sequence[ModuleMap]]:
+        """The direct sum of the generators at verts with its lazy injections
+        and projections, remembered per verts tuple."""
         mods = [self.spec.generators[v] for v in verts]
         if not mods:
             return Module.zero(self.spec.algebra), (), ()
-        total, injections, projections = direct_sum(mods)
-        return total, tuple(injections), tuple(projections)
+        return direct_sum(mods)
 
     def unyoneda_std(self, d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
-        """The map f in add(M) with yoneda(f) = d, for d between standard projectives."""
+        """The map f in add(M) with yoneda(f) = d, for d between standard
+        projectives: block (t, s) is the combination coeffs[t, s] of the
+        dictionary maps M_{p1.verts[s]} -> M_{p0.verts[t]}."""
         coeffs = coeffs_of_std_map(d, p1, p0)
-        src, _, src_proj = self.sum_of_generators(p1.verts)
-        tgt, tgt_inj, _ = self.sum_of_generators(p0.verts)
-        f = ModuleMap.zero_map(src, tgt)
-        for t in range(len(p0.verts)):
-            for s in range(len(p1.verts)):
-                x = coeffs[t, s]
-                for b in np.nonzero(x)[0]:
-                    phi = self.dictionary[int(b)]  # M_{p1.verts[s]} -> M_{p0.verts[t]}
-                    term = tgt_inj[t] @ phi @ src_proj[s]
-                    f = f + term.scale(int(x[b]))
-        return f
+        gens = self.spec.generators
+        blocks = [
+            [hom_from_coords(coeffs[t, s], self.dictionary, gens[v], gens[u]) for s, v in enumerate(p1.verts)]
+            for t, u in enumerate(p0.verts)
+        ]
+        return block_map(self.sum_of_generators(p1.verts)[0], self.sum_of_generators(p0.verts)[0], blocks)
 
     def canonical_std_iso(self, verts) -> tuple[Module, ModuleMap]:
         """yoneda(sum of M_v) with its canonical isomorphism onto the standard projective.

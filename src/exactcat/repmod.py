@@ -219,15 +219,22 @@ class SumMaps(Sequence):
         return self._maps[i]
 
 
+def _offsets(dims: list, nv: int) -> list[list[int]]:
+    """offsets[i][v]: where summand i of a sum with the given dimension
+    vectors starts at vertex v; offsets[-1] is the dimension vector of the sum."""
+    out = [[0] * nv]
+    for d in dims:
+        out.append([o + k for o, k in zip(out[-1], d)])
+    return out
+
+
 def direct_sum(modules: list[Module]) -> tuple[Module, SumMaps, SumMaps]:
     """Direct sum with its injections and projections."""
     if not modules:
         raise RepmodError("direct sum of no modules needs an algebra; use Module.zero")
     alg = modules[0].algebra
     field = alg.field
-    offsets = [[0] * alg.nv]  # offsets[i][v]: where summand i starts at vertex v
-    for m in modules:
-        offsets.append([o + d for o, d in zip(offsets[-1], m.dims)])
+    offsets = _offsets([m.dims for m in modules], alg.nv)
     dims = offsets[-1]
     act = {}
     for b in alg.radical_indices:
@@ -250,6 +257,30 @@ def direct_sum(modules: list[Module]) -> tuple[Module, SumMaps, SumMaps]:
     injections = SumMaps(lambda i: ModuleMap(modules[i], total, unit_blocks(i, False)), len(modules))
     projections = SumMaps(lambda i: ModuleMap(total, modules[i], unit_blocks(i, True)), len(modules))
     return total, injections, projections
+
+
+def block_map(source: Module, target: Module, blocks: list[list[ModuleMap]]) -> ModuleMap:
+    """The map between direct sums whose block (t, s), from the s-th summand
+    of source to the t-th summand of target, is blocks[t][s]: a zero array per
+    vertex with the blocks' reduced entries copied in at their offsets, so no
+    rows, or rows of no blocks, give the zero map.  The blocks of a column
+    share their source and those of a row their target, and these add up to
+    source and target; raises RepmodError otherwise."""
+    alg = source.algebra
+    mats = [np.zeros((target.dims[v], source.dims[v]), dtype=np.int64) for v in range(alg.nv)]
+    if blocks and blocks[0]:
+        col_dims = [f.source.dims for f in blocks[0]]
+        row_dims = [line[0].target.dims for line in blocks]
+        cols, rows = _offsets(col_dims, alg.nv), _offsets(row_dims, alg.nv)
+        if tuple(cols[-1]) != source.dims or tuple(rows[-1]) != target.dims:
+            raise RepmodError("blocks do not add up to the source and target")
+        for t, line in enumerate(blocks):
+            if [f.source.dims for f in line] != col_dims or any(f.target.dims != row_dims[t] for f in line):
+                raise RepmodError(f"blocks of row {t} do not match their row and columns")
+            for s, f in enumerate(line):
+                for v, (out, mat) in enumerate(zip(mats, f.mats)):
+                    out[rows[t][v] : rows[t + 1][v], cols[s][v] : cols[s + 1][v]] = mat.a
+    return ModuleMap(source, target, [Matrix(alg.field, out, reduced=True) for out in mats])
 
 
 def _hom_system(m: Module, n: Module) -> tuple[Matrix, np.ndarray]:
@@ -324,11 +355,11 @@ def hom_from_coords(coords, basis: list[ModuleMap], source: Module, target: Modu
     each term is below p^2 < 2^32."""
     p = source.algebra.field.p
     sums = [np.zeros((target.dims[v], source.dims[v]), dtype=np.int64) for v in range(source.algebra.nv)]
-    for c, b in zip(np.asarray(coords).reshape(-1), basis):
-        c = int(c) % p
-        if c:
-            for acc, mat in zip(sums, b.mats):
-                acc += c * mat.a
+    coords = np.asarray(coords).reshape(-1)
+    for i in np.flatnonzero(coords % p):
+        c = int(coords[i]) % p
+        for acc, mat in zip(sums, basis[i].mats):
+            acc += c * mat.a
     for acc in sums:
         acc %= p
     return ModuleMap(source, target, [Matrix(source.algebra.field, acc, reduced=True) for acc in sums])
@@ -624,14 +655,9 @@ def decompose(m: Module) -> list[tuple[Module, ModuleMap]]:
 
 
 def decompose_iso(m: Module, parts: list[tuple[Module, ModuleMap]]) -> ModuleMap:
-    """The isomorphism (direct sum of parts) -> m assembled from the inclusions."""
-    if not parts:
-        return ModuleMap.zero_map(Module.zero(m.algebra), m)
-    _, _, projections = direct_sum([p for p, _ in parts])
-    f = None
-    for (_, incl), proj in zip(parts, projections):
-        term = incl @ proj
-        f = term if f is None else f + term
+    """The isomorphism (direct sum of parts) -> m whose blocks are the inclusions."""
+    total = direct_sum([p for p, _ in parts])[0] if parts else Module.zero(m.algebra)
+    f = block_map(total, m, [[incl for _, incl in parts]])
     if not f.is_isomorphism():
         raise RepmodError("decompose produced a non-isomorphism")
     return f
@@ -900,6 +926,14 @@ def minimal_presentation(m: Module) -> Presentation:
     return Presentation(p1, p0, incl @ cover1, cover, syz, incl)
 
 
+def dual_presentation(m: Module) -> ModuleMap:
+    """The Hom(-, A)-dual P0^ -> P1^ of the minimal presentation of m, over
+    the opposite algebra: its cokernel is the transpose of m, its kernel
+    m^* = Hom(m, A)."""
+    pres = minimal_presentation(m)
+    return dual_std_map(pres.d, pres.p1, pres.p0)
+
+
 @memo(lambda m, length: (m.key(), length), owner=lambda m, length: m.algebra)
 def minimal_resolution(m: Module, length: int) -> tuple[list[StdProjective], list[ModuleMap], ModuleMap]:
     """Minimal projective resolution P_length -> ... -> P_0 -> m -> 0.
@@ -1003,8 +1037,7 @@ def transpose_module(m: Module) -> Module:
     Computed by applying Hom(-, A) to a minimal projective presentation; with
     minimal presentations the transpose of a projective is exactly zero.
     """
-    pres = minimal_presentation(m)
-    return cokernel(dual_std_map(pres.d, pres.p1, pres.p0))[0]
+    return cokernel(dual_presentation(m))[0]
 
 
 def ar_translate(z: Module) -> Module:
@@ -1062,13 +1095,12 @@ class ExtSpace:
     def realize(self, coords) -> ShortExactSeq:
         """A short exact sequence 0 -> a -> E -> z -> 0 with the given class."""
         phi = self.lift(coords)
-        field = self.alg.field
-        _, (inj_a, inj_p), projections = direct_sum([self.a, self.p0.module])
-        proj_p = projections[1]
-        kappa = (inj_a @ phi.scale(field.p - 1)) + (inj_p @ self.syz_incl)
+        total, injections, _ = direct_sum([self.a, self.p0.module])
+        kappa = block_map(self.syz, total, [[phi.scale(self.alg.field.p - 1)], [self.syz_incl]])
         _, proj = cokernel(kappa)
         # the deflation E -> z is induced by (0, cover) on a + P0
-        ses = ShortExactSeq(proj @ inj_a, descend(self.cover @ proj_p, proj))
+        deflation = block_map(total, self.z, [[ModuleMap.zero_map(self.a, self.z), self.cover]])
+        ses = ShortExactSeq(proj @ injections[0], descend(deflation, proj))
         ses.validate()
         return ses
 

@@ -31,16 +31,32 @@ from exactcat.exactstruct import (
     split_structure,
 )
 from exactcat.functorcat import AdditiveCategorySpec
-from exactcat.linalg import FieldPrime, Matrix, kernel_basis, line_representative, subspace_lines, vstack
+from exactcat.linalg import (
+    FieldPrime,
+    Matrix,
+    inverse,
+    is_invertible,
+    kernel_basis,
+    line_representative,
+    subspace_lines,
+    vstack,
+)
 from exactcat.repmod import (
     ExtSpace,
+    Module,
     ModuleMap,
     ShortExactSeq,
     all_indecomposables,
     ar_sequence,
+    decompose_iso,
     direct_sum,
     ext_space,
+    factor_through_mono,
     hom_basis,
+    hom_from_coords,
+    inverse_map,
+    is_isomorphic,
+    lift_through_epi,
     map_parts,
     standard_modules,
 )
@@ -388,6 +404,141 @@ def test_componentwise_classes_of_direct_sum_sequence(kA2_ctx):
     classes = componentwise_classes(ctx, ShortExactSeq(i, p))
     nonzero = [c for c in classes if c[2].any()]
     assert len(nonzero) == 1
+
+
+def _summed_conjugation_classes(ctx, ses):
+    """componentwise_classes as it was computed before block_map: both end
+    terms conjugated onto sums of the representatives by summed terms, the
+    quotient side through the inverse of decompose_iso."""
+    sub_parts = ctx.parts(ses.sub)
+    quot_parts = ctx.parts(ses.quot)
+    if not sub_parts or not quot_parts:
+        return []
+    _, _, sub_proj = direct_sum([ctx.objects[oid] for oid, _, _ in sub_parts])
+    sub_conj = None
+    for (oid, part, incl), proj in zip(sub_parts, sub_proj):
+        term = ses.i @ incl @ is_isomorphic(ctx.objects[oid], part) @ proj
+        sub_conj = term if sub_conj is None else sub_conj + term
+    _, quot_inj, _ = direct_sum([ctx.objects[oid] for oid, _, _ in quot_parts])
+    to_parts = inverse_map(decompose_iso(ses.quot, [(part, incl) for _, part, incl in quot_parts]))
+    _, _, part_proj = direct_sum([part for _, part, _ in quot_parts])
+    quot_conj = None
+    for k, ((oid, part, _), sel) in enumerate(zip(quot_parts, part_proj)):
+        term = quot_inj[k] @ is_isomorphic(part, ctx.objects[oid]) @ sel @ to_parts
+        quot_conj = term if quot_conj is None else quot_conj + term
+    quot_conj = quot_conj @ ses.p
+    out = []
+    for k, (zid, _, _) in enumerate(quot_parts):
+        espaces = [ext_space(ctx.objects[zid], ctx.objects[aid]) for aid, _, _ in sub_parts]
+        lam = lift_through_epi(quot_inj[k] @ espaces[0].cover, quot_conj)
+        phi = factor_through_mono(lam @ espaces[0].syz_incl, sub_conj)
+        for j, (aid, _, _) in enumerate(sub_parts):
+            out.append((zid, aid, espaces[j].coords_of_homs([sub_proj[j] @ phi]).a[:, 0]))
+    return out
+
+
+def _sum_of_sequences(first: ShortExactSeq, second: ShortExactSeq) -> ShortExactSeq:
+    _, sub_inj, sub_proj = direct_sum([first.sub, second.sub])
+    _, mid_inj, mid_proj = direct_sum([first.mid, second.mid])
+    _, quot_inj, quot_proj = direct_sum([first.quot, second.quot])
+    i = mid_inj[0] @ first.i @ sub_proj[0] + mid_inj[1] @ second.i @ sub_proj[1]
+    p = quot_inj[0] @ first.p @ mid_proj[0] + quot_inj[1] @ second.p @ mid_proj[1]
+    return ShortExactSeq(i, p)
+
+
+def _change_of_basis(m: Module, rng) -> ModuleMap:
+    """An isomorphism from m onto m written in a random basis per vertex."""
+    field = m.algebra.field
+    mats = []
+    for d in m.dims:
+        while True:
+            t = Matrix(field, rng.randint(0, field.p, size=(d, d)))
+            if is_invertible(t):
+                break
+        mats.append(t)
+    act = {b: mats[m.algebra.right[b]] @ a @ inverse(mats[m.algebra.left[b]]) for b, a in m.act.items()}
+    return ModuleMap(m, Module(m.algebra, m.dims, act), mats)
+
+
+def _in_random_bases(ses: ShortExactSeq, rng) -> ShortExactSeq:
+    """The sequence with its end terms written in random bases, so that their
+    summands are not literally the representatives of the category."""
+    s, t = _change_of_basis(ses.sub, rng), _change_of_basis(ses.quot, rng)
+    return ShortExactSeq(ses.i @ inverse_map(s), t @ ses.p)
+
+
+KX3_GF2 = QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x",) * 3)]], 3)
+
+SMALL_ALGEBRAS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: algebra_kA3(GF5, zero_relation=False),
+        lambda: algebra_dual_numbers(FieldPrime(3)),
+        lambda: build_from_quiver(KX3_GF2),
+        lambda: algebra_kA3(GF2, zero_relation=True),
+    ],
+    ids=["kA3_gf5", "dual_numbers_gf3", "kx3_gf2", "kA3_relation"],
+)
+
+
+@SMALL_ALGEBRAS
+def test_componentwise_classes_match_the_summed_conjugation(make):
+    """The block_map subobject side and the lift of the quotient-side cover
+    straight through ses.p give the classes of the summed conjugation: on
+    every line (and the zero class) of every Ext^1 between members, on the
+    sum of each such sequence with itself (a repeated summand) and with the
+    next one, and on all of these with their end terms in random bases."""
+    ctx = make_ctx(make())
+    field = ctx.algebra.field
+    seqs = []
+    for z, a in itertools.product(range(len(ctx.objects)), repeat=2):
+        space = ctx.ext(z, a)
+        if space.dim == 0:
+            continue
+        lines, exhaustive = subspace_lines(Matrix.identity(field, space.dim), 1000)
+        assert exhaustive
+        seqs += [space.realize(vec) for vec in lines + [np.zeros(space.dim, dtype=np.int64)]]
+    assert seqs
+    sums = [_sum_of_sequences(s, s) for s in seqs] + [_sum_of_sequences(s, t) for s, t in zip(seqs, seqs[1:])]
+    rng = np.random.RandomState(0)
+    for ses in seqs + sums + [_in_random_bases(ses, rng) for ses in seqs + sums]:
+        got = componentwise_classes(ctx, ses)
+        want = _summed_conjugation_classes(ctx, ses)
+        assert [(z, a, v.tolist()) for z, a, v in got] == [(z, a, v.tolist()) for z, a, v in want]
+    assert any(len(ctx.parts(ses.quot)) == 2 and c[2].any() for ses in sums for c in componentwise_classes(ctx, ses))
+
+
+@SMALL_ALGEBRAS
+def test_morphism_classes_classify_exact_sequences_on_the_endpoints(make, monkeypatch):
+    """Every sequence morphism_classes hands to componentwise_classes is short
+    exact and has f's source or target as its middle term, which is why it
+    validates none of them."""
+    ctx = make_ctx(make())
+    seen = []
+    classify = exactstruct.componentwise_classes
+
+    def recording(c, ses):
+        seen.append(ses)
+        return classify(c, ses)
+
+    monkeypatch.setattr(exactstruct, "componentwise_classes", recording)
+    mods = ctx.objects
+    maps = [f for x, y in itertools.product(mods, repeat=2) for f in hom_basis(x, y)]
+    rng = np.random.RandomState(0)
+    for _ in range(20):
+        src = direct_sum([mods[rng.randint(len(mods))] for _ in range(2)])[0]
+        tgt = direct_sum([mods[rng.randint(len(mods))] for _ in range(2)])[0]
+        homs = hom_basis(src, tgt)
+        if homs:
+            maps.append(hom_from_coords(rng.randint(0, ctx.algebra.field.p, size=len(homs)), homs, src, tgt))
+    kinds = set()
+    for f in maps:
+        before = len(seen)
+        kinds |= set(exactstruct.morphism_classes(ctx, f))
+        for ses in seen[before:]:
+            ses.validate()
+            assert ses.mid is f.source or ses.mid is f.target
+    assert seen and kinds == {"inflation", "deflation", "admissible"}
 
 
 def test_all_generated_structures_pass_axioms_kA3(kA3_ctx):

@@ -6,6 +6,7 @@ from exactcat.functorcat import AdditiveCategorySpec, FunctorcatError, end_algeb
 from exactcat.linalg import FieldPrime
 from exactcat.repmod import (
     ModuleMap,
+    SumMaps,
     all_indecomposables,
     check_module,
     decompose,
@@ -119,7 +120,7 @@ def test_sum_of_generators_is_shared_per_verts(kA2_ctx):
     a, index, ea = kA2_ctx
     total, injections, projections = ea.sum_of_generators((0, 2, 0))
     assert ea.sum_of_generators([0, 2, 0]) == (total, injections, projections)
-    assert isinstance(injections, tuple) and isinstance(projections, tuple)
+    assert isinstance(injections, SumMaps) and isinstance(projections, SumMaps)
     assert total.dims == direct_sum([index.modules[v] for v in (0, 2, 0)])[0].dims
     assert ea.sum_of_generators(())[1:] == ((), ())
 

@@ -25,6 +25,7 @@ from exactcat.repmod import (
     all_indecomposables,
     ar_sequence,
     ar_translate,
+    block_map,
     brute_force_indecomposables,
     check_map,
     check_module,
@@ -166,6 +167,54 @@ def test_map_parts_from_one_reduction_match_the_separate_constructions():
                 assert [x.key() for x in got.mats] == [x.key() for x in want.mats]
             compared += 1
     assert compared > len(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_block_map_matches_summed_injections_and_projections(p):
+    """block_map places random blocks between sums of 1-3 kA3 members (whose
+    vertex components are often zero-dimensional) as the sum of the terms
+    inj_t o b o proj_s does; no blocks give the zero map, and blocks that do
+    not tile the sums raise."""
+    field = FieldPrime(p)
+    mods = all_indecomposables(algebra_kA3(field, zero_relation=False), 10).modules
+    assert any(0 in m.dims for m in mods)
+    rng = np.random.RandomState(p)
+    compared = 0
+    for _ in range(30):
+        srcs = [mods[rng.randint(len(mods))] for _ in range(rng.randint(1, 4))]
+        tgts = [mods[rng.randint(len(mods))] for _ in range(rng.randint(1, 4))]
+        source, _, projections = direct_sum(srcs)
+        target, injections, _ = direct_sum(tgts)
+        blocks = []
+        for t in tgts:
+            line = []
+            for s in srcs:
+                homs = hom_basis(s, t)
+                line.append(hom_from_coords(rng.randint(0, p, size=len(homs)), homs, s, t))
+            blocks.append(line)
+        want = ModuleMap.zero_map(source, target)
+        for t, line in enumerate(blocks):
+            for s, b in enumerate(line):
+                want = want + injections[t] @ b @ projections[s]
+        got = block_map(source, target, blocks)
+        assert got.source is source and got.target is target
+        assert [m.key() for m in got.mats] == [m.key() for m in want.mats]
+        check_map(got)
+        compared += 1
+    assert compared == 30
+    m, n = mods[0], mods[-1]
+    zero = Module.zero(m.algebra)
+    for src, tgt, blocks in ((m, zero, []), (zero, n, [[]]), (m, n, [])):
+        assert block_map(src, tgt, blocks).is_zero()
+    f = hom_basis(m, m)[0]
+    with pytest.raises(RepmodError):
+        block_map(direct_sum([m, m])[0], m, [[f]])
+    with pytest.raises(RepmodError):
+        block_map(m, direct_sum([m, m])[0], [[f], [f, f]])
+    with pytest.raises(RepmodError):
+        block_map(m, m, [[ModuleMap.zero_map(m, n)]])
+    with pytest.raises(RepmodError):
+        block_map(direct_sum([m, m])[0], m, [[f, ModuleMap.zero_map(m, n)]])
 
 
 def test_decompose_sum_of_simples(kA2):
