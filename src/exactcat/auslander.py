@@ -101,9 +101,9 @@ class AuslanderContext:
     GAMMA_CAP = "the Gamma-side cap gamma_dim_cap"
 
     def __init__(self, algebra: Algebra, dim_cap: int = 12, gamma_dim_cap: int = 40, cutoff: int = 8, seed: int = 0):
+        # seed is ignored (nothing here is randomized); perfbench/run.py still passes it
         self.algebra = algebra
         self.cutoff = cutoff
-        self.seed = seed
         self.gamma_dim_cap = gamma_dim_cap
         self.index = all_indecomposables(algebra, dim_cap)
         self.spec = AdditiveCategorySpec(algebra, self.index.modules)
@@ -141,13 +141,8 @@ class AuslanderContext:
         return frozenset(i for i in range(len(index.modules)) if index.is_projective[i])
 
     def p2_ids(self, side: str) -> frozenset[int]:
-        index = self.side_index(side)
-        out = []
-        for i, m in enumerate(index.modules):
-            pd = proj_dim(m, self.cutoff)
-            if pd is not None and pd <= 2:
-                out.append(i)
-        return frozenset(out)
+        dims = [proj_dim(m, self.cutoff) for m in self.side_index(side).modules]
+        return frozenset(i for i, pd in enumerate(dims) if pd is not None and pd <= 2)
 
     # -- memberships -------------------------------------------------------------
 
@@ -178,15 +173,9 @@ class AuslanderContext:
                 infl.add(i)
         # independent routes; perp Q and cogen Q live inside the admissibly
         # presented subcategory, so the raw tests are intersected with it
-        perp = set()
-        cogen = set()
-        for i, f_mod in enumerate(self.gamma_index.modules):
-            if i not in smodad:
-                continue
-            if all(hom_dim(f_mod, self.gamma_module(y)) == 0 for y in self.yoneda_ids):
-                perp.add(i)
-            if self._left_approximation(f_mod, [self.gamma_module(y) for y in self.yoneda_ids]).is_injective():
-                cogen.add(i)
+        reps = [self.gamma_module(y) for y in self.yoneda_ids]
+        perp = {i for i in smodad if all(hom_dim(self.gamma_module(i), q) == 0 for q in reps)}
+        cogen = {i for i in smodad if self._cogenerated(i)}
         return SubcategoryQuad(
             SubcategorySpec("gamma", frozenset(eff), "eff"),
             SubcategorySpec("gamma", frozenset(smodad), "smodad"),
@@ -194,6 +183,13 @@ class AuslanderContext:
             SubcategorySpec("gamma", frozenset(perp), "perpP"),
             SubcategorySpec("gamma", frozenset(infl), "restricted"),
         )
+
+    @memo(lambda self, i: i)
+    def _cogenerated(self, i: int) -> bool:
+        """Does F_i embed in a sum of representables (the cogen Q test)?
+        It depends on F_i only, not on the structure."""
+        representables = [self.gamma_module(y) for y in self.yoneda_ids]
+        return self._left_approximation(self.gamma_module(i), representables).is_injective()
 
     # -- torsion ------------------------------------------------------------------
 
@@ -483,19 +479,34 @@ class AuslanderContext:
         parts = map_parts(g)
         return self._summand_ids(parts.image), self._summand_ids(parts.kernel), self._summand_ids(parts.cokernel)
 
+    def _map_record(self, g: ModuleMap) -> tuple:
+        """The summand ids of the image, kernel and cokernel of g, and the
+        classes that make L(g) admissible (None when it is admissible in no
+        structure): all verify needs of g, none of it per structure."""
+        return self._map_summand_ids(g), morphism_classes(self.cat, self.ea.localize_map(g)).get("admissible")
+
     @memo(lambda self, i, j: (i, j))
     def _basis_map_data(self, i: int, j: int) -> tuple:
-        """For each Hom-basis map g: F_i -> F_j, the summand ids of its image,
-        kernel and cokernel, and the classes that make L(g) admissible (None
-        when it is admissible in no structure)."""
-        return tuple(
-            (self._map_summand_ids(g), morphism_classes(self.cat, self.ea.localize_map(g)).get("admissible"))
-            for g in hom_basis(self.gamma_module(i), self.gamma_module(j))
-        )
+        """The record of each Hom-basis map g: F_i -> F_j."""
+        return tuple(self._map_record(g) for g in hom_basis(self.gamma_module(i), self.gamma_module(j)))
+
+    @memo(lambda self, a, b, c, d: (a, b, c, d))
+    def _sum_map_data(self, a: int, b: int, c: int, d: int) -> tuple | None:
+        """The record of the map F_a + F_b -> F_c + F_d whose block (t, s) is
+        the sum of the Hom-basis maps F_s -> F_t; None when that map is zero."""
+        member = self.gamma_module
+        source, target = direct_sum([member(a), member(b)])[0], direct_sum([member(c), member(d)])[0]
+
+        def basis_sum(s: int, t: int) -> ModuleMap:
+            basis = hom_basis(member(s), member(t))
+            return hom_from_coords([1] * len(basis), basis, member(s), member(t))
+
+        g = block_map(source, target, [[basis_sum(s, t) for s in (a, b)] for t in (c, d)])
+        return None if g.is_zero() else self._map_record(g)
 
     # -- Auslander's formula and the localization ---------------------------------------
 
-    def verify_formula_and_localization(self, e: ExactStructure, samples: int = 50) -> Report:
+    def verify_formula_and_localization(self, e: ExactStructure) -> Report:
         report = Report("formula_and_localization")
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
@@ -508,48 +519,21 @@ class AuslanderContext:
         )
         report.add("L is bijective on hom dimensions over representables", hom_bij)
 
-        ker_ok = all(
-            (self.ea.localize(self.gamma_module(i)).total_dim == 0) == (i in eff)
-            for i in sorted(smodad)
-        )
+        ids = sorted(smodad)
+        ker_ok = all((self.ea.localize(self.gamma_module(i)).total_dim == 0) == (i in eff) for i in ids)
         report.add("ker L = eff (within the admissibly presented subcategory)", ker_ok)
 
-        outcomes = []
-        ids = sorted(smodad)
-        for i in ids:
-            for j in ids:
-                for summands, l_classes in self._basis_map_data(i, j):
-                    adm_c = l_classes is not None and e.contains_all(l_classes)
-                    outcomes.append(_admissible_with_image_in(summands, smodad, smodad) == adm_c)
-        for eta in self._random_morphisms(ids, samples):
-            adm_gamma = _admissible_with_image_in(self._map_summand_ids(eta), smodad, smodad)
-            adm_c = "admissible" in classify_morphism(self.ea.localize_map(eta), e)
-            outcomes.append(adm_gamma == adm_c)
-        tested = len(outcomes)
-        mismatches = outcomes.count(False)
-        report.add(
-            f"admissibility reflection on {tested} sampled morphisms",
-            mismatches == 0,
-            f"{mismatches} mismatches",
+        family, total = sum_family(ids)
+        records = [r for i in ids for j in ids for r in self._basis_map_data(i, j)]
+        records += [r for r in (self._sum_map_data(*t) for t in family) if r is not None]
+        mismatches = sum(
+            _admissible_with_image_in(summands, smodad, smodad) != (l_classes is not None and e.contains_all(l_classes))
+            for summands, l_classes in records
         )
+        report.add(f"admissibility reflection on {len(records)} morphisms", mismatches == 0, f"{mismatches} mismatches")
+        if total > len(family):
+            report.note(f"admissibility reflection bounded: {len(family)} of {total} maps between sums of two members")
         return report
-
-    def _random_morphisms(self, ids: list[int], samples: int):
-        """Random maps between sums of two members; unique, so not memoized.
-        The only randomized step the session seed drives."""
-        rng = np.random.RandomState(self.seed)
-        produced = 0
-        while produced < samples and len(ids) >= 1:
-            pick = lambda: self.gamma_module(ids[rng.randint(len(ids))])
-            src, _, _ = direct_sum([pick(), pick()])
-            tgt, _, _ = direct_sum([pick(), pick()])
-            homs = hom_basis(src, tgt)
-            if not homs:
-                continue
-            coeffs = rng.randint(0, self.gamma.field.p, size=len(homs))
-            eta = hom_from_coords(coeffs, homs, src, tgt)
-            produced += 1
-            yield eta
 
     # -- injectives, projectives, dominant dimension -------------------------------------
 
@@ -584,25 +568,22 @@ class AuslanderContext:
         cancellation axiom for idempotent complete exact categories it is
         enough to test the universal map into the injectives."""
         inj = [self.index.modules[i] for i in sorted(self.e_injective_ids(e))]
-        for z in self.index.modules:
-            if z.is_zero():
-                continue
-            if "inflation" not in classify_morphism(self._left_approximation(z, inj), e):
-                return False
-        return True
+        return all(
+            "inflation" in classify_morphism(self._left_approximation(z, inj), e)
+            for z in self.index.modules
+            if not z.is_zero()
+        )
 
     def has_enough_projectives(self, e: ExactStructure) -> bool:
         proj = [self.index.modules[i] for i in sorted(self.e_projective_ids(e))]
-        for z in self.index.modules:
-            if z.is_zero():
-                continue
-            if "deflation" not in classify_morphism(self._right_approximation(z, proj), e):
-                return False
-        return True
+        return all(
+            "deflation" in classify_morphism(self._right_approximation(z, proj), e)
+            for z in self.index.modules
+            if not z.is_zero()
+        )
 
     def smodad_injective_ids(self, e: ExactStructure) -> frozenset[int]:
-        quad = self.build_subcategories(e)
-        smodad = quad.smodad.ids
+        smodad = self.build_subcategories(e).smodad.ids
         return frozenset(
             j
             for j in smodad
@@ -612,8 +593,7 @@ class AuslanderContext:
     def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
         """domdim of the admissibly presented subcategory, by iterated minimal
         left approximations into the projective-injective representables."""
-        quad = self.build_subcategories(e)
-        smodad = quad.smodad.ids
+        smodad = self.build_subcategories(e).smodad.ids
         pi_ids = sorted(set(self.yoneda_ids) & self.smodad_injective_ids(e))
         pi_mods = [self.gamma_module(i) for i in pi_ids]
         for y in self.yoneda_ids:
@@ -805,6 +785,19 @@ class AuslanderContext:
 
 
 # -- helpers ---------------------------------------------------------------------
+
+FAMILY_CAP = 50  # maps between sums of two members that verify checks per structure
+
+
+def sum_family(ids: list[int]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The tuples (a, b, c, d) of sorted ids with a <= b and c <= d whose maps
+    F_a + F_b -> F_c + F_d verify checks, and how many such tuples there are:
+    all of them in lexicographic order up to FAMILY_CAP, else the k * total //
+    FAMILY_CAP-th for k < FAMILY_CAP."""
+    pairs = [(a, b) for a in ids for b in ids if a <= b]
+    total = len(pairs) ** 2
+    picks = range(total) if total <= FAMILY_CAP else (k * total // FAMILY_CAP for k in range(FAMILY_CAP))
+    return [pairs[n // len(pairs)] + pairs[n % len(pairs)] for n in picks], total
 
 
 def _admissible_with_image_in(summands, smodad: frozenset[int], target_class: frozenset[int]) -> bool:

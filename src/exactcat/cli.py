@@ -30,7 +30,7 @@ EXIT_CAP = 3
 PREFIX = {EXIT_VERIFY: "verification error", EXIT_INPUT: "input error", EXIT_CAP: "cap exceeded"}
 
 P_LIMIT = 2**16  # p below this keeps every int64 matrix product exact: (p-1)^2 < 2^32
-SEED_LIMIT = 2**32  # numpy's RandomState takes seeds in [0, 2^32)
+SEED_LIMIT = 2**32  # seeds in [0, 2^32) stay the input contract, though no step reads one
 
 
 class SessionError(ExactcatError):
@@ -413,7 +413,6 @@ def run_session(payload: dict, out_dir: Path | None) -> tuple[int, RunOutput]:
             session.algebra,
             dim_cap=session.dim_cap,
             cutoff=session.resolution_cutoff,
-            seed=session.seed,
         )
         for command in session.commands:
             COMMANDS[command["name"]](session, ctx, out, command)

@@ -253,12 +253,13 @@ def kernel_basis(m: Matrix, reduced: tuple[Matrix, list[int]] | None = None) -> 
     caller has it already.
     """
     r, pivots = reduced or rref(m)
-    is_free = np.ones(m.cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    k = np.zeros((m.cols, free.size), dtype=np.int64)
-    k[free, np.arange(free.size)] = 1
-    k[pivots] = -r.a[: len(pivots), free] % m.field.p
+    taken = set(pivots)
+    free = [c for c in range(m.cols) if c not in taken]
+    k = np.zeros((m.cols, len(free)), dtype=np.int64)
+    for j, c in enumerate(free):
+        k[c, j] = 1
+    if pivots and free:
+        k[pivots] = -r.a[: len(pivots), free] % m.field.p
     return Matrix(m.field, k, reduced=True)
 
 
@@ -302,7 +303,7 @@ def row_space_contains(a: Matrix, b: Matrix) -> bool:
     return solve_right(a.transpose(), b.transpose()) is not None
 
 
-def random_matrix(field: FieldPrime, rows: int, cols: int, rng: np.random.RandomState) -> Matrix:
+def random_matrix(field: FieldPrime, rows: int, cols: int, rng) -> Matrix:
     return Matrix(field, rng.randint(0, field.p, size=(rows, cols)))
 
 

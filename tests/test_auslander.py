@@ -254,7 +254,7 @@ def test_reconstruct_projectives_gives_split(kA2):
 def test_formula_and_localization(kA2, dn, kA3rel):
     for ctx in (kA2, dn, kA3rel):
         for e in ctx.structures():
-            report = ctx.verify_formula_and_localization(e, samples=15)
+            report = ctx.verify_formula_and_localization(e)
             assert report.ok, [i.label for i in report.failures()]
 
 

@@ -209,7 +209,7 @@ def test_malformed_session():
 )
 def test_non_integer_or_out_of_range_settings_exit_2(monkeypatch, extra, message):
     """JSON integers only (no floats, strings or booleans) for p, caps and
-    seed, a seed numpy accepts, and lists of commands and structures;
+    seed, a seed in [0, 2^32), and lists of commands and structures;
     rejected before any context is built."""
     monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
     payload = session_kA2(["verify"])
@@ -281,8 +281,7 @@ def test_determinism(tmp_path):
 
 @pytest.mark.parametrize("session", ["kA2", "dual_numbers", "kA3_relation"])
 def test_reports_do_not_depend_on_the_seed(tmp_path, session):
-    """The seed drives only the sampled morphisms of verify: every output file
-    is byte-identical at any seed."""
+    """The seed drives nothing: every output file is byte-identical at any seed."""
     text = (Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text()
     outputs = []
     for seed in (0, 1, 7):

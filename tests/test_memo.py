@@ -117,6 +117,8 @@ HOISTED_STORES = tuple(
     for name in (
         "_presentation_classes",
         "_basis_map_data",
+        "_sum_map_data",
+        "_cogenerated",
         "_torsion_parts",
         "_injective_cokernel_ids",
         "ext_middle_parts",
@@ -137,18 +139,17 @@ def _leaves(value):
         yield value
 
 
-def test_a_second_structure_recomputes_only_its_random_samples(monkeypatch):
+def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     ctx = AuslanderContext(algebra_kA3(GF2, False))
     structures = ctx.structures()
     first, second = structures[-1], structures[1]  # the maximal structure has the largest smodad
     assert ctx.build_subcategories(second).smodad.ids < ctx.build_subcategories(first).smodad.ids
-    samples = 7
-    assert ctx.verify_formula_and_localization(first, samples).ok
+    assert ctx.verify_formula_and_localization(first).ok
     assert ctx.check_auslander_axioms(first).ok
+    store = vars(ctx)["__sum_map_data_memo"]
+    recorded = set(store)
     calls = {"map_parts": [], "localize_map": []}
     map_parts, localize_map = repmod.map_parts, functorcat.EndAlgebra.localize_map
-    drawn = []
-    random_morphisms = auslander.AuslanderContext._random_morphisms
 
     def spy_parts(f):
         calls["map_parts"].append(f)
@@ -158,22 +159,55 @@ def test_a_second_structure_recomputes_only_its_random_samples(monkeypatch):
         calls["localize_map"].append(eta)
         return localize_map(ea, eta)
 
-    def spy_samples(self, ids, count):
-        for eta in random_morphisms(self, ids, count):
-            drawn.append(eta)
-            yield eta
-
     for module in (repmod, exactstruct, auslander):
         monkeypatch.setattr(module, "map_parts", spy_parts)
     monkeypatch.setattr(functorcat.EndAlgebra, "localize_map", spy_localize)
-    monkeypatch.setattr(auslander.AuslanderContext, "_random_morphisms", spy_samples)
-    assert ctx.verify_formula_and_localization(second, samples).ok
+    assert ctx.verify_formula_and_localization(second).ok
     assert ctx.check_auslander_axioms(second).ok
-    assert len(drawn) == samples
-    assert calls["localize_map"] == drawn
-    # each sample once on the Gamma side, and its localization once in classify_morphism
-    assert len(calls["map_parts"]) == 2 * samples
-    assert calls["map_parts"][0::2] == drawn
+    family, _ = auslander.sum_family(sorted(ctx.build_subcategories(second).smodad.ids))
+    new = [t for t in family if t not in recorded]
+    assert new and len(new) < len(family)
+    nonzero = [t for t in new if store[t] is not None]
+    # each new nonzero map once on the Gamma side, and its localization once in morphism_classes
+    assert len(calls["localize_map"]) == len(nonzero)
+    assert len(calls["map_parts"]) == 2 * len(nonzero)
+    assert calls["map_parts"][0::2] == calls["localize_map"]
+    calls["map_parts"].clear()
+    calls["localize_map"].clear()
+    assert ctx.verify_formula_and_localization(second).ok
+    assert calls == {"map_parts": [], "localize_map": []}
+
+
+def _plain(record):
+    """A record with its class vectors as tuples, so records compare with ==."""
+    if record is None:
+        return None
+    summands, classes = record
+    return summands, (classes if classes is None else tuple((z, a, tuple(v.tolist())) for z, a, v in classes))
+
+
+def test_the_sum_family_is_deterministic_and_whole_when_small():
+    contexts = [AuslanderContext(algebra_kA2(GF2)) for _ in range(2)]
+    stores = []
+    for ctx in contexts:
+        for e in ctx.structures():
+            ctx.verify_formula_and_localization(e)
+        stores.append({t: _plain(r) for t, r in vars(ctx)["__sum_map_data_memo"].items()})
+    assert stores[0] == stores[1]
+    sizes = []
+    for e in contexts[0].structures():
+        ids = sorted(contexts[0].build_subcategories(e).smodad.ids)
+        family, total = auslander.sum_family(ids)
+        sizes.append(len(ids))
+        assert len(family) == min(total, auslander.FAMILY_CAP)
+        assert set(family) <= set(stores[0])
+        notes = contexts[0].verify_formula_and_localization(e).notes
+        if total <= auslander.FAMILY_CAP:
+            pairs = [(a, b) for a in ids for b in ids if a <= b]
+            assert family == [s + t for s in pairs for t in pairs] and not notes
+        else:
+            assert family == sorted(set(family)) and len(notes) == 1
+    assert sizes == [3, 5]  # T has 36 tuples for the first, 225 for the second
 
 
 def test_hoisted_stores_hold_ids_and_classes_only():
