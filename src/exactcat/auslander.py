@@ -463,7 +463,7 @@ class AuslanderContext:
         report.add("(ii) morphisms into eff objects are admissible with image in eff", a2_ok)
 
         rigidity = all(
-            ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
+            self._ext1_dim("gamma", t, y) == 0
             for t in sorted(eff)
             for y in self.yoneda_ids
         )
@@ -479,30 +479,57 @@ class AuslanderContext:
         parts = map_parts(g)
         return self._summand_ids(parts.image), self._summand_ids(parts.kernel), self._summand_ids(parts.cokernel)
 
-    def _map_record(self, g: ModuleMap) -> tuple:
+    def _map_record(self, g: ModuleMap, l_g: ModuleMap) -> tuple:
         """The summand ids of the image, kernel and cokernel of g, and the
-        classes that make L(g) admissible (None when it is admissible in no
-        structure): all verify needs of g, none of it per structure."""
-        return self._map_summand_ids(g), morphism_classes(self.cat, self.ea.localize_map(g)).get("admissible")
+        classes that make its localization l_g admissible (None when it is
+        admissible in no structure): all verify needs of g, none of it per
+        structure."""
+        return self._map_summand_ids(g), morphism_classes(self.cat, l_g).get("admissible")
+
+    @memo(lambda self, i, j: (i, j))
+    def _localized_basis(self, i: int, j: int) -> tuple[ModuleMap, ...]:
+        """L(g): L(F_i) -> L(F_j) of each Hom-basis map g: F_i -> F_j, the one
+        place verify localizes a map."""
+        return tuple(self.ea.localize_map(g) for g in hom_basis(self.gamma_module(i), self.gamma_module(j)))
 
     @memo(lambda self, i, j: (i, j))
     def _basis_map_data(self, i: int, j: int) -> tuple:
         """The record of each Hom-basis map g: F_i -> F_j."""
-        return tuple(self._map_record(g) for g in hom_basis(self.gamma_module(i), self.gamma_module(j)))
+        basis = hom_basis(self.gamma_module(i), self.gamma_module(j))
+        return tuple(self._map_record(g, l_g) for g, l_g in zip(basis, self._localized_basis(i, j)))
+
+    @memo(lambda self, s, t: (s, t))
+    def _basis_sum(self, s: int, t: int) -> tuple[ModuleMap, ModuleMap]:
+        """The sum of the Hom-basis maps F_s -> F_t, and its localization: the
+        same sum of the localized basis maps (L is additive)."""
+        source, target = self.gamma_module(s), self.gamma_module(t)
+        basis = hom_basis(source, target)
+        ones = [1] * len(basis)
+        l_source, l_target = self.ea.localize(source), self.ea.localize(target)
+        return (
+            hom_from_coords(ones, basis, source, target),
+            hom_from_coords(ones, self._localized_basis(s, t), l_source, l_target),
+        )
+
+    @memo(lambda self, a, b: (a, b))
+    def _pair_sum(self, a: int, b: int) -> tuple[Module, Module]:
+        """F_a + F_b and L(F_a) + L(F_b)."""
+        members = [self.gamma_module(a), self.gamma_module(b)]
+        return direct_sum(members)[0], direct_sum([self.ea.localize(m) for m in members])[0]
 
     @memo(lambda self, a, b, c, d: (a, b, c, d))
     def _sum_map_data(self, a: int, b: int, c: int, d: int) -> tuple | None:
-        """The record of the map F_a + F_b -> F_c + F_d whose block (t, s) is
-        the sum of the Hom-basis maps F_s -> F_t; None when that map is zero."""
-        member = self.gamma_module
-        source, target = direct_sum([member(a), member(b)])[0], direct_sum([member(c), member(d)])[0]
-
-        def basis_sum(s: int, t: int) -> ModuleMap:
-            basis = hom_basis(member(s), member(t))
-            return hom_from_coords([1] * len(basis), basis, member(s), member(t))
-
-        g = block_map(source, target, [[basis_sum(s, t) for s in (a, b)] for t in (c, d)])
-        return None if g.is_zero() else self._map_record(g)
+        """The record of the map g: F_a + F_b -> F_c + F_d whose block (t, s)
+        is the sum of the Hom-basis maps F_s -> F_t; None when g is zero.
+        L(g) is assembled from the localized blocks between the sums of the
+        localized members, which is L(g) up to isomorphism of arrows, and
+        admissibility does not see that isomorphism."""
+        (source, l_source), (target, l_target) = self._pair_sum(a, b), self._pair_sum(c, d)
+        blocks = [[self._basis_sum(s, t) for s in (a, b)] for t in (c, d)]
+        g = block_map(source, target, [[blk[0] for blk in row] for row in blocks])
+        if g.is_zero():
+            return None
+        return self._map_record(g, block_map(l_source, l_target, [[blk[1] for blk in row] for row in blocks]))
 
     # -- Auslander's formula and the localization ---------------------------------------
 
@@ -587,7 +614,7 @@ class AuslanderContext:
         return frozenset(
             j
             for j in smodad
-            if all(ext_dim(1, self.gamma_module(i), self.gamma_module(j)) == 0 for i in smodad)
+            if all(self._ext1_dim("gamma", i, j) == 0 for i in smodad)
         )
 
     def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
@@ -619,7 +646,7 @@ class AuslanderContext:
         transfer_inj = all(
             (i in e_inj)
             == all(
-                ext_dim(1, self.gamma_module(s), self.gamma_module(self.yoneda_ids[i])) == 0
+                self._ext1_dim("gamma", s, self.yoneda_ids[i]) == 0
                 for s in smodad
             )
             for i in range(len(self.index.modules))
@@ -653,7 +680,7 @@ class AuslanderContext:
 
         if dd2:
             rigid = all(
-                ext_dim(1, self.gamma_module(t), self.gamma_module(y)) == 0
+                self._ext1_dim("gamma", t, y) == 0
                 for t in eff
                 for y in self.yoneda_ids
             )
@@ -792,12 +819,27 @@ FAMILY_CAP = 50  # maps between sums of two members that verify checks per struc
 def sum_family(ids: list[int]) -> tuple[list[tuple[int, int, int, int]], int]:
     """The tuples (a, b, c, d) of sorted ids with a <= b and c <= d whose maps
     F_a + F_b -> F_c + F_d verify checks, and how many such tuples there are:
-    all of them in lexicographic order up to FAMILY_CAP, else the k * total //
-    FAMILY_CAP-th for k < FAMILY_CAP."""
+    the FAMILY_CAP of least _family_rank (all of them when there are no more),
+    in lexicographic order.  The rank depends on the tuple alone, so a tuple
+    picked for some ids is picked for every subset of them that holds it."""
     pairs = [(a, b) for a in ids for b in ids if a <= b]
     total = len(pairs) ** 2
-    picks = range(total) if total <= FAMILY_CAP else (k * total // FAMILY_CAP for k in range(FAMILY_CAP))
-    return [pairs[n // len(pairs)] + pairs[n % len(pairs)] for n in picks], total
+    codes = np.array([(a << 16) | b for a, b in pairs], dtype=np.uint64)
+    ranks = _family_rank((codes[:, None] << np.uint64(32)) | codes[None, :])
+    picks = np.sort(np.argsort(ranks, axis=None)[:FAMILY_CAP])
+    return [pairs[n // len(pairs)] + pairs[n % len(pairs)] for n in picks.tolist()], total
+
+
+def _family_rank(codes: np.ndarray) -> np.ndarray:
+    """splitmix64 of the codes a << 48 | b << 32 | c << 16 | d of tuples of
+    ids below 2^16, a bijection of uint64 that scatters them: a fixed order on
+    tuples, unlike Python's hash() the same in every process."""
+    z = codes + np.uint64(0x9E3779B97F4A7C15)
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _admissible_with_image_in(summands, smodad: frozenset[int], target_class: frozenset[int]) -> bool:

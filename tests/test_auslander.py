@@ -5,7 +5,7 @@ import pytest
 
 from exactcat import repmod
 from exactcat.algebra import QuiverPresentation, algebra_dual_numbers, algebra_kA2, algebra_kA3, build_from_quiver
-from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in
+from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in, sum_family
 from exactcat.exactstruct import (
     ELEMENT_CAP,
     ExactstructError,
@@ -21,6 +21,7 @@ from exactcat.repmod import (
     RepmodError,
     ShortExactSeq,
     all_indecomposables,
+    block_map,
     cokernel,
     decompose,
     direct_sum,
@@ -28,6 +29,7 @@ from exactcat.repmod import (
     ext_space,
     hom_basis,
     hom_dim,
+    hom_from_coords,
     image,
     is_isomorphic,
     kernel,
@@ -507,6 +509,46 @@ def test_classes_computed_once_agree_with_the_per_structure_path(make):
                 assert l_admissible == ("admissible" in _old_classify_morphism(ctx.ea.localize_map(g), e))
                 checked += 1
     assert checked == len(ctx.structures()) * sum(len(ctx._basis_map_data(i, j)) for i, j in pairs) > 0
+
+
+def _whole_sum_map(ctx, a, b, c, d):
+    """F_a + F_b -> F_c + F_d with block (t, s) the sum of the Hom-basis maps
+    F_s -> F_t, built with fresh sums and blocks, to be localized as a whole."""
+    member = ctx.gamma_module
+
+    def basis_sum(s, t):
+        basis = hom_basis(member(s), member(t))
+        return hom_from_coords([1] * len(basis), basis, member(s), member(t))
+
+    source, target = direct_sum([member(a), member(b)])[0], direct_sum([member(c), member(d)])[0]
+    return block_map(source, target, [[basis_sum(s, t) for s in (a, b)] for t in (c, d)])
+
+
+def _old_summand_ids(ctx, g):
+    parts = _old_map_parts(g)
+    return tuple(
+        frozenset() if piece.is_zero() else frozenset(ctx.gamma_index.parts(piece))
+        for piece in (parts.image, parts.kernel, parts.cokernel)
+    )
+
+
+def test_sum_records_from_localized_blocks_agree_with_whole_localization(kA2, dn, kA3rel):
+    checked = 0
+    for ctx in (kA2, dn, kA3rel):
+        for e in ctx.structures():
+            family, _ = sum_family(ctx.build_subcategories(e).smodad.sorted_ids())
+            for t in family:
+                g = _whole_sum_map(ctx, *t)
+                record = ctx._sum_map_data(*t)
+                if g.is_zero():
+                    assert record is None
+                    continue
+                summands, l_classes = record
+                assert summands == _old_summand_ids(ctx, g)
+                l_admissible = l_classes is not None and e.contains_all(l_classes)
+                assert l_admissible == ("admissible" in classify_morphism(ctx.ea.localize_map(g), e))
+                checked += 1
+    assert checked > 0
 
 
 def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):

@@ -2,6 +2,8 @@
 perfbench/tracer.py patches and reads."""
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from exactcat.repmod import (
 )
 
 GF2 = FieldPrime(2)
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 class Owner:
@@ -143,11 +146,8 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     ctx = AuslanderContext(algebra_kA3(GF2, False))
     structures = ctx.structures()
     first, second = structures[-1], structures[1]  # the maximal structure has the largest smodad
-    assert ctx.build_subcategories(second).smodad.ids < ctx.build_subcategories(first).smodad.ids
-    assert ctx.verify_formula_and_localization(first).ok
-    assert ctx.check_auslander_axioms(first).ok
-    store = vars(ctx)["__sum_map_data_memo"]
-    recorded = set(store)
+    members = sorted(ctx.build_subcategories(first).smodad.ids)
+    assert ctx.build_subcategories(second).smodad.ids < set(members)
     calls = {"map_parts": [], "localize_map": []}
     map_parts, localize_map = repmod.map_parts, functorcat.EndAlgebra.localize_map
 
@@ -162,16 +162,30 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     for module in (repmod, exactstruct, auslander):
         monkeypatch.setattr(module, "map_parts", spy_parts)
     monkeypatch.setattr(functorcat.EndAlgebra, "localize_map", spy_localize)
+    assert ctx.verify_formula_and_localization(first).ok
+    assert ctx.check_auslander_axioms(first).ok
+    # every Hom-basis map between smodad members localized once, and no other map
+    basis = [g for i in members for j in members for g in hom_basis(ctx.gamma_module(i), ctx.gamma_module(j))]
+    assert len(calls["localize_map"]) == len(basis) > 0
+    assert {id(g) for g in calls["localize_map"]} == {id(g) for g in basis}
+    store = vars(ctx)["__sum_map_data_memo"]
+    recorded = set(store)
+    calls["map_parts"].clear()
+    calls["localize_map"].clear()
     assert ctx.verify_formula_and_localization(second).ok
     assert ctx.check_auslander_axioms(second).ok
     family, _ = auslander.sum_family(sorted(ctx.build_subcategories(second).smodad.ids))
     new = [t for t in family if t not in recorded]
     assert new and len(new) < len(family)
     nonzero = [t for t in new if store[t] is not None]
-    # each new nonzero map once on the Gamma side, and its localization once in morphism_classes
-    assert len(calls["localize_map"]) == len(nonzero)
+    assert nonzero
+    # a new tuple localizes nothing: its blocks are sums of localized basis maps
+    assert calls["localize_map"] == []
+    # each new nonzero map once on the Gamma side, then its localization, assembled
+    # from the blocks, once in morphism_classes
     assert len(calls["map_parts"]) == 2 * len(nonzero)
-    assert calls["map_parts"][0::2] == calls["localize_map"]
+    assert all(f.source.algebra is ctx.gamma for f in calls["map_parts"][0::2])
+    assert all(f.source.algebra is ctx.algebra for f in calls["map_parts"][1::2])
     calls["map_parts"].clear()
     calls["localize_map"].clear()
     assert ctx.verify_formula_and_localization(second).ok
@@ -208,6 +222,41 @@ def test_the_sum_family_is_deterministic_and_whole_when_small():
         else:
             assert family == sorted(set(family)) and len(notes) == 1
     assert sizes == [3, 5]  # T has 36 tuples for the first, 225 for the second
+
+
+def test_a_smaller_sum_family_keeps_the_picked_tuples_it_holds():
+    """For T' inside T, every tuple of sum_family(T) over ids of T' is in
+    sum_family(T'): checked for every T of at most 8 ids of range(8) and
+    every T' that drops one id of T, and from 17 ids down to smaller sets."""
+    checked = 0
+    for mask in range(1, 1 << 8):
+        ids = [i for i in range(8) if mask >> i & 1]
+        picked = set(auslander.sum_family(ids)[0])
+        for drop in ids:
+            sub = [i for i in ids if i != drop]
+            held = {t for t in picked if drop not in t}
+            assert held <= set(auslander.sum_family(sub)[0])
+            checked += len(held)
+    picked = set(auslander.sum_family(list(range(17)))[0])
+    for sub in ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 8, 14], list(range(0, 17, 2)), list(range(12))):
+        assert {t for t in picked if set(t) <= set(sub)} <= set(auslander.sum_family(sub)[0])
+    assert checked > 0
+
+
+def test_the_sum_family_is_the_same_under_any_hash_seed():
+    script = (
+        "from exactcat.auslander import sum_family\n"
+        "for ids in ([0, 1, 2], list(range(9)), [0, 2, 3, 7, 11, 16], list(range(17))):\n"
+        "    print(sum_family(ids))\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
+    assert outputs[0].splitlines()[-1] == str(auslander.sum_family(list(range(17))))
 
 
 def test_hoisted_stores_hold_ids_and_classes_only():
