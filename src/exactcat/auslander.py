@@ -47,7 +47,6 @@ from .repmod import (
     decompose,
     descend,
     direct_sum,
-    dual_module,
     dual_presentation,
     dual_std_map,
     ext_dim,
@@ -114,7 +113,7 @@ class AuslanderContext:
         self.gamma_op = self.gamma.opposite()
         # D = Hom_k(-, k) is a duality mod(Gamma) -> mod(Gamma^op): member i
         # of this index is D of Gamma's member i
-        self.gop_index = IndecIndex(self.gamma_op, [dual_module(m) for m in self.gamma_index.modules])
+        self.gop_index = IndecIndex.dual(self.gamma_index, self.gamma_op)
         self.yoneda_ids = [
             self.gamma_index.identify(self.ea.yoneda(m)) for m in self.index.modules
         ]
@@ -140,6 +139,7 @@ class AuslanderContext:
         index = self.side_index(side)
         return frozenset(i for i in range(len(index.modules)) if index.is_projective[i])
 
+    @memo(lambda self, side: side)
     def p2_ids(self, side: str) -> frozenset[int]:
         dims = [proj_dim(m, self.cutoff) for m in self.side_index(side).modules]
         return frozenset(i for i, pd in enumerate(dims) if pd is not None and pd <= 2)
@@ -309,14 +309,24 @@ class AuslanderContext:
     @memo(lambda self, side, z, a: (side, z, a))
     def _ext1_dim(self, side: str, z: int, a: int) -> int:
         """dim Ext^1 between two members, counted without building the space:
-        most pairs the closures walk have none."""
+        most pairs the closures walk have none.  Over Gamma^op it is read
+        through D: Ext^1(DX_z, DX_a) = Ext^1(X_a, X_z)."""
+        if side == "gamma_op":
+            return self._ext1_dim("gamma", a, z)
         index = self.side_index(side)
         return ext_dim(1, index.modules[z], index.modules[a])
 
     def _ext_closure(self, side: str, ids) -> tuple[frozenset[int], bool]:
         """Ids of the summands of the middle terms of the Ext^1 classes between
         members of ids, and whether every line was walked (each space walks
-        its lines up to ELEMENT_CAP of them, a spanning set beyond)."""
+        its lines up to ELEMENT_CAP of them, a spanning set beyond).
+
+        Over Gamma^op it is the closure over Gamma: D is an exact duality, so
+        Ext^1(DX_z, DX_a) = Ext^1(X_a, X_z) with middle terms D of each other,
+        which have the same ids; ids x ids is symmetric, so the middle ids and
+        the exhaustive flag agree."""
+        if side == "gamma_op":
+            return self._ext_closure("gamma", ids)
         index = self.side_index(side)
         middles, exhaustive = set(), True
         for z in sorted(ids):
@@ -372,13 +382,14 @@ class AuslanderContext:
         transposes of the members."""
         if sub.side != "gamma":
             raise AuslanderError("tr_subcategory expects a gamma-side subcategory")
-        out = set(self.projective_ids("gamma_op"))
-        for i in sorted(sub.ids):
-            tr = transpose_module(self.gamma_index.modules[i])
-            if tr.is_zero():
-                continue
-            out |= set(self.gop_index.parts(tr))
-        return SubcategorySpec("gamma_op", frozenset(out), f"Tr[{sub.provenance}]")
+        out = self.projective_ids("gamma_op").union(*(self._transpose_parts(i) for i in sub.ids))
+        return SubcategorySpec("gamma_op", out, f"Tr[{sub.provenance}]")
+
+    @memo(lambda self, i: i)
+    def _transpose_parts(self, i: int) -> frozenset[int]:
+        """Ids of the summands of Tr F_i over Gamma^op."""
+        tr = transpose_module(self.gamma_module(i))
+        return frozenset() if tr.is_zero() else frozenset(self.gop_index.parts(tr))
 
     # -- reconstruction ---------------------------------------------------------------
 
@@ -618,24 +629,33 @@ class AuslanderContext:
         )
 
     def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
-        """domdim of the admissibly presented subcategory, by iterated minimal
-        left approximations into the projective-injective representables."""
+        """Is domdim >= n for the admissibly presented subcategory?"""
+        return self.smodad_domdim_up_to(e, n) >= n
+
+    def smodad_domdim_up_to(self, e: ExactStructure, n: int) -> int:
+        """min(n, domdim) of the admissibly presented subcategory, by iterated
+        minimal left approximations of the representables into the
+        projective-injective representables: one walk answers every
+        domdim >= k for k <= n."""
         smodad = self.build_subcategories(e).smodad.ids
         pi_ids = sorted(set(self.yoneda_ids) & self.smodad_injective_ids(e))
         pi_mods = [self.gamma_module(i) for i in pi_ids]
+        depth = n
         for y in self.yoneda_ids:
             current = self.gamma_module(y)
-            for _ in range(n):
+            for step in range(depth):
                 if current.is_zero():
                     break
                 u = self._left_approximation(current, pi_mods)
                 if not u.is_injective():
-                    return False
+                    depth = step
+                    break
                 cok, _ = cokernel(u)
                 if not cok.is_zero() and not set(self.gamma_index.parts(cok)) <= smodad:
-                    return False
+                    depth = step
+                    break
                 current = cok
-        return True
+        return depth
 
     def verify_injective_projective_correspondence(self, e: ExactStructure) -> Report:
         report = Report("injective_projective_correspondence")
@@ -654,8 +674,8 @@ class AuslanderContext:
         report.add("I injective in (C,e) iff yoneda(I) injective in the subcategory", transfer_inj)
 
         enough_inj = self.has_enough_injectives(e)
-        dd2 = self.smodad_domdim_at_least(e, 2)
-        dd1 = self.smodad_domdim_at_least(e, 1)
+        depth = self.smodad_domdim_up_to(e, 2)
+        dd2, dd1 = depth >= 2, depth >= 1
         report.add(
             "enough injectives iff domdim >= 2 iff domdim >= 1",
             enough_inj == dd2 == dd1,

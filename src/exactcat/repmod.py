@@ -1266,16 +1266,31 @@ def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
 class IndecIndex:
     """All indecomposables of a representation-finite algebra, with stable ids."""
 
-    def __init__(self, algebra: Algebra, modules: list[Module]):
+    def __init__(self, algebra: Algebra, modules: list[Module], source: IndecIndex | None = None):
+        """source, when given, is an index over the opposite algebra whose
+        member i is D of member i here (see dual)."""
         self.algebra = algebra
         self.modules = modules
+        self.source = source
         self._id_by_key = {m.key(): i for i, m in enumerate(modules)}
         self._dimvecs = np.array([m.dims for m in modules], dtype=np.int64).reshape(len(modules), algebra.nv)
+        if source is not None:
+            # D swaps projectives and injectives and keeps simples
+            self.is_projective, self.is_injective = source.is_injective, source.is_projective
+            self.is_simple = source.is_simple
+            return
         std = standard_modules(algebra)
         self.is_projective = [any(is_isomorphic(m, pv) is not None for pv in std.projectives) for m in modules]
         self.is_injective = [any(is_isomorphic(m, iv) is not None for iv in std.injectives) for m in modules]
         self.is_simple = [any(is_isomorphic(m, sv) is not None for sv in std.simples) for m in modules]
-        self.projective_vertex = {v: self.identify(pv) for v, pv in enumerate(std.projectives)}
+
+    @classmethod
+    def dual(cls, index: IndecIndex, opposite_algebra: Algebra) -> IndecIndex:
+        """The index over the opposite algebra whose member i is D of member i
+        of index, for the exact duality D = Hom_k(-, k): its flags and the
+        relations of parts are read off index, with no isomorphism search and
+        no almost split sequence of its own."""
+        return cls(opposite_algebra, [dual_module(m) for m in index.modules], source=index)
 
     def identify(self, m: Module) -> int | None:
         hit = self._id_by_key.get(m.key())
@@ -1326,6 +1341,8 @@ class IndecIndex:
         """Row i gives dim S_{X_i}(m) from the h_j: e_i - [E_i] + [tau X_i] for the
         almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective;
         with the residue dimensions d_i = dim End(X_i)/rad End(X_i)."""
+        if self.source is not None:
+            return self._dual_relations()
         n = len(self.modules)
         rows = np.eye(n, dtype=np.int64)
         residue_dims = np.zeros(n, dtype=np.int64)
@@ -1336,10 +1353,36 @@ class IndecIndex:
                 ses = ar_sequence(x, self)
                 middle = ses.mid
                 rows[i, self._member(ses.sub)] += 1
-            for part, _ in decompose(middle):
-                rows[i, self._member(part)] -= 1
+            self._subtract_parts(rows, i, middle)
             residue_dims[i] = len(hom_basis(x, x)) - len(_local_residue(x))
         return rows, residue_dims
+
+    def _dual_relations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The relations of a dual index, read off its source.  D sends the
+        almost split sequence 0 -> X_i -> E -> X_j -> 0 of the source to the
+        almost split sequence 0 -> DX_j -> DE -> DX_i -> 0 ending at DX_i,
+        whose row e_i + e_j - [DE] is the source row j.  A projective DX_i
+        (X_i injective) decomposes its own radical, and End(DX) = End(X)^op
+        has the residue dimension of End(X)."""
+        source = self.source
+        source_rows, residue_dims = source._relations()
+        rows = np.eye(len(self.modules), dtype=np.int64)
+        translates = [False] * len(self.modules)
+        for j in source.nonprojective_ids():
+            i = source._member(ar_sequence(source.modules[j], source).sub)
+            rows[i] = source_rows[j]
+            translates[i] = True
+        if translates != [not proj for proj in self.is_projective]:
+            raise RepmodError("the source translates are not the non-projective members of the dual index")
+        for i, x in enumerate(self.modules):
+            if self.is_projective[i]:
+                self._subtract_parts(rows, i, radical_submodule(x)[0])
+        return rows, residue_dims
+
+    def _subtract_parts(self, rows: np.ndarray, i: int, middle: Module) -> None:
+        """Take the summands of middle off row i."""
+        for part, _ in decompose(middle):
+            rows[i, self._member(part)] -= 1
 
     @memo()
     def _dual_presentations(self) -> list[StdMapTerms]:

@@ -195,40 +195,65 @@ def test_resolving_closure(kA2, dn, kA3rel):
 
 
 def test_ext_closure_builds_ext_spaces_only_where_ext1_is_nonzero(monkeypatch):
-    """The extension closure skips the pairs with Ext^1 = 0 before building
-    their space, counting each pair's dimension once, and closes as walking
-    every pair does."""
+    """Over Gamma the extension closure skips the pairs with Ext^1 = 0 before
+    building their space, counting each pair's dimension once, and closes as
+    walking every pair does.  Over Gamma^op it builds and counts no Ext^1
+    over Gamma^op (it reads Gamma's through D) and still closes as walking
+    every pair of Gamma^op does."""
     from exactcat import auslander
     from exactcat.linalg import Matrix, subspace_lines
 
     ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
-    built, counted = [], []
+    built, counted, algebras = [], [], []
     real_space, real_dim = auslander.ext_space, auslander.ext_dim
-    monkeypatch.setattr(auslander, "ext_space", lambda z, a: built.append((z.key(), a.key())) or real_space(z, a))
-    monkeypatch.setattr(auslander, "ext_dim", lambda i, z, a: counted.append((z, a)) or real_dim(i, z, a))
-    checked = 0
-    for side in ("gamma", "gamma_op"):
-        index = ctx.side_index(side)
-        ids = frozenset(range(len(index.modules)))
-        built.clear()
-        counted.clear()
-        got = ctx._ext_closure(side, ids)
-        pairs = [(index.modules[z], index.modules[a]) for z in sorted(ids) for a in sorted(ids)]
-        nonzero = {(z.key(), a.key()) for z, a in pairs if real_space(z, a).dim}
-        assert 0 < len(nonzero) < len(pairs)
-        # the realized classes build their spaces again, so compare as sets
-        assert set(built) == nonzero and counted == pairs
-        counted.clear()
-        assert ctx._ext_closure(side, ids) == got and counted == []
-        middles = set()
-        for z in sorted(ids):
-            for a in sorted(ids):
-                dim = real_space(index.modules[z], index.modules[a]).dim
-                for vec in subspace_lines(Matrix.identity(GF2, dim), ELEMENT_CAP)[0]:
-                    middles |= ctx.ext_middle_parts(side, z, a, vec)
-        assert got == (frozenset(middles), True)
-        checked += 1
-    assert checked == 2
+
+    def spy_space(z, a):
+        built.append((z.key(), a.key()))
+        algebras.append(z.algebra)
+        return real_space(z, a)
+
+    def spy_dim(i, z, a):
+        counted.append((z, a))
+        algebras.append(z.algebra)
+        return real_dim(i, z, a)
+
+    monkeypatch.setattr(auslander, "ext_space", spy_space)
+    monkeypatch.setattr(auslander, "ext_dim", spy_dim)
+    index = ctx.gamma_index
+    ids = frozenset(range(len(index.modules)))
+    got = ctx._ext_closure("gamma", ids)
+    pairs = [(index.modules[z], index.modules[a]) for z in sorted(ids) for a in sorted(ids)]
+    nonzero = {(z.key(), a.key()) for z, a in pairs if real_space(z, a).dim}
+    assert 0 < len(nonzero) < len(pairs)
+    # the realized classes build their spaces again, so compare as sets
+    assert set(built) == nonzero and counted == pairs
+    counted.clear()
+    assert ctx._ext_closure("gamma", ids) == got and counted == []
+    middles = set()
+    for z in sorted(ids):
+        for a in sorted(ids):
+            dim = real_space(index.modules[z], index.modules[a]).dim
+            for vec in subspace_lines(Matrix.identity(GF2, dim), ELEMENT_CAP)[0]:
+                middles |= ctx.ext_middle_parts("gamma", z, a, vec)
+    assert got == (frozenset(middles), True)
+
+    # a fresh context, so that nothing over Gamma is remembered yet
+    op_ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
+    gop = op_ctx.gop_index
+    ids = frozenset(range(len(gop.modules)))
+    built.clear()
+    counted.clear()
+    algebras.clear()
+    got = op_ctx._ext_closure("gamma_op", ids)
+    assert built and counted
+    assert all(alg is op_ctx.gamma for alg in algebras)
+    middles = set()
+    for z in sorted(ids):
+        for a in sorted(ids):
+            space = real_space(gop.modules[z], gop.modules[a])
+            for vec in subspace_lines(Matrix.identity(GF2, space.dim), ELEMENT_CAP)[0]:
+                middles |= set(gop.parts(space.realize(vec).mid))
+    assert middles and got == (frozenset(middles), True)
 
 
 def test_axioms_all_structures(kA2, dn, kA3rel):
@@ -265,6 +290,24 @@ def test_injective_projective_correspondence(kA2, dn, kA3rel):
         for e in ctx.structures():
             report = ctx.verify_injective_projective_correspondence(e)
             assert report.ok, [(i.label, i.detail) for i in report.failures()]
+
+
+def test_one_domdim_walk_answers_every_smaller_bound(kA2, dn, kA3rel, monkeypatch):
+    """smodad_domdim_up_to(e, n) is min(n, domdim): a walk to a larger bound
+    gives the answer of every smaller one."""
+    depths = []
+    for ctx in (kA2, dn, kA3rel):
+        for e in ctx.structures():
+            deepest = ctx.smodad_domdim_up_to(e, 3)
+            depths.append(deepest)
+            for n in (0, 1, 2):
+                assert ctx.smodad_domdim_up_to(e, n) == min(n, deepest)
+                assert ctx.smodad_domdim_at_least(e, n) == (deepest >= n)
+    assert len(set(depths)) > 1
+    # with no projective-injectives the first approximation is not monic
+    monkeypatch.setattr(kA2, "smodad_injective_ids", lambda e: frozenset())
+    for e in kA2.structures():
+        assert kA2.smodad_domdim_up_to(e, 2) == 0 and not kA2.smodad_domdim_at_least(e, 1)
 
 
 def test_enough_injectives_in_abelian_structure(kA2, dn):
@@ -611,6 +654,24 @@ def test_gamma_op_index_is_the_dual_of_the_gamma_index(kA2, dn, kA3rel):
             assert (knitted.is_projective[k], knitted.is_injective[k]) == (gop.is_projective[i], gop.is_injective[i])
         total, _, _ = direct_sum(gop.modules)
         assert gop.parts(total) == list(range(len(gop.modules)))
+
+
+def test_dual_index_reads_flags_and_relations_off_gamma_as_a_fresh_index_finds_them(kA2, dn, kA3rel):
+    """The Gamma^op index takes its flags and the relations of parts from
+    Gamma's through D.  A fresh index over the same members searches the
+    standard modules of Gamma^op for its flags and runs ar_sequence, with its
+    is_almost_split test, on Gamma^op for its relations: both agree."""
+    kx3 = build_from_quiver(QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
+    more = [AuslanderContext(alg) for alg in (algebra_kA3(GF2, False), algebra_kA3(GF5, False), kx3)]
+    for ctx in (kA2, dn, kA3rel, *more):
+        gop = ctx.gop_index
+        fresh = repmod.IndecIndex(ctx.gamma_op, [dual_module(m) for m in ctx.gamma_index.modules])
+        assert gop.source is ctx.gamma_index and fresh.source is None
+        for flag in ("is_projective", "is_injective", "is_simple"):
+            assert getattr(gop, flag) == getattr(fresh, flag), flag
+        (rows, residues), (fresh_rows, fresh_residues) = gop._relations(), fresh._relations()
+        assert np.array_equal(rows, fresh_rows) and np.array_equal(residues, fresh_residues)
+        assert not all(gop.is_projective)
 
 
 def _old_minimal_resolution(m, length):

@@ -2,6 +2,7 @@
 perfbench/tracer.py patches and reads."""
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -125,6 +126,8 @@ HOISTED_STORES = tuple(
         "_torsion_parts",
         "_injective_cokernel_ids",
         "ext_middle_parts",
+        "_transpose_parts",
+        "p2_ids",
     )
 )
 
@@ -325,3 +328,26 @@ def test_tracer_paths_resolve_and_a_traced_session_runs():
         else:
             assert vars(home)[path] is originals[path]
 
+
+
+def test_a_session_runs_no_almost_split_sequence_and_no_ext1_over_gamma_op(monkeypatch):
+    """verify answers the Gamma^op side through D: after a whole session the
+    Gamma^op algebra holds no ar_candidate entry, and ext_middle_parts none
+    for the side gamma_op, although the round trip read Gamma^op ids."""
+    from exactcat import cli
+
+    contexts = []
+
+    def keep(*args, **kwargs):
+        contexts.append(AuslanderContext(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "AuslanderContext", keep)
+    payload = json.loads((ROOT / "sessions" / "kA3_gf5.json").read_text())
+    code, _ = run_session(payload, None)
+    assert code == 0 and len(contexts) == 1
+    ctx = contexts[0]
+    assert vars(ctx.gop_index).get("__relations_memo")
+    assert not vars(ctx.gamma_op).get("_ar_candidate_memo")
+    middles = vars(ctx)["_ext_middle_parts_memo"]
+    assert middles and {key[0] for key in middles} == {"gamma"}

@@ -771,6 +771,18 @@ def test_parts_rejects_summand_outside_index(name):
         partial.parts(direct_sum([mods[0], mods[-1]])[0])
 
 
+def test_dual_index_rejects_projective_flags_its_source_contradicts():
+    """The rows of a dual index come from the source translates, which must be
+    exactly its non-projective members."""
+    alg = algebra_kA3(GF2, zero_relation=False)
+    dual = IndecIndex.dual(all_indecomposables(alg, 40), alg.opposite())
+    assert dual.parts(direct_sum(dual.modules)[0]) == list(range(len(dual.modules)))
+    dual = IndecIndex.dual(all_indecomposables(alg, 40), alg.opposite())
+    dual.is_projective = [True] * len(dual.modules)
+    with pytest.raises(RepmodError, match="source translates"):
+        dual.parts(dual.modules[0])
+
+
 def _ext_dim_by_hom_bases(i, m, n):
     """dim Ext^i(m, n) through Hom bases, the reference for ext_dim: Hom(P_k, n)
     solved as intertwiner systems and phi -> phi o d_k written in them."""
