@@ -229,7 +229,7 @@ class AuslanderContext:
         return self._summand_ids(ses.sub), self._summand_ids(ses.quot)
 
     def _summand_ids(self, m: Module) -> frozenset[int]:
-        return self._interned(frozenset() if m.is_zero() else frozenset(self.gamma_index.parts(m)))
+        return self._interned(frozenset(self.gamma_index.parts(m)))
 
     @memo(lambda self, ids: ids)
     def _interned(self, ids: frozenset[int]) -> frozenset[int]:
@@ -303,8 +303,7 @@ class AuslanderContext:
     @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
         index = self.side_index(side)
-        syz = minimal_presentation(index.modules[i]).syz
-        return frozenset() if syz.is_zero() else frozenset(index.parts(syz))
+        return frozenset(index.parts(minimal_presentation(index.modules[i]).syz))
 
     @memo(lambda self, side, z, a: (side, z, a))
     def _ext1_dim(self, side: str, z: int, a: int) -> int:
@@ -388,8 +387,7 @@ class AuslanderContext:
     @memo(lambda self, i: i)
     def _transpose_parts(self, i: int) -> frozenset[int]:
         """Ids of the summands of Tr F_i over Gamma^op."""
-        tr = transpose_module(self.gamma_module(i))
-        return frozenset() if tr.is_zero() else frozenset(self.gop_index.parts(tr))
+        return frozenset(self.gop_index.parts(transpose_module(self.gamma_module(i))))
 
     # -- reconstruction ---------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quive
 from .auslander import AuslanderContext
 from .exactstruct import CategoryContext, ExactStructure, brute_force_structures, is_exact_structure
 from .linalg import ExactcatError, FieldPrime, LinalgError, Matrix
-from .repmod import ar_sequence, proj_dim, radical_submodule
+from .repmod import IndecIndex, proj_dim
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,6 +41,13 @@ class SessionError(ExactcatError):
 def _is_id(x) -> bool:
     """An integer id; JSON true/false are rejected although bool subclasses int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer(value, name: str) -> int:
+    """value, which must be a JSON integer; ValueError naming it otherwise."""
+    if not _is_id(value):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
 
 
 class Session:
@@ -90,13 +98,12 @@ class Session:
                     if rel and isinstance(rel[0], str):
                         relations.append([(1, tuple(rel))])
                     else:
-                        relations.append([(int(c), tuple(path)) for c, path in rel])
+                        relations.append([(_integer(c, "relation coefficient"), tuple(path)) for c, path in rel])
+                cap = _integer(q.get("path_length_cap", 8), "path_length_cap")
+                if cap < 0:
+                    raise ValueError(f"path_length_cap = {cap} is negative")
                 pres = QuiverPresentation(
-                    self.field,
-                    list(q["vertices"]),
-                    [tuple(a) for a in q["arrows"]],
-                    relations,
-                    int(q.get("path_length_cap", 8)),
+                    self.field, list(q["vertices"]), [tuple(a) for a in q["arrows"]], relations, cap
                 )
                 return build_from_quiver(pres)
             except (KeyError, TypeError, ValueError, IndexError, AlgebraError) as exc:
@@ -109,13 +116,13 @@ class Session:
                 for key, row in t["products"].items():
                     i, j = (int(x) for x in key.split(","))
                     for k, c in row.items():
-                        mult[i, j, int(k)] = int(c)
+                        mult[i, j, int(k)] = _integer(c, "product coefficient")
                 algebra = Algebra(
                     self.field,
                     len(t["vertices"]),
                     [str(x) for x in t["basis"]],
-                    [int(x) for x in t["left"]],
-                    [int(x) for x in t["right"]],
+                    [_integer(x, "left entry") for x in t["left"]],
+                    [_integer(x, "right entry") for x in t["right"]],
                     mult,
                 )
                 failures = validate_algebra(algebra).failures()
@@ -139,9 +146,8 @@ class Session:
                 raise SessionError(f"bad command entry: {c!r}")
         if not out:
             raise SessionError("session lists no commands")
-        known = {"indecomposables", "exact_structures", "verify", "smodad"}
         for c in out:
-            if c["name"] not in known:
+            if not isinstance(c["name"], str) or c["name"] not in COMMANDS:
                 raise SessionError(f"unknown command: {c['name']}")
         return out
 
@@ -171,39 +177,28 @@ def _report_lines(out: RunOutput, report, indent="  "):
         out.emit(f"{indent}note: {note}")
 
 
-def _ar_quiver_dot(ctx: AuslanderContext) -> str:
-    index = ctx.index
+def _flags(index: IndecIndex, i: int) -> str:
+    """P, I and S for a projective, injective and simple member."""
+    marks = (("P", index.is_projective[i]), ("I", index.is_injective[i]), ("S", index.is_simple[i]))
+    return "".join(c for c, on in marks if on)
+
+
+def _ar_quiver_dot(index: IndecIndex) -> str:
+    """The AR quiver: an arrow per irreducible map (labelled with its
+    multiplicity above 1), a dashed arrow from each member to its translate."""
     lines = ["digraph ar_quiver {"]
     for i, m in enumerate(index.modules):
-        flags = []
-        if index.is_projective[i]:
-            flags.append("P")
-        if index.is_injective[i]:
-            flags.append("I")
-        if index.is_simple[i]:
-            flags.append("S")
-        label = f"M{i} {list(m.dims)}" + (f" [{''.join(flags)}]" if flags else "")
+        flags = _flags(index, i)
+        label = f"M{i} {list(m.dims)}" + (f" [{flags}]" if flags else "")
         lines.append(f'  "M{i}" [label="{label}"];')
-    edges: dict[tuple[int, int], int] = {}
-    for i, m in enumerate(index.modules):
-        if index.is_projective[i]:
-            radm, _ = radical_submodule(m)
-            if not radm.is_zero():
-                for pid in index.parts(radm):
-                    edges[(pid, i)] = edges.get((pid, i), 0) + 1
-        else:
-            ses = ar_sequence(m, index)
-            if not ses.mid.is_zero():
-                for pid in index.parts(ses.mid):
-                    edges[(pid, i)] = edges.get((pid, i), 0) + 1
+    quiver = index.ar_quiver()
+    edges = Counter((j, i) for i, mesh in enumerate(quiver) for j in mesh.arrows)
     for (src, tgt), mult in sorted(edges.items()):
         attr = f' [label="{mult}"]' if mult > 1 else ""
         lines.append(f'  "M{src}" -> "M{tgt}"{attr};')
-    for i in range(len(index.modules)):
-        if not index.is_projective[i]:
-            ses = ar_sequence(index.modules[i], index)
-            tid = index.identify(ses.sub)
-            lines.append(f'  "M{i}" -> "M{tid}" [style=dashed];')
+    for i, mesh in enumerate(quiver):
+        if mesh.tau is not None:
+            lines.append(f'  "M{i}" -> "M{mesh.tau}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -229,18 +224,10 @@ def cmd_indecomposables(session: Session, ctx: AuslanderContext, out: RunOutput,
     index = ctx.index
     rows = []
     for i, m in enumerate(index.modules):
-        flags = "".join(
-            c
-            for c, on in (
-                ("P", index.is_projective[i]),
-                ("I", index.is_injective[i]),
-                ("S", index.is_simple[i]),
-            )
-            if on
-        )
+        flags = _flags(index, i)
         out.emit(f"  M{i}: dims={list(m.dims)} total={m.total_dim} flags={flags or '-'}")
         rows.append({"id": i, "dims": list(m.dims), "flags": flags})
-    out.files["ar_quiver.dot"] = _ar_quiver_dot(ctx)
+    out.files["ar_quiver.dot"] = _ar_quiver_dot(index)
     out.json["commands"].append({"name": "indecomposables", "modules": rows})
 
 

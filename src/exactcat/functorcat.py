@@ -27,11 +27,11 @@ from .repmod import (
     coeffs_of_std_map,
     descend,
     direct_sum,
+    find_isomorphic,
     hom_basis,
     hom_coords,
     hom_from_coords,
     inverse_map,
-    is_isomorphic,
     lift_through_epi,
     minimal_presentation,
     projective_cover,
@@ -52,15 +52,11 @@ class AdditiveCategorySpec:
 
     def __post_init__(self):
         for i, m in enumerate(self.generators):
-            for n in self.generators[i + 1 :]:
-                if is_isomorphic(m, n) is not None:
-                    raise FunctorcatError("generator summands are not pairwise non-isomorphic")
+            if find_isomorphic(m, self.generators[i + 1 :]) is not None:
+                raise FunctorcatError("generator summands are not pairwise non-isomorphic")
 
     def identify_summand(self, m: Module) -> int | None:
-        for i, g in enumerate(self.generators):
-            if m.dims == g.dims and is_isomorphic(m, g) is not None:
-                return i
-        return None
+        return find_isomorphic(m, self.generators)
 
 
 class EndAlgebra:

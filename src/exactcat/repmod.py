@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -686,6 +687,15 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
     return None
 
 
+def find_isomorphic(m: Module, modules: Sequence[Module]) -> int | None:
+    """The first position in modules of a module isomorphic to m, else None;
+    only modules with m's dimension vector are searched."""
+    for i, n in enumerate(modules):
+        if n.dims == m.dims and is_isomorphic(m, n) is not None:
+            return i
+    return None
+
+
 # -- standard modules ---------------------------------------------------------
 
 
@@ -989,10 +999,7 @@ def dominant_dimension(a: Algebra, cutoff: int) -> int | None:
     algebra.  Returns None for 'at least cutoff'.
     """
     std = standard_modules(a)
-    inj_is_proj = [
-        any(is_isomorphic(iv, pw) is not None for pw in std.projectives)
-        for iv in std.injectives
-    ]
+    inj_is_proj = [find_isomorphic(iv, std.projectives) is not None for iv in std.injectives]
     best: int | None = None
     for v in range(a.nv):
         dp = dual_module(std.projectives[v])
@@ -1263,6 +1270,14 @@ def ar_sequence(z: Module, index: "IndecIndex") -> ShortExactSeq:
 # -- the indecomposable index ---------------------------------------------------
 
 
+class Mesh(NamedTuple):
+    """The AR quiver at one member: the id of its translate (None when it is
+    projective) and the sorted ids, with multiplicity, of the arrows into it."""
+
+    tau: int | None
+    arrows: tuple[int, ...]
+
+
 class IndecIndex:
     """All indecomposables of a representation-finite algebra, with stable ids."""
 
@@ -1280,9 +1295,9 @@ class IndecIndex:
             self.is_simple = source.is_simple
             return
         std = standard_modules(algebra)
-        self.is_projective = [any(is_isomorphic(m, pv) is not None for pv in std.projectives) for m in modules]
-        self.is_injective = [any(is_isomorphic(m, iv) is not None for iv in std.injectives) for m in modules]
-        self.is_simple = [any(is_isomorphic(m, sv) is not None for sv in std.simples) for m in modules]
+        self.is_projective = [find_isomorphic(m, std.projectives) is not None for m in modules]
+        self.is_injective = [find_isomorphic(m, std.injectives) is not None for m in modules]
+        self.is_simple = [find_isomorphic(m, std.simples) is not None for m in modules]
 
     @classmethod
     def dual(cls, index: IndecIndex, opposite_algebra: Algebra) -> IndecIndex:
@@ -1294,13 +1309,7 @@ class IndecIndex:
 
     def identify(self, m: Module) -> int | None:
         hit = self._id_by_key.get(m.key())
-        if hit is not None:
-            return hit
-        for i, cand in enumerate(self.modules):
-            if m.total_dim == cand.total_dim and m.dims == cand.dims:
-                if is_isomorphic(m, cand) is not None:
-                    return i
-        return None
+        return hit if hit is not None else find_isomorphic(m, self.modules)
 
     def parts(self, m: Module) -> list[int]:
         """Iso classes (with multiplicity) of the summands of m, as a new list."""
@@ -1337,52 +1346,52 @@ class IndecIndex:
         return tuple(i for i, k in enumerate(mult) for _ in range(k))
 
     @memo()
+    def ar_quiver(self) -> list[Mesh]:
+        """The mesh at each member X_i: the id of tau X_i and the arrows into
+        X_i, from the almost split sequence ending at X_i, or from rad X_i for
+        X_i projective.
+
+        A dual index reads its non-projective members off its source: D sends
+        the almost split sequence 0 -> X_i -> E -> X_j -> 0 of the source to
+        the one ending at DX_i, whose translate is DX_j and whose middle term
+        DE has the ids of E.  A projective DX_i (X_i injective) decomposes its
+        own radical."""
+        meshes: list[Mesh | None] = [None] * len(self.modules)
+        if self.source is not None:
+            for j, mesh in enumerate(self.source.ar_quiver()):
+                if mesh.tau is not None:
+                    meshes[mesh.tau] = Mesh(j, mesh.arrows)
+            if [mesh is not None for mesh in meshes] != [not proj for proj in self.is_projective]:
+                raise RepmodError("the source translates are not the non-projective members of the dual index")
+        for i, x in enumerate(self.modules):
+            if meshes[i] is not None:
+                continue
+            if self.is_projective[i]:
+                tau, middle = None, radical_submodule(x)[0]
+            else:
+                ses = ar_sequence(x, self)
+                tau, middle = self._member(ses.sub), ses.mid
+            meshes[i] = Mesh(tau, tuple(sorted(self._member(part) for part, _ in decompose(middle))))
+        return meshes
+
+    @memo()
     def _relations(self) -> tuple[np.ndarray, np.ndarray]:
         """Row i gives dim S_{X_i}(m) from the h_j: e_i - [E_i] + [tau X_i] for the
         almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective;
-        with the residue dimensions d_i = dim End(X_i)/rad End(X_i)."""
-        if self.source is not None:
-            return self._dual_relations()
-        n = len(self.modules)
-        rows = np.eye(n, dtype=np.int64)
-        residue_dims = np.zeros(n, dtype=np.int64)
-        for i, x in enumerate(self.modules):
-            if self.is_projective[i]:
-                middle = radical_submodule(x)[0]
-            else:
-                ses = ar_sequence(x, self)
-                middle = ses.mid
-                rows[i, self._member(ses.sub)] += 1
-            self._subtract_parts(rows, i, middle)
-            residue_dims[i] = len(hom_basis(x, x)) - len(_local_residue(x))
-        return rows, residue_dims
-
-    def _dual_relations(self) -> tuple[np.ndarray, np.ndarray]:
-        """The relations of a dual index, read off its source.  D sends the
-        almost split sequence 0 -> X_i -> E -> X_j -> 0 of the source to the
-        almost split sequence 0 -> DX_j -> DE -> DX_i -> 0 ending at DX_i,
-        whose row e_i + e_j - [DE] is the source row j.  A projective DX_i
-        (X_i injective) decomposes its own radical, and End(DX) = End(X)^op
-        has the residue dimension of End(X)."""
-        source = self.source
-        source_rows, residue_dims = source._relations()
+        with the residue dimensions d_i = dim End(X_i)/rad End(X_i), which a
+        dual index reads off its source since End(DX) = End(X)^op."""
         rows = np.eye(len(self.modules), dtype=np.int64)
-        translates = [False] * len(self.modules)
-        for j in source.nonprojective_ids():
-            i = source._member(ar_sequence(source.modules[j], source).sub)
-            rows[i] = source_rows[j]
-            translates[i] = True
-        if translates != [not proj for proj in self.is_projective]:
-            raise RepmodError("the source translates are not the non-projective members of the dual index")
-        for i, x in enumerate(self.modules):
-            if self.is_projective[i]:
-                self._subtract_parts(rows, i, radical_submodule(x)[0])
+        for i, mesh in enumerate(self.ar_quiver()):
+            if mesh.tau is not None:
+                rows[i, mesh.tau] += 1
+            for j in mesh.arrows:
+                rows[i, j] -= 1
+        if self.source is not None:
+            return rows, self.source._relations()[1]
+        residue_dims = np.array(
+            [len(hom_basis(x, x)) - len(_local_residue(x)) for x in self.modules], dtype=np.int64
+        )
         return rows, residue_dims
-
-    def _subtract_parts(self, rows: np.ndarray, i: int, middle: Module) -> None:
-        """Take the summands of middle off row i."""
-        for part, _ in decompose(middle):
-            rows[i, self._member(part)] -= 1
 
     @memo()
     def _dual_presentations(self) -> list[StdMapTerms]:
@@ -1418,64 +1427,42 @@ def all_indecomposables(a: Algebra, dim_cap: int, cap_name: str = "dim_cap") -> 
     std = standard_modules(a)
     known: list[Module] = []
 
-    def add(m: Module) -> bool:
+    def add(m: Module) -> None:
         if m.is_zero():
-            return False
+            return
         if m.total_dim > dim_cap:
             raise CapExceeded(
                 f"indecomposable of dimension {m.total_dim} exceeds {cap_name}={dim_cap}"
             )
-        for cand in known:
-            if cand.dims == m.dims and is_isomorphic(cand, m) is not None:
-                return False
-        known.append(m)
-        return True
+        if find_isomorphic(m, known) is None:
+            known.append(m)
 
     for pv in std.projectives:
         add(pv)
-
-    def is_proj(m):
-        return any(is_isomorphic(m, pv) is not None for pv in std.projectives)
-
-    def is_inj(m):
-        return any(is_isomorphic(m, iv) is not None for iv in std.injectives)
-
-    processed: set[bytes] = set()
-    changed = True
-    while changed:
-        changed = False
-        for m in list(known):
-            if m.key() in processed:
-                continue
-            processed.add(m.key())
-            changed = True
-            proj = is_proj(m)
-            inj = is_inj(m)
-            if proj:
-                radm, _ = radical_submodule(m)
-                for part, _ in decompose(radm):
-                    add(part)
-            if inj:
-                radop, _ = radical_submodule(dual_module(m))
-                for part, _ in decompose(dual_module(radop)):
-                    add(part)
-            if not proj:
-                for part, _ in decompose(ar_translate(m)):
-                    add(part)
-                ses = ar_candidate(m)
-                for part, _ in decompose(ses.mid):
-                    add(part)
-            if not inj:
-                for part, _ in decompose(ar_translate_inverse(m)):
-                    add(part)
+    # known grows while it is walked, so each member is processed once
+    for m in known:
+        proj = find_isomorphic(m, std.projectives) is not None
+        inj = find_isomorphic(m, std.injectives) is not None
+        if proj:
+            radm, _ = radical_submodule(m)
+            for part, _ in decompose(radm):
+                add(part)
+        if inj:
+            radop, _ = radical_submodule(dual_module(m))
+            for part, _ in decompose(dual_module(radop)):
+                add(part)
+        if not proj:
+            for part, _ in decompose(ar_translate(m)):
+                add(part)
+            ses = ar_candidate(m)
+            for part, _ in decompose(ses.mid):
+                add(part)
+        if not inj:
+            for part, _ in decompose(ar_translate_inverse(m)):
+                add(part)
 
     index = IndecIndex(a, known)
-    # validation pass: every non-projective member gets a genuine AR sequence
-    for i in index.nonprojective_ids():
-        ses = ar_sequence(index.modules[i], index)
-        for part, _ in decompose(ses.mid):
-            if index.identify(part) is None:
-                raise RepmodError("validated AR sequence leaves the enumerated list")
+    index.ar_quiver()  # validation: an almost split sequence at every non-projective member
     return index
 
 

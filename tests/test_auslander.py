@@ -21,6 +21,7 @@ from exactcat.repmod import (
     RepmodError,
     ShortExactSeq,
     all_indecomposables,
+    ar_sequence,
     block_map,
     cokernel,
     decompose,
@@ -37,6 +38,7 @@ from exactcat.repmod import (
     minimal_resolution,
     proj_dim,
     projective_cover,
+    radical_submodule,
     standard_modules,
 )
 
@@ -671,7 +673,29 @@ def test_dual_index_reads_flags_and_relations_off_gamma_as_a_fresh_index_finds_t
             assert getattr(gop, flag) == getattr(fresh, flag), flag
         (rows, residues), (fresh_rows, fresh_residues) = gop._relations(), fresh._relations()
         assert np.array_equal(rows, fresh_rows) and np.array_equal(residues, fresh_residues)
+        assert [(m.tau, sorted(m.arrows)) for m in gop.ar_quiver()] == [
+            (m.tau, sorted(m.arrows)) for m in fresh.ar_quiver()
+        ]
         assert not all(gop.is_projective)
+
+
+def test_ar_quiver_reads_the_almost_split_sequences_and_the_radicals(kA2, dn, kA3rel):
+    """At a non-projective member the record holds the translate and the
+    summands of the middle term of ar_sequence, at a projective member the
+    summands of its radical; on the Lambda and Gamma sides of the algebras
+    of sessions/."""
+    for ctx in (kA2, dn, kA3rel, AuslanderContext(algebra_kA3(GF5, False))):
+        for index in (ctx.index, ctx.gamma_index):
+            quiver = index.ar_quiver()
+            assert len(quiver) == len(index.modules) and index.ar_quiver() is quiver
+            for i, (x, mesh) in enumerate(zip(index.modules, quiver)):
+                if index.is_projective[i]:
+                    expected = (None, sorted(index.parts(radical_submodule(x)[0])))
+                else:
+                    ses = ar_sequence(x, index)
+                    expected = (index.identify(ses.sub), sorted(index.parts(ses.mid)))
+                assert (mesh.tau, list(mesh.arrows)) == expected
+            assert any(mesh.tau is not None for mesh in quiver)
 
 
 def _old_minimal_resolution(m, length):

@@ -41,6 +41,42 @@ def test_indecomposables_command(tmp_path):
     assert len(solid_edges) == 2
 
 
+AR_QUIVER_DOTS = {
+    # a loop of irreducible maps through the simple, which is its own translate
+    "dual_numbers": """digraph ar_quiver {
+  "M0" [label="M0 [2] [PI]"];
+  "M1" [label="M1 [1] [S]"];
+  "M0" -> "M1";
+  "M1" -> "M0";
+  "M1" -> "M1" [style=dashed];
+}
+""",
+    "kA3_relation": """digraph ar_quiver {
+  "M0" [label="M0 [1, 1, 0] [PI]"];
+  "M1" [label="M1 [0, 1, 1] [PI]"];
+  "M2" [label="M2 [0, 0, 1] [PS]"];
+  "M3" [label="M3 [0, 1, 0] [S]"];
+  "M4" [label="M4 [1, 0, 0] [IS]"];
+  "M0" -> "M4";
+  "M1" -> "M3";
+  "M2" -> "M1";
+  "M3" -> "M0";
+  "M3" -> "M2" [style=dashed];
+  "M4" -> "M3" [style=dashed];
+}
+""",
+}
+
+
+@pytest.mark.parametrize("session", sorted(AR_QUIVER_DOTS))
+def test_ar_quiver_dot_text(session):
+    payload = json.loads((Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text())
+    payload["commands"] = ["indecomposables"]
+    code, out = run_session(payload, None)
+    assert code == EXIT_OK
+    assert out.files["ar_quiver.dot"] == AR_QUIVER_DOTS[session]
+
+
 def test_semisimple_ar_quiver_isolated(tmp_path):
     payload = {
         "p": 5,
@@ -189,6 +225,7 @@ def test_malformed_session():
         ({"commands": 5}, "commands must be a list"),
         ({"commands": "verify"}, "commands must be a list"),
         ({"structures": 5}, "structures must be a list"),
+        ({"commands": [{"name": ["verify"]}]}, "unknown command: ['verify']"),
     ],
     ids=[
         "seed_negative",
@@ -205,6 +242,7 @@ def test_malformed_session():
         "commands_int",
         "commands_string",
         "structures_int",
+        "command_name_list",
     ],
 )
 def test_non_integer_or_out_of_range_settings_exit_2(monkeypatch, extra, message):
@@ -217,6 +255,71 @@ def test_non_integer_or_out_of_range_settings_exit_2(monkeypatch, extra, message
     code, out = run_session(payload, None)
     assert code == EXIT_INPUT
     assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)
+
+
+KA3_RELATION = {
+    "vertices": ["1", "2", "3"],
+    "arrows": [["a", "1", "2"], ["b", "2", "3"]],
+    "relations": [["a", "b"]],
+    "path_length_cap": 3,
+}
+# k[x]/(x^2) on the basis (e, x)
+DUAL_NUMBERS_TABLE = {
+    "vertices": ["1"],
+    "basis": ["e", "x"],
+    "left": [0, 0],
+    "right": [0, 0],
+    "products": {"0,0": {"0": 1}, "0,1": {"1": 1}, "1,0": {"1": 1}, "1,1": {}},
+}
+
+
+@pytest.mark.parametrize(
+    "algebra, message",
+    [
+        ({"quiver": {**KA3_RELATION, "path_length_cap": -1}}, "bad quiver: path_length_cap = -1 is negative"),
+        ({"quiver": {**KA3_RELATION, "path_length_cap": 2.5}}, "bad quiver: path_length_cap = 2.5 is not an integer"),
+        ({"quiver": {**KA3_RELATION, "path_length_cap": True}}, "bad quiver: path_length_cap = True is not an integer"),
+        ({"quiver": {**KA3_RELATION, "path_length_cap": "3"}}, "bad quiver: path_length_cap = '3' is not an integer"),
+        (
+            {"quiver": {**KA3_RELATION, "relations": [[[1.9, ["a", "b"]]]]}},
+            "bad quiver: relation coefficient = 1.9 is not an integer",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "relations": [[[True, ["a", "b"]]]]}},
+            "bad quiver: relation coefficient = True is not an integer",
+        ),
+        ({"table": {**DUAL_NUMBERS_TABLE, "left": [0, 0.0]}}, "bad table: left entry = 0.0 is not an integer"),
+        ({"table": {**DUAL_NUMBERS_TABLE, "right": [True, 0]}}, "bad table: right entry = True is not an integer"),
+        (
+            {"table": {**DUAL_NUMBERS_TABLE, "products": {"0,0": {"0": 1.9}}}},
+            "bad table: product coefficient = 1.9 is not an integer",
+        ),
+        (
+            {"table": {**DUAL_NUMBERS_TABLE, "products": {"0,1": {"1": True}}}},
+            "bad table: product coefficient = True is not an integer",
+        ),
+    ],
+    ids=[
+        "cap_negative",
+        "cap_float",
+        "cap_bool",
+        "cap_string",
+        "relation_float",
+        "relation_bool",
+        "left_float",
+        "right_bool",
+        "product_float",
+        "product_bool",
+    ],
+)
+def test_non_integer_or_negative_algebra_entries_exit_2(monkeypatch, algebra, message):
+    """The integers of a quiver or a table are JSON integers, and the path
+    length cap is not negative (-1 used to build the semisimple algebra on
+    the quiver's vertices); rejected before any context is built."""
+    monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
+    code, out = run_session({"p": 2, **algebra, "commands": ["verify"]}, None)
+    assert code == EXIT_INPUT
+    assert out.lines == [f"input error: {message}"]
 
 
 def test_largest_seed_runs():

@@ -36,6 +36,7 @@ from exactcat.repmod import (
     dual_module,
     ext_dim,
     ext_space,
+    find_isomorphic,
     hom_basis,
     hom_coords,
     hom_dim,
@@ -307,6 +308,27 @@ def test_is_isomorphic_basics(kA2):
     s1, s2 = std.simples
     assert is_isomorphic(s1, s1) is not None
     assert is_isomorphic(s1, s2) is None
+
+
+def test_find_isomorphic_returns_the_first_match_and_skips_other_dimension_vectors(kA2, monkeypatch):
+    std = standard_modules(kA2)
+    s1, s2 = std.simples
+    p1 = std.projectives[0]
+    pairs = []
+    iso = repmod.is_isomorphic
+
+    def spy(m, n):
+        pairs.append((m.dims, n.dims))
+        return iso(m, n)
+
+    monkeypatch.setattr(repmod, "is_isomorphic", spy)
+    modules = [p1, s2, s1, simple_module(kA2, 0)]
+    assert find_isomorphic(simple_module(kA2, 0), modules) == 2
+    assert find_isomorphic(s2, modules) == 1
+    # S1 + S2 has the dimension vector of P1 but is not isomorphic to it
+    assert find_isomorphic(direct_sum([s1, s2])[0], modules) is None
+    assert find_isomorphic(p1, []) is None
+    assert pairs and all(m == n for m, n in pairs)
 
 
 def test_is_isomorphic_random_base_change():
@@ -760,6 +782,7 @@ def test_parts_matches_decompose(name):
     cases += [ar_sequence(mods[i], index).mid for i in index.nonprojective_ids()]
     for m in cases:
         assert index.parts(m) == sorted(index.identify(q) for q, _ in decompose(m))
+    assert index.parts(Module.zero(index.algebra)) == []
 
 
 @pytest.mark.parametrize("name", sorted(PARTS_ALGEBRAS))
@@ -777,6 +800,7 @@ def test_dual_index_rejects_projective_flags_its_source_contradicts():
     alg = algebra_kA3(GF2, zero_relation=False)
     dual = IndecIndex.dual(all_indecomposables(alg, 40), alg.opposite())
     assert dual.parts(direct_sum(dual.modules)[0]) == list(range(len(dual.modules)))
+    assert dual.parts(Module.zero(dual.algebra)) == []
     dual = IndecIndex.dual(all_indecomposables(alg, 40), alg.opposite())
     dual.is_projective = [True] * len(dual.modules)
     with pytest.raises(RepmodError, match="source translates"):
