@@ -580,55 +580,62 @@ def _fitting_projection(field, power: np.ndarray) -> Matrix:
 # -- Krull-Schmidt decomposition ----------------------------------------------
 
 
-def _endo_candidates(end: list[ModuleMap], p: int):
-    """Deterministic schedule of endomorphisms to probe for splitting idempotents."""
-    for f in end:
-        yield f
-    for i in range(len(end)):
-        for j in range(i + 1, len(end)):
-            yield end[i] + end[j]
-    n = len(end)
-    if p**n <= 4096:
-        for coeffs in itertools.product(range(p), repeat=n):
-            f = None
-            for c, b in zip(coeffs, end):
-                if c:
-                    f = b.scale(c) if f is None else f + b.scale(c)
-            if f is not None:
-                yield f
-    else:
-        rng = np.random.RandomState(0)
-        for _ in range(300):
-            coeffs = rng.randint(0, p, size=n)
-            f = None
-            for c, b in zip(coeffs, end):
-                if c:
-                    f = b.scale(int(c)) if f is None else f + b.scale(int(c))
-            if f is not None:
-                yield f
+@memo(Module.key, owner=lambda m: m.algebra)
+def _split_or_prove_local(m: Module) -> tuple[ModuleMap | None, list[ModuleMap]]:
+    """(e, []) for a nontrivial idempotent e of m, or (None, a basis of
+    rad End(m)) with a proof that End(m) is local with residue field GF(p).
 
-
-def _splitting_idempotent(m: Module) -> ModuleMap | None:
-    """A nontrivial idempotent endomorphism of m, or None if none is found.
-
-    Probes the schedule of _endo_candidates.  For the first candidate f with
-    f + t singular and (f + t)^N nonzero, t the least shift, returns the
-    projection onto ker (f + t)^N along im (f + t)^N (Fitting's lemma);
-    raises RepmodError when that is not a nontrivial idempotent.
+    Walks hom_basis(m, m) in order, with the least shift t of each h.  The
+    first h with (h + t)^N nonzero splits m along the projection onto
+    ker (h + t)^N along im (h + t)^N (Fitting's lemma); raises RepmodError
+    when that is not a nontrivial idempotent.  Otherwise every h + t is
+    nilpotent, and End(m) is local exactly when every h has a shift and the
+    h + t span a subspace J of codimension 1 closed under composition: J is
+    then a two-sided ideal with End/J = k, so it contains rad End(m), and
+    J/rad, an ideal of the semisimple End/rad spanned by nilpotents (trace 0
+    in every matrix factor), is zero.  The basis is J's pivot basis.  Raises
+    CapExceeded when End(m) is not proved local.
     """
     field = m.algebra.field
     end = hom_basis(m, m)
-    if len(end) <= 1:
-        return None
-    for f in _endo_candidates(end, field.p):
-        shift = _least_shift(f)
-        if shift is None or not any(w.any() for w in shift[1]):
+    ident = ModuleMap.identity(m)
+    shifted, every_shift = [], True
+    for h in end:
+        shift = _least_shift(h)
+        if shift is None:
+            every_shift = False
             continue
-        e = ModuleMap(m, m, [_fitting_projection(field, w) for w in shift[1]])
-        if e.is_zero() or (e - ModuleMap.identity(m)).is_zero() or not (e @ e - e).is_zero():
-            raise RepmodError("Fitting's lemma gave no nontrivial idempotent")
-        return e
-    return None
+        t, powers = shift
+        if any(w.any() for w in powers):
+            e = ModuleMap(m, m, [_fitting_projection(field, w) for w in powers])
+            if e.is_zero() or (e - ident).is_zero() or not (e @ e - e).is_zero():
+                raise RepmodError("Fitting's lemma gave no nontrivial idempotent")
+            return e, []
+        cand = h + ident.scale(t)
+        if not cand.is_zero():
+            shifted.append(cand)
+    rad, closed = [], True
+    if shifted:
+        span = Matrix(field, np.column_stack([r.flat() for r in shifted]))
+        _, pivots = rref(span)
+        rad = [shifted[j] for j in pivots]
+        products = Matrix(field, np.column_stack([(a @ b).flat() for a in rad for b in rad]))
+        closed = solve_right(span.take_columns(pivots), products) is not None
+    if not (every_shift and closed and len(rad) == len(end) - 1):
+        raise CapExceeded(
+            f"no Hom-basis element splits a module of dimension vector {m.dims}, "
+            "and its endomorphism ring is not proved local"
+        )
+    return None, rad
+
+
+def _local_residue(m: Module) -> list[ModuleMap]:
+    """Basis of rad End(m) for m with local endomorphism ring; raises
+    RepmodError when m splits."""
+    e, rad = _split_or_prove_local(m)
+    if e is not None:
+        raise RepmodError("endomorphism ring is not local; module is decomposable")
+    return rad
 
 
 @memo(Module.key, owner=lambda m: m.algebra, store="decompose_cache")
@@ -636,15 +643,13 @@ def decompose(m: Module) -> list[tuple[Module, ModuleMap]]:
     """Indecomposable summands of m, each with its inclusion map.
 
     The direct sum of the returned summands is isomorphic to m; stacking the
-    inclusions gives the isomorphism (see decompose_iso).  A summand that no
-    idempotent splits is certified by its local endomorphism ring; raises
-    RepmodError when that certificate fails.
+    inclusions gives the isomorphism (see decompose_iso).  Each module is
+    split, or proved indecomposable, by _split_or_prove_local.
     """
     if m.is_zero():
         return []
-    e = _splitting_idempotent(m)
+    e, _ = _split_or_prove_local(m)
     if e is None:
-        _local_residue(m)
         return [(m, ModuleMap.identity(m))]
     result = []
     for part_map in (e, ModuleMap.identity(m) - e):
@@ -668,9 +673,11 @@ def decompose_iso(m: Module, parts: list[tuple[Module, ModuleMap]]) -> ModuleMap
 def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
     """An isomorphism m -> n if one exists, else None.
 
-    Quick invariants (dimension vectors, hom dimensions) are checked first;
-    then the deterministic candidate schedule searches Hom(m, n) for an
-    invertible element (exhaustively when the hom space is small).
+    Quick invariants (dimension vectors, hom dimensions) are checked first,
+    then the Hom(m, n) basis for an isomorphism.  When none is one and m or
+    n is indecomposable, there is none: an isomorphism identifies Hom(m, n)
+    with End(m), whose non-units form a proper subspace.  Two decomposable
+    modules are matched summand by summand (Krull-Schmidt).
     """
     if m.dims != n.dims:
         return None
@@ -681,10 +688,29 @@ def is_isomorphic(m: Module, n: Module) -> ModuleMap | None:
         return None
     if len(hom_basis(n, m)) != len(homs) or len(hom_basis(m, m)) != len(hom_basis(n, n)):
         return None
-    for f in _endo_candidates(homs, m.algebra.field.p):
+    for f in homs:
         if f.is_isomorphism():
             return f
-    return None
+    if len(decompose(m)) == 1 or len(decompose(n)) == 1:
+        return None
+    return _match_summands(m, n)
+
+
+def _match_summands(m: Module, n: Module) -> ModuleMap | None:
+    """An isomorphism m -> n, for m and n of one dimension vector, that sends
+    each summand of decompose(m) onto an isomorphic summand of decompose(n),
+    else None."""
+    parts_m, parts_n = decompose(m), decompose(n)
+    unmatched = list(range(len(parts_n)))
+    blocks = [[ModuleMap.zero_map(a, b) for a, _ in parts_m] for b, _ in parts_n]
+    for s, (a, _) in enumerate(parts_m):
+        k = find_isomorphic(a, [parts_n[t][0] for t in unmatched])
+        if k is None:
+            return None
+        t = unmatched.pop(k)
+        blocks[t][s] = is_isomorphic(a, parts_n[t][0])
+    to_m, to_n = decompose_iso(m, parts_m), decompose_iso(n, parts_n)
+    return to_n @ block_map(to_m.source, to_n.source, blocks) @ inverse_map(to_m)
 
 
 def find_isomorphic(m: Module, modules: Sequence[Module]) -> int | None:
@@ -1174,26 +1200,6 @@ def descend(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
 # -- almost split sequences ----------------------------------------------------
 
 
-@memo(Module.key, owner=lambda m: m.algebra)
-def _local_residue(m: Module) -> list[ModuleMap]:
-    """Basis of rad End(m) for m with local endomorphism ring over GF(p);
-    raises RepmodError when End(m) is not local."""
-    ident = ModuleMap.identity(m)
-    rad = []
-    for h in hom_basis(m, m):
-        shift = _least_shift(h)
-        if shift is None or any(w.any() for w in shift[1]):
-            raise RepmodError("endomorphism ring is not local; module is decomposable")
-        cand = h + ident.scale(shift[0])
-        if not cand.is_zero():
-            rad.append(cand)
-    if not rad:
-        return []
-    # the pivot columns: each map not in the span of the ones before it
-    _, pivots = rref(Matrix(m.algebra.field, np.column_stack([r.flat() for r in rad])))
-    return [rad[j] for j in pivots]
-
-
 def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
     """The defining test: non-split, and every non-retraction from an
     indecomposable of the index lifts through the deflation."""
@@ -1323,25 +1329,22 @@ class IndecIndex:
         projective resolution (-, tau X) -> (-, E) -> (-, X) -> S_X -> 0 from
         the almost split sequence ending at X, or (-, rad X) -> (-, X) -> S_X
         -> 0 for X projective.  Evaluated at m it gives
-        dim S_X(m) = mult_X(m) * dim End(X)/rad End(X)
-        as a fixed integer combination of the h_j = dim Hom(m, X_j).  Equal
-        dimension vectors then prove, by Krull-Schmidt, that m has no summand
-        outside the index.
+        dim S_X(m) = mult_X(m) * dim End(X)/rad End(X) = mult_X(m)
+        (End(X)/rad End(X) = k for the summands decompose returns and for
+        each e_v A) as a fixed integer combination of the h_j =
+        dim Hom(m, X_j).  Equal dimension vectors then prove, by
+        Krull-Schmidt, that m has no summand outside the index.
 
         Each h_j comes from the dual presentation, not from an intertwiner
         system: Hom(m, X_j) = Hom(DX_j, Dm) is the kernel of Hom(d_j, Dm) for
         the minimal presentation d_j: Q1 -> Q0 of DX_j over the opposite
         algebra, a matrix with sum_t m_{v_t} columns over the vertices of Q0.
         """
-        rows, residue_dims = self._relations()
         dm = dual_module(m)
         homs = [hom_of_std_map(d, dm) for d in self._dual_presentations()]
         h = np.array([mat.cols - rank(mat) for mat in homs], dtype=np.int64)
-        counts = rows @ h
-        if (counts < 0).any() or (counts % residue_dims).any():
-            raise RepmodError("module has a summand outside the index")
-        mult = counts // residue_dims
-        if tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
+        mult = self._relations() @ h
+        if (mult < 0).any() or tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
             raise RepmodError("module has a summand outside the index")
         return tuple(i for i, k in enumerate(mult) for _ in range(k))
 
@@ -1375,23 +1378,16 @@ class IndecIndex:
         return meshes
 
     @memo()
-    def _relations(self) -> tuple[np.ndarray, np.ndarray]:
+    def _relations(self) -> np.ndarray:
         """Row i gives dim S_{X_i}(m) from the h_j: e_i - [E_i] + [tau X_i] for the
-        almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective;
-        with the residue dimensions d_i = dim End(X_i)/rad End(X_i), which a
-        dual index reads off its source since End(DX) = End(X)^op."""
+        almost split sequence ending at X_i, e_i - [rad X_i] for X_i projective."""
         rows = np.eye(len(self.modules), dtype=np.int64)
         for i, mesh in enumerate(self.ar_quiver()):
             if mesh.tau is not None:
                 rows[i, mesh.tau] += 1
             for j in mesh.arrows:
                 rows[i, j] -= 1
-        if self.source is not None:
-            return rows, self.source._relations()[1]
-        residue_dims = np.array(
-            [len(hom_basis(x, x)) - len(_local_residue(x)) for x in self.modules], dtype=np.int64
-        )
-        return rows, residue_dims
+        return rows
 
     @memo()
     def _dual_presentations(self) -> list[StdMapTerms]:
@@ -1408,9 +1404,6 @@ class IndecIndex:
         if i is None:
             raise RepmodError("module has a summand outside the index")
         return i
-
-    def nonprojective_ids(self) -> list[int]:
-        return [i for i in range(len(self.modules)) if not self.is_projective[i]]
 
 
 @memo(lambda a, dim_cap, cap_name="dim_cap": dim_cap)

@@ -1,6 +1,6 @@
 """Every function, class and method of the package is used somewhere, every
-name a package module imports is read there, and no step draws random numbers
-except the fixed splitting schedule."""
+name a package module imports is read there, and no step draws random
+numbers."""
 import ast
 import re
 from collections import Counter
@@ -55,19 +55,13 @@ def test_no_unused_imports():
     assert not unused, f"imported but never read: {unused}"
 
 
-def test_randomness_only_in_the_fixed_splitting_schedule():
-    """np.random and RandomState appear only in repmod._endo_candidates, whose
-    generator is seeded with 0: no session setting drives a random step."""
-    hits = []
-    for path in sorted((ROOT / "src" / "exactcat").glob("*.py")):
-        text = path.read_text()
-        defs = [d for d in ast.walk(ast.parse(text)) if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if re.search(r"np\.random|RandomState", line):
-                inner = min(
-                    (d for d in defs if d.lineno <= lineno <= d.end_lineno),
-                    key=lambda d: d.end_lineno - d.lineno,
-                    default=None,
-                )
-                hits.append((path.name, inner.name if inner else None))
-    assert hits and set(hits) == {("repmod.py", "_endo_candidates")}, hits
+def test_no_randomness_in_the_package():
+    """np.random and RandomState appear nowhere in the package: no step draws
+    random numbers."""
+    hits = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src" / "exactcat").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"np\.random|RandomState", line)
+    ]
+    assert not hits, hits

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from exactcat.algebra import (
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
 from exactcat.linalg import FieldPrime, Matrix, block_diag, hstack, inverse, rank, rref, solve_right
 from exactcat.repmod import (
+    CapExceeded,
     ExtSpace,
     IndecIndex,
     Module,
@@ -63,6 +65,11 @@ from exactcat.repmod import (
 
 GF2 = FieldPrime(2)
 GF5 = FieldPrime(5)
+
+
+def _kx3(field):
+    """k[x]/(x^3)."""
+    return build_from_quiver(QuiverPresentation(field, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
 
 
 @pytest.fixture(scope="module")
@@ -251,17 +258,31 @@ def test_decompose_shuffle_invariance(kA2):
         decompose_iso(total, parts)
 
 
-def test_decompose_certifies_unsplit_summands(monkeypatch):
-    a = algebra_kA2(GF2)
-    total, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 1)])
-    monkeypatch.setattr(repmod, "_splitting_idempotent", lambda m: None)
-    assert len(decompose(simple_module(a, 0))) == 1  # a local End passes
-    with pytest.raises(RepmodError, match="not local"):
-        decompose(total)
+def test_decompose_certifies_unsplit_summands():
+    """A summand that no Hom-basis element splits comes with its radical:
+    dim End - 1 nilpotent maps, closed under composition.  The members of
+    k[x]/(x^3) have End of dimension 1, 2 and 3."""
+    a = _kx3(GF5)
+    index = all_indecomposables(a, 8)
+    sums = [direct_sum([x, y])[0] for x, y in itertools.combinations(index.modules, 2)]
+    for m in [*index.modules, *sums]:
+        split, rad = repmod._split_or_prove_local(m)
+        parts = decompose(m)
+        assert (split is None) == (len(parts) == 1)
+        if split is not None:
+            assert rad == [] and (split @ split - split).is_zero()
+            continue
+        assert len(rad) == hom_dim(m, m) - 1
+        for r in rad:
+            t, powers = repmod._least_shift(r)
+            assert t == 0 and not any(w.any() for w in powers)  # nilpotent
+        hom_coords(a.field, [x @ y for x in rad for y in rad], rad)
 
 
-def _probe(monkeypatch, *candidates):
-    monkeypatch.setattr(repmod, "_endo_candidates", lambda end, p: iter(candidates))
+def _basis(monkeypatch, *candidates):
+    """Make hom_basis return candidates; the module's algebra must be fresh,
+    so no walk over its true basis is remembered."""
+    monkeypatch.setattr(repmod, "hom_basis", lambda m, n: list(candidates))
 
 
 def test_split_at_least_singular_shift(monkeypatch):
@@ -269,9 +290,9 @@ def test_split_at_least_singular_shift(monkeypatch):
     m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
     no_root = ModuleMap(m, m, [Matrix(GF5, [[0, 2], [1, 0]])])  # x^2 - 2 is irreducible over GF(5)
     f = ModuleMap(m, m, [Matrix(GF5, [[2, 0], [0, 3]])])
-    _probe(monkeypatch, ModuleMap.identity(m).scale(2), no_root, f)
+    _basis(monkeypatch, ModuleMap.identity(m).scale(2), no_root, f)
     # f + 2 = diag(4, 0) is the least singular shift: project onto the 3-eigenspace
-    e = repmod._splitting_idempotent(m)
+    e, _ = repmod._split_or_prove_local(m)
     assert e.mats == (Matrix(GF5, [[0, 0], [0, 1]]),)
 
 
@@ -281,26 +302,111 @@ def test_split_along_generalized_kernel(monkeypatch):
     x = next(h for h in hom_basis(d, d) if not h.is_zero() and (h @ h).is_zero())
     m, (i1, i2), (p1, p2) = direct_sum([d, d])
     f = i1 @ x @ p1 + i2 @ p2  # ker f != ker f^2
-    _probe(monkeypatch, i1 @ x @ p1, f)  # the nilpotent first candidate splits nothing
-    e = repmod._splitting_idempotent(m)
+    _basis(monkeypatch, i1 @ x @ p1, f)  # the nilpotent first candidate splits nothing
+    e, _ = repmod._split_or_prove_local(m)
     assert (e - i1 @ p1).is_zero()
 
 
 def test_split_raises_on_a_trivial_projection(monkeypatch):
     a = algebra_semisimple(GF5, 1)
     m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
-    _probe(monkeypatch, ModuleMap(m, m, [Matrix(GF5, [[2, 0], [0, 3]])]))
+    _basis(monkeypatch, ModuleMap(m, m, [Matrix(GF5, [[2, 0], [0, 3]])]))
     monkeypatch.setattr(repmod, "_fitting_projection", lambda field, w: Matrix.identity(field, w.shape[0]))
     with pytest.raises(RepmodError, match="no nontrivial idempotent"):
-        repmod._splitting_idempotent(m)
+        repmod._split_or_prove_local(m)
 
 
-def test_knitting_over_a_large_prime():
-    a = algebra_dual_numbers(FieldPrime(65521))
+def test_local_residue_rejects_nilpotents_spanning_more_than_a_radical(monkeypatch):
+    """For odd p, I, E12, E21 and [[1, 1], [-1, -1]] is a basis of M_2(k)
+    whose shifted elements are nilpotent and span the codimension-1
+    subspace sl_2, which is no ideal: E12 E21 = E11 is outside it."""
+    a = algebra_semisimple(GF5, 1)
+    m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
+    basis = ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]])
+    _basis(monkeypatch, *(ModuleMap(m, m, [Matrix(GF5, x)]) for x in basis))
+    with pytest.raises(CapExceeded, match="no Hom-basis element splits.*not proved local"):
+        repmod._local_residue(m)
+
+
+def test_decompose_exits_3_when_the_residue_field_is_larger(monkeypatch):
+    """I and A with A^2 = 2 span a copy of GF(25) in End(S + S) over GF(5):
+    a local ring whose residue field is not GF(p), so no shift proves it."""
+    a = algebra_semisimple(GF5, 1)
+    m, _, _ = direct_sum([simple_module(a, 0), simple_module(a, 0)])
+    _basis(monkeypatch, ModuleMap.identity(m), ModuleMap(m, m, [Matrix(GF5, [[0, 2], [1, 0]])]))
+    with pytest.raises(CapExceeded, match="not proved local") as err:
+        decompose(m)
+    assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "make, dims",
+    [(algebra_dual_numbers, [1, 2]), (_kx3, [1, 2, 3])],
+    ids=["dual", "kx3"],
+)
+def test_knitting_over_a_large_prime(make, dims):
+    a = make(FieldPrime(65521))
     mods = all_indecomposables(a, 12).modules
-    assert sorted(m.total_dim for m in mods) == [1, 2]
+    assert sorted(m.total_dim for m in mods) == dims
     total, _, _ = direct_sum(mods)
-    assert sorted(p.total_dim for p, _ in decompose(total)) == [1, 2]
+    assert sorted(p.total_dim for p, _ in decompose(total)) == dims
+
+
+def test_is_isomorphic_matches_summands_when_no_basis_map_is_invertible():
+    """X + X over kA2, X of dimension vector (1, 1), against the same sum in
+    a random basis: every Hom-basis map has rank 1 at a vertex, so the
+    isomorphism comes from matching the summands (Krull-Schmidt)."""
+    a = algebra_kA2(GF5)
+    x = standard_modules(a).projectives[0]
+    m, _, _ = direct_sum([x, x])
+    rng = np.random.RandomState(3)
+    while True:
+        g = [Matrix(GF5, rng.randint(0, 5, size=(2, 2))) for _ in range(2)]
+        if all(rank(gv) == 2 for gv in g):
+            break
+    b = a.radical_indices[0]
+    n = Module(a, m.dims, {b: g[a.right[b]] @ m.act[b] @ inverse(g[a.left[b]])})
+    assert not any(f.is_isomorphism() for f in hom_basis(m, n))
+    f = is_isomorphic(m, n)
+    check_map(f)
+    assert f.is_isomorphism()
+    s = direct_sum([simple_module(a, 0), simple_module(a, 1)])[0]
+    assert is_isomorphic(s, m) is None and is_isomorphic(direct_sum([x, simple_module(a, 1)])[0], s) is None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: algebra_kA3(GF5, zero_relation=False), lambda: _kx3(GF5)], ids=["kA3-GF5", "kx3-GF5"]
+)
+def test_only_decompose_walks_endomorphisms(make, monkeypatch):
+    """Knitting over GF(5): every least shift is taken by a decompose miss,
+    at most dim End(m) of them for its module m, and none by is_isomorphic
+    itself.  k[x]/(x^3) has members whose End has dimension 2 and 3."""
+    a = make()
+    stack, shifts = [], []
+    least_shift = repmod._least_shift
+
+    def spy_shift(f):
+        shifts.append((stack[-1] if stack else None, f.source))
+        return least_shift(f)
+
+    def frame(name, fn):
+        def wrapper(*args):
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(repmod, "_least_shift", spy_shift)
+    monkeypatch.setattr(repmod, "decompose", frame("decompose", repmod.decompose))
+    monkeypatch.setattr(repmod, "is_isomorphic", frame("is_isomorphic", repmod.is_isomorphic))
+    all_indecomposables(a, 8)
+    assert shifts and {caller for caller, _ in shifts} == {"decompose"}
+    per_module = Counter(m.key() for _, m in shifts)
+    walked = {m.key(): m for _, m in shifts}
+    assert all(per_module[k] <= hom_dim(m, m) for k, m in walked.items())
 
 
 def test_is_isomorphic_basics(kA2):
@@ -475,11 +581,6 @@ def test_ext_space_realize_round_trip(kA2):
     assert ext.class_of(split).tolist() == [0]
 
 
-def _kx3(field):
-    """k[x]/(x^3)."""
-    return build_from_quiver(QuiverPresentation(field, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
-
-
 @pytest.mark.parametrize(
     "make",
     [lambda: algebra_kA3(GF5, zero_relation=False), lambda: algebra_dual_numbers(FieldPrime(3)), lambda: _kx3(GF2)],
@@ -582,7 +683,7 @@ def test_knitting_and_validation_realize_each_class_once(monkeypatch):
 
     monkeypatch.setattr(ExtSpace, "realize", spy)
     index = all_indecomposables(a, 8)
-    assert len(realized) == len(index.nonprojective_ids()) > 0
+    assert len(realized) == len([i for i, p in enumerate(index.is_projective) if not p]) > 0
     assert len(set(realized)) == len(realized)
 
 
@@ -617,7 +718,7 @@ def test_knitting_matches_brute_force():
 def test_tr_squared_on_indecomposables():
     for alg in (algebra_kA2(GF2), algebra_kA3(GF5, True)):
         index = all_indecomposables(alg, 8)
-        for i in index.nonprojective_ids():
+        for i in [i for i, p in enumerate(index.is_projective) if not p]:
             m = index.modules[i]
             back = transpose_module(transpose_module(m))
             assert is_isomorphic(back, m) is not None
@@ -779,7 +880,7 @@ def test_parts_matches_decompose(name):
     cases = list(mods)
     cases += [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
     cases.append(direct_sum([mods[0], mods[-1], mods[0]])[0])
-    cases += [ar_sequence(mods[i], index).mid for i in index.nonprojective_ids()]
+    cases += [ar_sequence(mods[i], index).mid for i in [i for i, p in enumerate(index.is_projective) if not p]]
     for m in cases:
         assert index.parts(m) == sorted(index.identify(q) for q, _ in decompose(m))
     assert index.parts(Module.zero(index.algebra)) == []
