@@ -79,6 +79,9 @@ class Algebra:
         self.iso_cache: dict = {}
         if m.shape != (self.dim, self.dim, self.dim):
             raise AlgebraError("multiplication tensor has wrong shape")
+        # (b, left, right) of each radical basis element: the shape of its
+        # action on a module is (dims[right], dims[left])
+        self.radical_tags = tuple((b, self.left[b], self.right[b]) for b in range(nv, self.dim))
 
     @property
     def dim(self) -> int:

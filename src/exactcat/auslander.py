@@ -603,20 +603,27 @@ class AuslanderContext:
         """Every object admits an inflation into a sum of e-injectives; by the
         cancellation axiom for idempotent complete exact categories it is
         enough to test the universal map into the injectives."""
-        inj = [self.index.modules[i] for i in sorted(self.e_injective_ids(e))]
-        return all(
-            "inflation" in classify_morphism(self._left_approximation(z, inj), e)
-            for z in self.index.modules
-            if not z.is_zero()
-        )
+        inj = tuple(sorted(self.e_injective_ids(e)))
+        return all(self._approximation_is(e, "inflation", z, inj) for z in range(len(self.index.modules)))
 
     def has_enough_projectives(self, e: ExactStructure) -> bool:
-        proj = [self.index.modules[i] for i in sorted(self.e_projective_ids(e))]
-        return all(
-            "deflation" in classify_morphism(self._right_approximation(z, proj), e)
-            for z in self.index.modules
-            if not z.is_zero()
-        )
+        proj = tuple(sorted(self.e_projective_ids(e)))
+        return all(self._approximation_is(e, "deflation", z, proj) for z in range(len(self.index.modules)))
+
+    def _approximation_is(self, e: ExactStructure, kind: str, z: int, ids: tuple[int, ...]) -> bool:
+        """Is the left (kind "inflation") or right ("deflation") approximation
+        of the object z by the objects ids of that kind in e?"""
+        classes = self._approximation_classes(kind, z, ids)
+        return kind in classes and e.contains_all(classes[kind])
+
+    @memo(lambda self, kind, z, ids: (kind, z, ids))
+    def _approximation_classes(self, kind: str, z: int, ids: tuple[int, ...]) -> dict[str, tuple]:
+        """morphism_classes of the left (kind "inflation") or right
+        ("deflation") approximation of the object z by the objects ids: it
+        depends on z and the id tuple only, and structures repeat the tuples."""
+        m, others = self.index.modules[z], [self.index.modules[i] for i in ids]
+        approx = self._left_approximation(m, others) if kind == "inflation" else self._right_approximation(m, others)
+        return morphism_classes(self.cat, approx)
 
     def smodad_injective_ids(self, e: ExactStructure) -> frozenset[int]:
         smodad = self.build_subcategories(e).smodad.ids
@@ -636,24 +643,32 @@ class AuslanderContext:
         projective-injective representables: one walk answers every
         domdim >= k for k <= n."""
         smodad = self.build_subcategories(e).smodad.ids
-        pi_ids = sorted(set(self.yoneda_ids) & self.smodad_injective_ids(e))
-        pi_mods = [self.gamma_module(i) for i in pi_ids]
+        pi_ids = tuple(sorted(set(self.yoneda_ids) & self.smodad_injective_ids(e)))
         depth = n
         for y in self.yoneda_ids:
-            current = self.gamma_module(y)
-            for step in range(depth):
-                if current.is_zero():
-                    break
-                u = self._left_approximation(current, pi_mods)
-                if not u.is_injective():
+            for step, cok_ids in enumerate(self._domdim_chain(y, pi_ids, n)[:depth]):
+                if cok_ids is None or not cok_ids <= smodad:
                     depth = step
                     break
-                cok, _ = cokernel(u)
-                if not cok.is_zero() and not set(self.gamma_index.parts(cok)) <= smodad:
-                    depth = step
-                    break
-                current = cok
         return depth
+
+    @memo(lambda self, y, pi_ids, n: (y, pi_ids, n))
+    def _domdim_chain(self, y: int, pi_ids: tuple[int, ...], n: int) -> tuple[frozenset[int] | None, ...]:
+        """Up to n steps of the iterated minimal left approximations of F_y
+        into the members pi_ids: per step the summand ids of its cokernel, or
+        None where the approximation is not injective, which ends the chain,
+        as a zero cokernel does.  It depends on pi_ids, not on a structure."""
+        targets = [self.gamma_module(i) for i in pi_ids]
+        current = self.gamma_module(y)
+        chain = []
+        while len(chain) < n and not current.is_zero():
+            u = self._left_approximation(current, targets)
+            if not u.is_injective():
+                chain.append(None)
+                break
+            current, _ = cokernel(u)
+            chain.append(self._summand_ids(current))
+        return tuple(chain)
 
     def verify_injective_projective_correspondence(self, e: ExactStructure) -> Report:
         report = Report("injective_projective_correspondence")
@@ -711,19 +726,23 @@ class AuslanderContext:
     def _gen_torsion_decomposition_exists(self, e: ExactStructure) -> bool:
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
-        p_set = [
-            self.gamma_module(y)
-            for y in self.yoneda_ids
-            if all(hom_dim(self.gamma_module(y), self.gamma_module(t)) == 0 for t in eff)
-        ]
+        p_ids = tuple(
+            y for y in self.yoneda_ids if all(hom_dim(self.gamma_module(y), self.gamma_module(t)) == 0 for t in eff)
+        )
         for i in sorted(smodad):
-            # the image of the right approximation u of F_i is the trace of
-            # p_set in F_i, and u's epi part is a right approximation of the
-            # trace, whose kernel is that of u
-            trace, ker_u, quot = self._map_summand_ids(self._right_approximation(self.gamma_module(i), p_set))
+            trace, ker_u, quot = self._trace_parts(i, p_ids)
             if not (quot <= eff and trace <= smodad and ker_u <= smodad):
                 return False
         return True
+
+    @memo(lambda self, i, p_ids: (i, p_ids))
+    def _trace_parts(self, i: int, p_ids: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """Summand ids of the image, kernel and cokernel of the right
+        approximation u of F_i by the members p_ids.  The image is the trace
+        of those members in F_i, and u's epi part is a right approximation of
+        the trace, whose kernel is that of u."""
+        sources = [self.gamma_module(y) for y in p_ids]
+        return self._map_summand_ids(self._right_approximation(self.gamma_module(i), sources))
 
     def _perp_closed_under_admissible_subobjects(self, e: ExactStructure) -> bool:
         """No member outside eff is an admissible subobject of an eff member

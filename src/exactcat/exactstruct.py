@@ -261,14 +261,8 @@ def maximal_structure(ctx: CategoryContext) -> ExactStructure:
 
 
 def _ses_key(ctx: CategoryContext, ses: ShortExactSeq) -> tuple:
-    """The three terms and the two maps of a sequence, each term once."""
-    return (
-        ses.sub.key(),
-        ses.mid.key(),
-        ses.quot.key(),
-        tuple(m.key() for m in ses.i.mats),
-        tuple(m.key() for m in ses.p.mats),
-    )
+    """The keys of the two maps of a sequence."""
+    return ses.i.key(), ses.p.key()
 
 
 @memo(_ses_key)
@@ -304,25 +298,34 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
     return out
 
 
-def is_conflation(ses: ShortExactSeq, e: ExactStructure) -> bool:
-    """Does the short exact sequence belong to the structure?  All three terms
-    must lie in add(M) and every componentwise class must be in the family."""
+def conflation_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tuple[int, int, np.ndarray]] | None:
+    """The componentwise classes of a short exact sequence whose three terms
+    lie in add(M): it is a conflation of e exactly when e contains them all.
+    None when the sequence is not exact; raises when a term lies outside."""
     try:
         ses.validate()
     except RepmodError:
-        return False
-    if not e.ctx.contains(ses.mid):
+        return None
+    if not ctx.contains(ses.mid):
         raise ExactstructError("middle term does not lie in the category")
-    return e.contains_all(componentwise_classes(e.ctx, ses))
+    return componentwise_classes(ctx, ses)
 
 
+def is_conflation(ses: ShortExactSeq, e: ExactStructure) -> bool:
+    """Does the short exact sequence belong to the structure?  All three terms
+    must lie in add(M) and every componentwise class must be in the family."""
+    classes = conflation_classes(e.ctx, ses)
+    return classes is not None and e.contains_all(classes)
+
+
+@memo(lambda ctx, f: f.key())
 def morphism_classes(ctx: CategoryContext, f: ModuleMap) -> dict[str, tuple]:
     """For each kind in {"inflation", "deflation", "admissible"} that f can
     have in some exact structure, the componentwise classes of the sequences
     the kind needs: f is of that kind in e exactly when e contains them all.
-    None of this depends on a structure, so callers compute it once per map.
-    The sequences come from map_parts, so they are exact, and their middle
-    terms are f's endpoints, checked first."""
+    None of this depends on a structure, so it is remembered on the context
+    per map (ModuleMap.key).  The sequences come from map_parts, so they are
+    exact, and their middle terms are f's endpoints, checked first."""
     if not (ctx.contains(f.source) and ctx.contains(f.target)):
         raise ExactstructError("endpoints do not lie in the category")
     parts = map_parts(f)
@@ -489,72 +492,72 @@ def is_exact_structure(e: ExactStructure) -> Report:
             report.note(f"pair {(z, a)}: realization check on a spanning set only")
     report.add("realized middle terms stay in the category", middles_ok)
 
-    comp_ok, n_checked, exhaustive = _composition_check(e)
+    comp_ok, n_checked, exhaustive = _composition_check(e, "deflation")
     report.add(f"deflation compositions (R1), {n_checked} composites", comp_ok)
     if not exhaustive:
         report.note("deflation compositions (R1): some Ext^1(E, -) walked on a spanning set only")
-    dual_ok, n_dual, exhaustive = _composition_check_dual(e)
+    dual_ok, n_dual, exhaustive = _composition_check(e, "inflation")
     report.add(f"inflation compositions (L1), {n_dual} composites", dual_ok)
     if not exhaustive:
         report.note("inflation compositions (L1): some Ext^1(-, E) walked on a spanning set only")
     return report
 
 
-def _composition_check(e: ExactStructure) -> tuple[bool, int, bool]:
-    """g o f for conflations f: B ->> E, g: E ->> D with indecomposable outer ends.
+def _composition_check(e: ExactStructure, side: str) -> tuple[bool, int, bool]:
+    """R1 (side "deflation": g o f for conflations f: B ->> E, g: E ->> D) or
+    L1 (side "inflation": i2 o i1 for a >-> E, E >-> B) over conflations with
+    indecomposable outer ends, from the structure-free _composition_records.
     Also returns whether every Ext^1 class of each middle term E was walked."""
     ctx = e.ctx
-    field = ctx.algebra.field
     checked = 0
     exhaustive = True
-    for (d_id, ag_id), rows in list(e.subspaces.items()):
+    for (z, a), rows in list(e.subspaces.items()):
         outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
-        for xg in outer_classes:
-            ses_g = ctx.realize(ctx.ext(d_id, ag_id), xg)
-            mid = ses_g.mid
-            for af_id in range(len(ctx.objects)):
-                full = ext_space(mid, ctx.objects[af_id])
-                inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
+        for vec in outer_classes:
+            for other in range(len(ctx.objects)):
+                records, walked_all = _composition_records(ctx, side, z, a, vec, other)
                 exhaustive = exhaustive and walked_all
-                for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
-                    ses_f = ctx.realize(full, xf)
-                    if not is_conflation(ses_f, e):
+                for f_classes, closed, composite_classes in records:
+                    if f_classes is None or not e.contains_all(f_classes):
                         continue
-                    composite = ses_g.p @ ses_f.p
-                    ker, incl = kernel(composite)
-                    if not ctx.contains(ker):
-                        return False, checked, exhaustive
-                    if not is_conflation(ShortExactSeq(incl, composite), e):
+                    if not closed or composite_classes is None or not e.contains_all(composite_classes):
                         return False, checked, exhaustive
                     checked += 1
     return True, checked, exhaustive
 
 
-def _composition_check_dual(e: ExactStructure) -> tuple[bool, int, bool]:
-    """i2 o i1 for conflations with indecomposable outer ends (inflation side).
-    Also returns whether every Ext^1 class of each middle term E was walked."""
-    ctx = e.ctx
+@memo(
+    lambda ctx, side, z, a, vec, other: (
+        side, z, a, tuple(int(c) % ctx.algebra.field.p for c in vec), other, AXIOM_ELEMENT_CAP
+    )
+)
+def _composition_records(ctx: CategoryContext, side: str, z: int, a: int, vec, other: int) -> tuple[tuple, bool]:
+    """For the sequence g realizing vec in Ext(z, a), with middle term E, and
+    each class walked in Ext(E, objects[other]) (side "deflation") or in
+    Ext(objects[other], E) ("inflation"), the zero class first: the
+    conflation_classes of its sequence f, whether the kernel of g o f (the
+    cokernel of f o g) lies in the category, and if so the classes of the
+    composite's sequence; with whether the walk was exhaustive.  None of it
+    depends on a structure, so each is computed once per context and cap."""
     field = ctx.algebra.field
-    checked = 0
-    exhaustive = True
-    for (c_id, ag_id), rows in list(e.subspaces.items()):
-        outer_classes, _ = subspace_lines(rows, AXIOM_ELEMENT_CAP)
-        for xg in outer_classes:
-            ses_g = ctx.realize(ctx.ext(c_id, ag_id), xg)  # ag >-> E ->> c
-            mid = ses_g.mid
-            for c2_id in range(len(ctx.objects)):
-                full = ext_space(ctx.objects[c2_id], mid)
-                inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
-                exhaustive = exhaustive and walked_all
-                for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
-                    ses_f = ctx.realize(full, xf)  # E >-> B ->> c2
-                    if not is_conflation(ses_f, e):
-                        continue
-                    composite = ses_f.i @ ses_g.i  # ag >-> B
-                    cok, proj = cokernel(composite)
-                    if not ctx.contains(cok):
-                        return False, checked, exhaustive
-                    if not is_conflation(ShortExactSeq(composite, proj), e):
-                        return False, checked, exhaustive
-                    checked += 1
-    return True, checked, exhaustive
+    ses_g = ctx.realize(ctx.ext(z, a), vec)
+    if side == "deflation":
+        full = ext_space(ses_g.mid, ctx.objects[other])
+    else:
+        full = ext_space(ctx.objects[other], ses_g.mid)
+    inner, walked_all = subspace_lines(Matrix.identity(field, full.dim), AXIOM_ELEMENT_CAP)
+    records = []
+    for xf in [np.zeros(full.dim, dtype=np.int64)] + inner:
+        ses_f = ctx.realize(full, xf)
+        f_classes = conflation_classes(ctx, ses_f)
+        if side == "deflation":
+            composite = ses_g.p @ ses_f.p  # B ->> D
+            end, incl = kernel(composite)
+            seq = ShortExactSeq(incl, composite)
+        else:
+            composite = ses_f.i @ ses_g.i  # a >-> B
+            end, proj = cokernel(composite)
+            seq = ShortExactSeq(composite, proj)
+        closed = ctx.contains(end)
+        records.append((f_classes, closed, conflation_classes(ctx, seq) if closed else None))
+    return tuple(records), walked_all

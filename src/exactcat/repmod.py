@@ -15,6 +15,7 @@ independent brute-force oracle).
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,14 +70,14 @@ class Module:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != algebra.nv:
             raise RepmodError("dimension vector length does not match vertex count")
-        self.act = dict(act)
-        for b in algebra.radical_indices:
-            mat = self.act.get(b)
-            want = (self.dims[algebra.right[b]], self.dims[algebra.left[b]])
+        self.act = act = dict(act)
+        dims = self.dims
+        for b, l, r in algebra.radical_tags:
+            mat = act.get(b)
             if mat is None:
-                self.act[b] = Matrix.zeros(algebra.field, *want)
-            elif (mat.rows, mat.cols) != want:
-                raise RepmodError(f"action matrix for basis {b} has shape {(mat.rows, mat.cols)}, expected {want}")
+                act[b] = Matrix.zeros(algebra.field, dims[r], dims[l])
+            elif mat.a.shape != (dims[r], dims[l]):
+                raise RepmodError(f"action matrix for basis {b} has shape {mat.a.shape}, expected {(dims[r], dims[l])}")
         self._key = None
 
     @property
@@ -121,16 +122,25 @@ class Module:
 class ModuleMap:
     """A homomorphism of modules, one matrix per vertex."""
 
-    __slots__ = ("source", "target", "mats")
+    __slots__ = ("source", "target", "mats", "_key")
 
     def __init__(self, source: Module, target: Module, mats):
         self.source = source
         self.target = target
         self.mats = tuple(mats)
-        for v in range(source.algebra.nv):
-            m = self.mats[v]
-            if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
-                raise RepmodError(f"map matrix at vertex {v} has wrong shape")
+        shapes = list(zip(target.dims, source.dims))
+        if [m.a.shape for m in self.mats] != shapes:
+            wrong = (v for v, (m, shape) in enumerate(zip(self.mats, shapes)) if m.a.shape != shape)
+            v = next(wrong, min(len(self.mats), len(shapes)))  # else a matrix is missing or extra
+            raise RepmodError(f"map matrix at vertex {v} has wrong shape")
+        self._key = None
+
+    def key(self) -> tuple:
+        """The keys of the source, the target and the per-vertex matrices:
+        equal keys mean equal maps."""
+        if self._key is None:
+            self._key = (self.source.key(), self.target.key(), tuple(m.key() for m in self.mats))
+        return self._key
 
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
@@ -385,8 +395,14 @@ def frame(u: Matrix, d: int) -> Frame:
     """The frame of u in GF(p)^d from one rref([u | I_d]).  Its pivots are u's
     columns, then the identity columns w that complete them, so the reduced
     matrix is E [u | I_d] with E [u | w] = I_d: its last d columns are
-    E = [u | w]^-1.  Raises RepmodError when u is dependent."""
+    E = [u | w]^-1.  Raises RepmodError when u is dependent.  The zero
+    subspace (w = I_d) and the whole space on the identity basis (w empty)
+    need no elimination: E is I_d there."""
     k = u.cols
+    if k == 0:
+        return Frame(np.zeros((0, d), dtype=np.int64), np.eye(d, dtype=np.int64), list(range(d)))
+    if k == d and np.array_equal(u.a, np.eye(d, dtype=np.int64)):
+        return Frame(np.eye(d, dtype=np.int64), np.zeros((0, d), dtype=np.int64), [])
     aug = np.zeros((d, k + d), dtype=np.int64)
     aug[:, :k] = u.a
     aug.reshape(-1)[k :: k + d + 1] = 1  # the entries (i, k + i): I_d
@@ -398,19 +414,27 @@ def frame(u: Matrix, d: int) -> Frame:
 
 
 def _submodule_in_frames(m: Module, bases: list[Matrix], frames: list[Frame]) -> tuple[Module, ModuleMap]:
+    """The submodule spanned by the bases, each with its frame in m.  The
+    images of the actions into each vertex r are tested against the
+    projection of r's frame (closure) and restricted through its coordinates.
+    An action with no image (zero source or target space) is zero and needs
+    neither; at a vertex where the submodule is zero the projection is the
+    identity, and where it is everything there is nothing to test."""
     alg = m.algebra
     p = alg.field.p
-    dims = [bases[v].cols for v in range(alg.nv)]
-    into = [[] for _ in range(alg.nv)]
-    for b in alg.radical_indices:
-        into[alg.right[b]].append(b)
+    dims = [u.cols for u in bases]
+    into: dict[int, list[int]] = {}
+    for b, l, r in alg.radical_tags:
+        if dims[l] and m.dims[r]:
+            into.setdefault(r, []).append(b)
     act = {}
-    for r, elements in enumerate(into):
-        if not elements:
-            continue
+    for r, elements in into.items():
         images = np.concatenate([m.act[b].a @ bases[alg.left[b]].a for b in elements], axis=1) % p
-        if (frames[r].proj @ images % p).any():
+        # the projection of the zero subspace is the identity
+        if dims[r] < m.dims[r] and (images if dims[r] == 0 else frames[r].proj @ images % p).any():
             raise RepmodError("subspaces are not closed under the action")
+        if dims[r] == 0:
+            continue
         restricted = frames[r].coords @ images % p
         lo = 0
         for b in elements:
@@ -422,16 +446,21 @@ def _submodule_in_frames(m: Module, bases: list[Matrix], frames: list[Frame]) ->
 
 
 def _quotient_in_frames(m: Module, frames: list[Frame]) -> tuple[Module, ModuleMap]:
+    """The quotient of m by the subspaces of the frames: the action of b is
+    pi_r A_b w_l, zero where the quotient is zero at l or r, and A_b w_l
+    itself where pi_r is the identity."""
     alg = m.algebra
     field = alg.field
     projections = [Matrix(field, fr.proj.copy(), reduced=True) for fr in frames]
+    dims = [pi.rows for pi in projections]
     act = {}
-    for b in alg.radical_indices:
-        l, r = alg.left[b], alg.right[b]
-        # pi_r A_b w_l, where A_b w_l picks the columns of A_b at w_l
+    for b, l, r in alg.radical_tags:
+        if not (dims[l] and dims[r]):
+            continue
+        # A_b w_l picks the columns of A_b at w_l
         lifted = np.take(m.act[b].a, frames[l].extra, axis=1)
-        act[b] = Matrix(field, frames[r].proj @ lifted % field.p, reduced=True)
-    quot = Module(alg, [pi.rows for pi in projections], act)
+        act[b] = Matrix(field, lifted if dims[r] == m.dims[r] else frames[r].proj @ lifted % field.p, reduced=True)
+    quot = Module(alg, dims, act)
     return quot, ModuleMap(m, quot, projections)
 
 
@@ -485,13 +514,26 @@ def map_parts(f: ModuleMap) -> MapParts:
     """kernel, image and cokernel of f from one rref per vertex: the pivot
     columns span the image, and the nonzero reduced rows are the coordinates
     of f's columns in them, i.e. the epi part.  The image and the cokernel
-    share the frames of the image basis."""
-    reduced = [rref(mat) for mat in f.mats]
-    ker, ker_incl = submodule(f.source, [kernel_basis(mat, red) for mat, red in zip(f.mats, reduced)])
-    bases = [mat.take_columns(pivots) for mat, (_, pivots) in zip(f.mats, reduced)]
+    share the frames of the image basis.  A vertex where the source or the
+    target is zero needs no elimination: the kernel is the whole source there
+    and the image zero."""
+    field = f.source.algebra.field
+    ker_bases, bases, epi_mats = [], [], []
+    for mat in f.mats:
+        rows, cols = mat.a.shape
+        if rows and cols:
+            r, pivots = rref(mat)
+            ker_bases.append(kernel_basis(mat, (r, pivots)))
+            bases.append(mat.take_columns(pivots))
+            epi_mats.append(Matrix(field, r.a[: len(pivots)].copy(), reduced=True))
+        else:
+            ker_bases.append(Matrix.identity(field, cols))
+            bases.append(Matrix.zeros(field, rows, 0))
+            epi_mats.append(Matrix.zeros(field, 0, cols))
+    ker, ker_incl = submodule(f.source, ker_bases)
     frames = [frame(u, d) for u, d in zip(bases, f.target.dims)]
     img, mono = _submodule_in_frames(f.target, bases, frames)
-    epi = ModuleMap(f.source, img, [Matrix(r.field, r.a[: len(pivots)].copy(), reduced=True) for r, pivots in reduced])
+    epi = ModuleMap(f.source, img, epi_mats)
     cok, proj = _quotient_in_frames(f.target, frames)
     return MapParts(ker, ker_incl, img, epi, mono, cok, proj)
 
@@ -544,20 +586,28 @@ def _least_shift(f: ModuleMap) -> tuple[int, list[np.ndarray]] | None:
     """The least t in GF(p) with f + t singular, with the per-vertex matrices
     of (f + t)^N for an N >= dim; None when f + t is invertible for every t.
 
-    The t are the roots at -t of the minimal polynomial, evaluated at all of
-    GF(p) at once.
+    The t are the roots at -t of the minimal polynomial.  When it is
+    (x - lam)^k with p not dividing k, lam = -c_{k-1}/k is its only root and
+    the comparison with the expanded power proves the form; otherwise it is
+    evaluated at all of GF(p) at once.
     """
     field = f.source.algebra.field
     p = field.p
     total = block_diag(field, list(f.mats)).a
-    xs = (-np.arange(p, dtype=np.int64)) % p
-    values = np.zeros(p, dtype=np.int64)
-    for c in reversed(_min_poly(total, field)):
-        values = (values * xs + c) % p
-    roots = np.flatnonzero(values == 0)
-    if not roots.size:
-        return None
-    t = int(roots[0])
+    poly = _min_poly(total, field)
+    k = len(poly) - 1
+    lam = -poly[k - 1] * pow(k, -1, p) % p if k % p else None
+    if lam is not None and poly == [math.comb(k, j) * pow(-lam, k - j, p) % p for j in range(k + 1)]:
+        t = -lam % p
+    else:
+        xs = (-np.arange(p, dtype=np.int64)) % p
+        values = np.zeros(p, dtype=np.int64)
+        for c in reversed(poly):
+            values = (values * xs + c) % p
+        roots = np.flatnonzero(values == 0)
+        if not roots.size:
+            return None
+        t = int(roots[0])
     powers = []
     for mat in f.mats:
         power = (mat.a + t * np.eye(mat.rows, dtype=np.int64)) % p
@@ -779,7 +829,10 @@ class StdProjective:
     block_index: dict
 
 
+@memo(lambda a, verts: tuple(int(v) for v in verts), owner=lambda a, verts: a)
 def std_projective(a: Algebra, verts) -> StdProjective:
+    """The standard projective on verts, remembered per vertex tuple; callers
+    must not mutate it."""
     verts = tuple(int(v) for v in verts)
     per_vertex_basis: dict[int, list[tuple[int, int]]] = {w: [] for w in range(a.nv)}
     for t, v in enumerate(verts):
@@ -1339,14 +1392,23 @@ class IndecIndex:
         system: Hom(m, X_j) = Hom(DX_j, Dm) is the kernel of Hom(d_j, Dm) for
         the minimal presentation d_j: Q1 -> Q0 of DX_j over the opposite
         algebra, a matrix with sum_t m_{v_t} columns over the vertices of Q0.
+
+        Only the rows of the candidates, the members whose dimension vector
+        is at most dims(m), are evaluated, and only the h_j their rows touch:
+        a summand of m has a dimension vector at most dims(m), so every other
+        member has multiplicity zero.
         """
+        candidates = np.flatnonzero((self._dimvecs <= np.array(m.dims, dtype=np.int64)).all(axis=1))
+        rows = self._relations()[candidates]
+        touched = np.flatnonzero(rows.any(axis=0))
         dm = dual_module(m)
-        homs = [hom_of_std_map(d, dm) for d in self._dual_presentations()]
+        presentations = self._dual_presentations()
+        homs = [hom_of_std_map(presentations[j], dm) for j in touched]
         h = np.array([mat.cols - rank(mat) for mat in homs], dtype=np.int64)
-        mult = self._relations() @ h
-        if (mult < 0).any() or tuple(int(d) for d in mult @ self._dimvecs) != m.dims:
+        mult = rows[:, touched] @ h
+        if (mult < 0).any() or tuple(int(d) for d in mult @ self._dimvecs[candidates]) != m.dims:
             raise RepmodError("module has a summand outside the index")
-        return tuple(i for i, k in enumerate(mult) for _ in range(k))
+        return tuple(int(i) for i, k in zip(candidates, mult) for _ in range(k))
 
     @memo()
     def ar_quiver(self) -> list[Mesh]:

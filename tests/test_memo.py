@@ -25,6 +25,7 @@ from exactcat.repmod import (
 )
 
 GF2 = FieldPrime(2)
+GF5 = FieldPrime(5)
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -125,6 +126,9 @@ HOISTED_STORES = tuple(
         "_cogenerated",
         "_torsion_parts",
         "_injective_cokernel_ids",
+        "_approximation_classes",
+        "_domdim_chain",
+        "_trace_parts",
         "ext_middle_parts",
         "_transpose_parts",
         "p2_ids",
@@ -173,6 +177,7 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     assert {id(g) for g in calls["localize_map"]} == {id(g) for g in basis}
     store = vars(ctx)["__sum_map_data_memo"]
     recorded = set(store)
+    classified = set(vars(ctx.cat)["_morphism_classes_memo"])
     calls["map_parts"].clear()
     calls["localize_map"].clear()
     assert ctx.verify_formula_and_localization(second).ok
@@ -184,15 +189,48 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     assert nonzero
     # a new tuple localizes nothing: its blocks are sums of localized basis maps
     assert calls["localize_map"] == []
-    # each new nonzero map once on the Gamma side, then its localization, assembled
-    # from the blocks, once in morphism_classes
-    assert len(calls["map_parts"]) == 2 * len(nonzero)
-    assert all(f.source.algebra is ctx.gamma for f in calls["map_parts"][0::2])
-    assert all(f.source.algebra is ctx.algebra for f in calls["map_parts"][1::2])
+    # each new nonzero map once on the Gamma side, and each distinct new
+    # localization, assembled from the blocks, once in morphism_classes
+    localizations = set(vars(ctx.cat)["_morphism_classes_memo"]) - classified
+    assert 0 < len(localizations) < len(nonzero)  # some new tuples share their L(g)
+    assert len(calls["map_parts"]) == len(nonzero) + len(localizations)
+    gamma_side = [f for f in calls["map_parts"] if f.source.algebra is ctx.gamma]
+    lambda_side = [f.key() for f in calls["map_parts"] if f.source.algebra is ctx.algebra]
+    assert len(gamma_side) == len(nonzero)
+    assert len(lambda_side) == len(set(lambda_side)) and set(lambda_side) == localizations
     calls["map_parts"].clear()
     calls["localize_map"].clear()
     assert ctx.verify_formula_and_localization(second).ok
     assert calls == {"map_parts": [], "localize_map": []}
+
+
+def test_a_second_verify_pass_over_a_warm_context_builds_nothing(monkeypatch):
+    """Every structure-independent step of the per-structure verify sections
+    is stored on the context: a second pass over every structure gives the
+    same reports and runs no map_parts, kernel or cokernel, and classifies no
+    new sequence."""
+    ctx = AuslanderContext(algebra_kA3(GF5, False))
+    sections = (
+        exactstruct.is_exact_structure,
+        ctx.check_auslander_axioms,
+        ctx.verify_formula_and_localization,
+        ctx.verify_injective_projective_correspondence,
+    )
+
+    def reports():
+        return [(r.items, r.notes) for section in sections for r in map(section, ctx.structures())]
+
+    first = reports()
+    calls = []
+    for module in (repmod, exactstruct, auslander, functorcat):
+        for name in ("map_parts", "kernel", "cokernel"):
+            if name in vars(module):
+                fn = vars(module)[name]
+                monkeypatch.setattr(module, name, lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+    classified = len(vars(ctx.cat)["_componentwise_classes_memo"])
+    assert reports() == first
+    assert calls == [] and len(vars(ctx.cat)["_componentwise_classes_memo"]) == classified
+    assert all(items and all(item.ok for item in items) for items, _ in first)
 
 
 def _plain(record):

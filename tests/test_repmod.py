@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +16,15 @@ from exactcat.algebra import (
     algebra_semisimple,
     build_from_quiver,
 )
+from exactcat.auslander import AuslanderContext
+from exactcat.cli import Session
 from exactcat.functorcat import AdditiveCategorySpec, end_algebra
-from exactcat.linalg import FieldPrime, Matrix, block_diag, hstack, inverse, rank, rref, solve_right
+from exactcat.linalg import FieldPrime, Matrix, block_diag, hstack, inverse, kernel_basis, rank, rref, solve_right
 from exactcat.repmod import (
     CapExceeded,
     ExtSpace,
     IndecIndex,
+    MapParts,
     Module,
     ModuleMap,
     RepmodError,
@@ -65,6 +71,7 @@ from exactcat.repmod import (
 
 GF2 = FieldPrime(2)
 GF5 = FieldPrime(5)
+SESSIONS = Path(__file__).resolve().parents[1] / "sessions"
 
 
 def _kx3(field):
@@ -895,6 +902,37 @@ def test_parts_rejects_summand_outside_index(name):
         partial.parts(direct_sum([mods[0], mods[-1]])[0])
 
 
+def _every_row_parts(index, m):
+    """The reference for IndecIndex.parts: every relation row, on every h_j."""
+    dm = dual_module(m)
+    h = np.array([mat.cols - rank(mat) for mat in (hom_of_std_map(d, dm) for d in index._dual_presentations())])
+    mult = index._relations() @ h
+    assert (mult >= 0).all() and tuple(int(d) for d in mult @ index._dimvecs) == m.dims
+    return [i for i, k in enumerate(mult) for _ in range(k)]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in SESSIONS.glob("*.json")))
+def test_candidate_rows_count_what_every_row_counts(name):
+    """parts evaluates only the rows of the members whose dimension vector is
+    at most dims(m): on every Gamma and Gamma^op member of a session algebra
+    and every sum of two, it counts what all rows count, and a module with a
+    summand outside the index still raises."""
+    session = Session(json.loads((SESSIONS / f"{name}.json").read_text()))
+    ctx = AuslanderContext(session.algebra, dim_cap=session.dim_cap, cutoff=session.resolution_cutoff)
+    for index in (ctx.gamma_index, ctx.gop_index):
+        mods = index.modules
+        cases = list(mods) + [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
+        for m in cases:
+            assert index.parts(m) == _every_row_parts(index, m)
+    mods = ctx.gamma_index.modules
+    partial = IndecIndex(ctx.gamma, mods[:-1])
+    if name == "kA3_gf5":
+        partial._relations()  # the last member is in no mesh of the others: the count itself raises
+    for m in (mods[-1], direct_sum([mods[0], mods[-1]])[0]):
+        with pytest.raises(RepmodError, match="outside the index"):
+            partial.parts(m)
+
+
 def test_dual_index_rejects_projective_flags_its_source_contradicts():
     """The rows of a dual index come from the source translates, which must be
     exactly its non-projective members."""
@@ -1050,6 +1088,103 @@ def test_subquotients_from_one_elimination_match_the_solve_based_versions(p):
         submodule(p1, [Matrix.identity(field, 1), Matrix.zeros(field, 1, 0), Matrix.zeros(field, 1, 0)])
 
 
+def _eliminating_frame(u, d):
+    """The reference for frame: rref([u | I_d]) at every vertex."""
+    k = u.cols
+    r, pivots = rref(Matrix(u.field, np.hstack([u.a, np.eye(d, dtype=np.int64)])))
+    assert pivots[:k] == list(range(k))
+    inv = r.a[:, k:]
+    return inv[:k], inv[k:], [c - k for c in pivots[k:]]
+
+
+def _eliminating_map_parts(f):
+    """The reference for map_parts: one rref of every vertex matrix and of
+    every frame, and every action restricted or projected, zero or not."""
+    alg = f.source.algebra
+    field, p = alg.field, alg.field.p
+    reduced = [rref(mat) for mat in f.mats]
+
+    def sub(m, bases):
+        frames = [_eliminating_frame(u, d) for u, d in zip(bases, m.dims)]
+        act = {}
+        for b in alg.radical_indices:
+            image = m.act[b].a @ bases[alg.left[b]].a % p
+            assert not (frames[alg.right[b]][1] @ image % p).any()
+            act[b] = Matrix(field, frames[alg.right[b]][0] @ image)
+        part = Module(alg, [u.cols for u in bases], act)
+        return part, ModuleMap(part, m, bases), frames
+
+    ker, ker_incl, _ = sub(f.source, [kernel_basis(mat, red) for mat, red in zip(f.mats, reduced)])
+    img, mono, frames = sub(f.target, [mat.take_columns(pivots) for mat, (_, pivots) in zip(f.mats, reduced)])
+    epi = ModuleMap(f.source, img, [Matrix(field, r.a[: len(pivots)]) for r, pivots in reduced])
+    projections = [Matrix(field, proj) for _, proj, _ in frames]
+    act = {
+        b: Matrix(field, frames[alg.right[b]][1] @ np.take(f.target.act[b].a, frames[alg.left[b]][2], axis=1))
+        for b in alg.radical_indices
+    }
+    cok = Module(alg, [pi.rows for pi in projections], act)
+    return MapParts(ker, ker_incl, img, epi, mono, cok, ModuleMap(f.target, cok, projections))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: algebra_kA3(GF5, zero_relation=False), lambda: algebra_kA3(GF2, zero_relation=True), lambda: _kx3(GF2)],
+    ids=["kA3-GF5", "kA3rel-GF2", "kx3-GF2"],
+)
+def test_map_parts_skipping_empty_vertices_matches_the_eliminating_path(make):
+    """map_parts skips elimination at vertices where the source or the target
+    is zero, and frames of the zero subspace or of a whole space on its
+    identity basis; every term and map equals the path that eliminates
+    everywhere, on maps with empty vertices and with zero kernels or cokernels."""
+    alg = make()
+    std = standard_modules(alg)
+    mods = all_indecomposables(alg, 8).modules + [direct_sum(std.projectives)[0], direct_sum(std.simples)[0]]
+    maps = []
+    for m, n in itertools.product(mods, repeat=2):
+        basis = hom_basis(m, n)
+        maps += basis + [ModuleMap.zero_map(m, n), hom_from_coords([1] * len(basis), basis, m, n)]
+    maps += [projective_cover(m)[1] for m in mods] + [radical_submodule(m)[1] for m in mods]
+    seen = Counter()
+    for f in maps:
+        got, want = map_parts(f), _eliminating_map_parts(f)
+        for field in dataclasses.fields(MapParts):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.key() == b.key(), field.name
+        seen["empty vertex"] += any(s == 0 or t == 0 for s, t in zip(f.source.dims, f.target.dims))
+        seen["zero kernel"] += got.kernel.is_zero()
+        seen["zero cokernel"] += got.cokernel.is_zero()
+    assert min(seen.values()) > 0 and len(seen) == 3
+
+
+def _swept_shift(f):
+    """The reference for _least_shift: the least root at -t of the minimal
+    polynomial, found by evaluating it at every t in GF(p)."""
+    field = f.source.algebra.field
+    xs = (-np.arange(field.p, dtype=np.int64)) % field.p
+    values = np.zeros(field.p, dtype=np.int64)
+    for c in reversed(repmod._min_poly(block_diag(field, list(f.mats)).a, field)):
+        values = (values * xs + c) % field.p
+    roots = np.flatnonzero(values == 0)
+    return int(roots[0]) if roots.size else None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_least_shift_of_a_single_root_needs_no_sweep(p):
+    """(x - lam)^k with p not dividing k gives t = -lam without a sweep; the
+    least shift equals the swept one on endomorphisms of k[x]/(x^3) modules,
+    including (x - lam)^k with p dividing k, several roots and no root."""
+    field = FieldPrime(p)
+    a = _kx3(field)
+    mods = all_indecomposables(a, 8).modules
+    mods += [direct_sum([x, y])[0] for x, y in itertools.combinations_with_replacement(mods, 2)]
+    ends = [f for m in mods for f in hom_basis(m, m)]
+    ends += [f + ModuleMap.identity(f.source).scale(3) for f in ends]
+    one = algebra_semisimple(field, 1)
+    square, _, _ = direct_sum([simple_module(one, 0), simple_module(one, 0)])
+    ends += [ModuleMap(square, square, [Matrix(field, rows)]) for rows in ([[1, 0], [0, 2]], [[0, 1], [p - 1, 0]])]
+    for f in ends:
+        shift = repmod._least_shift(f)
+        assert (None if shift is None else shift[0]) == _swept_shift(f)
 def _eager_direct_sum(modules):
     """The reference for direct_sum: block_diag actions, every map built up front."""
     alg = modules[0].algebra
