@@ -34,7 +34,6 @@ class ReportItem:
 
 @dataclass
 class Report:
-    name: str
     items: list[ReportItem] = dataclass_field(default_factory=list)
     notes: list[str] = dataclass_field(default_factory=list)
 
@@ -141,7 +140,7 @@ def radical_basis(a: Algebra) -> list[str]:
 
 def validate_algebra(a: Algebra) -> Report:
     """Check the algebra axioms exhaustively on the basis."""
-    report = Report("validate_algebra")
+    report = Report()
     p = a.field.p
     d = a.dim
 

@@ -36,7 +36,6 @@ from .linalg import (
     subspace_lines,
 )
 from .repmod import (
-    IndecIndex,
     Module,
     ModuleMap,
     RepmodError,
@@ -47,6 +46,7 @@ from .repmod import (
     decompose,
     descend,
     direct_sum,
+    dual_module,
     dual_presentation,
     dual_std_map,
     ext_dim,
@@ -74,11 +74,10 @@ class AuslanderError(ExactcatError):
 
 @dataclass(frozen=True)
 class SubcategorySpec:
-    """A set of indecomposable ids over Gamma, Gamma^op or Lambda, with provenance."""
+    """A set of indecomposable ids over Gamma, Gamma^op or Lambda."""
 
     side: str  # "gamma", "gamma_op" or "lambda" (mod Lambda itself)
     ids: frozenset[int]
-    provenance: str
 
     def sorted_ids(self) -> list[int]:
         return sorted(self.ids)
@@ -95,9 +94,21 @@ class SubcategoryQuad:
 
 class AuslanderContext:
     """All derived data of one ground algebra: the category C = mod(Lambda),
-    its endomorphism algebra, and the indecomposables on both sides."""
+    its endomorphism algebra, and the indecomposables on both sides.
+
+    Gamma = End(M) and what hangs off it, the attributes GAMMA_ATTRS, are
+    built on first use (see __getattr__): the indecomposables and the exact
+    structures of C need none of them, so only verify and smodad can reach
+    the Gamma-side cap.
+
+    Gamma^op is a view of Gamma through the duality D = Hom_k(-, k):
+    mod(Gamma) -> mod(Gamma^op).  Its member i is D X_i for Gamma's member
+    X_i, the ids of a Gamma^op-module N are those of DN over Gamma, and its
+    projectives are D of Gamma's injectives (side_modules, side_parts,
+    projective_ids)."""
 
     GAMMA_CAP = "the Gamma-side cap gamma_dim_cap"
+    GAMMA_ATTRS = frozenset({"ea", "gamma", "gamma_op", "gamma_index", "yoneda_ids"})
 
     def __init__(self, algebra: Algebra, dim_cap: int = 12, gamma_dim_cap: int = 40, cutoff: int = 8, seed: int = 0):
         # seed is ignored (nothing here is randomized); perfbench/run.py still passes it
@@ -107,18 +118,20 @@ class AuslanderContext:
         self.index = all_indecomposables(algebra, dim_cap)
         self.spec = AdditiveCategorySpec(algebra, self.index.modules)
         self.cat = CategoryContext(self.spec, self.index)
-        self.ea = end_algebra(self.spec)
-        self.gamma = self.ea.gamma
-        self.gamma_index = all_indecomposables(self.gamma, gamma_dim_cap, cap_name=self.GAMMA_CAP)
-        self.gamma_op = self.gamma.opposite()
-        # D = Hom_k(-, k) is a duality mod(Gamma) -> mod(Gamma^op): member i
-        # of this index is D of Gamma's member i
-        self.gop_index = IndecIndex.dual(self.gamma_index, self.gamma_op)
-        self.yoneda_ids = [
-            self.gamma_index.identify(self.ea.yoneda(m)) for m in self.index.modules
-        ]
-        if any(i is None for i in self.yoneda_ids):
+
+    def __getattr__(self, name: str):
+        """Builds Gamma on the first read of one of GAMMA_ATTRS and sets them
+        all, so every later read is a plain attribute read."""
+        if name not in self.GAMMA_ATTRS:
+            raise AttributeError(name)
+        ea = end_algebra(self.spec)
+        gamma_index = all_indecomposables(ea.gamma, self.gamma_dim_cap, cap_name=self.GAMMA_CAP)
+        yoneda_ids = [gamma_index.identify(ea.yoneda(m)) for m in self.index.modules]
+        if any(i is None for i in yoneda_ids):
             raise AuslanderError("a representable functor is missing from the Gamma index")
+        self.ea, self.gamma, self.gamma_op = ea, ea.gamma, ea.gamma.opposite()
+        self.gamma_index, self.yoneda_ids = gamma_index, yoneda_ids
+        return getattr(self, name)
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -126,8 +139,19 @@ class AuslanderContext:
     def structures(self) -> list[ExactStructure]:
         return enumerate_exact_structures(self.cat)
 
-    def side_index(self, side: str) -> IndecIndex:
-        return {"gamma": self.gamma_index, "gamma_op": self.gop_index, "lambda": self.index}[side]
+    @memo(lambda self, side: side)
+    def side_modules(self, side: str) -> list[Module]:
+        """The members of a side by id; over Gamma^op, D of Gamma's."""
+        if side == "gamma_op":
+            return [dual_module(m) for m in self.gamma_index.modules]
+        return self.index.modules if side == "lambda" else self.gamma_index.modules
+
+    def side_parts(self, side: str, m: Module) -> list[int]:
+        """Ids of the summands of m, with multiplicity; a Gamma^op-module N
+        has the ids of DN over Gamma."""
+        if side == "gamma_op":
+            return self.gamma_index.parts(dual_module(m))
+        return (self.index if side == "lambda" else self.gamma_index).parts(m)
 
     def gamma_module(self, i: int) -> Module:
         return self.gamma_index.modules[i]
@@ -136,12 +160,14 @@ class AuslanderContext:
         return self.ea.presentation_in_category(f_mod)
 
     def projective_ids(self, side: str) -> frozenset[int]:
-        index = self.side_index(side)
-        return frozenset(i for i in range(len(index.modules)) if index.is_projective[i])
+        """Over Gamma^op, the ids of Gamma's injectives: D sends them to the projectives."""
+        index = self.index if side == "lambda" else self.gamma_index
+        flags = index.is_injective if side == "gamma_op" else index.is_projective
+        return frozenset(i for i, flag in enumerate(flags) if flag)
 
     @memo(lambda self, side: side)
     def p2_ids(self, side: str) -> frozenset[int]:
-        dims = [proj_dim(m, self.cutoff) for m in self.side_index(side).modules]
+        dims = [proj_dim(m, self.cutoff) for m in self.side_modules(side)]
         return frozenset(i for i, pd in enumerate(dims) if pd is not None and pd <= 2)
 
     # -- memberships -------------------------------------------------------------
@@ -177,11 +203,11 @@ class AuslanderContext:
         perp = {i for i in smodad if all(hom_dim(self.gamma_module(i), q) == 0 for q in reps)}
         cogen = {i for i in smodad if self._cogenerated(i)}
         return SubcategoryQuad(
-            SubcategorySpec("gamma", frozenset(eff), "eff"),
-            SubcategorySpec("gamma", frozenset(smodad), "smodad"),
-            SubcategorySpec("gamma", frozenset(cogen), "cogenQ"),
-            SubcategorySpec("gamma", frozenset(perp), "perpP"),
-            SubcategorySpec("gamma", frozenset(infl), "restricted"),
+            SubcategorySpec("gamma", frozenset(eff)),
+            SubcategorySpec("gamma", frozenset(smodad)),
+            SubcategorySpec("gamma", frozenset(cogen)),
+            SubcategorySpec("gamma", frozenset(perp)),
+            SubcategorySpec("gamma", frozenset(infl)),
         )
 
     @memo(lambda self, i: i)
@@ -296,24 +322,20 @@ class AuslanderContext:
         """Ids of the summands of the middle term of the realized class,
         cached per line: the middle term of c*xi is that of xi (pushout along
         c*id), so one class of each line is realized."""
-        index = self.side_index(side)
-        space = ext_space(index.modules[z], index.modules[a])
-        return self._interned(frozenset(index.parts(space.realize(vec).mid)))
+        modules = self.side_modules(side)
+        space = ext_space(modules[z], modules[a])
+        return self._interned(frozenset(self.side_parts(side, space.realize(vec).mid)))
 
     @memo(lambda self, side, i: (side, i))
     def syzygy_parts(self, side: str, i: int) -> frozenset[int]:
-        index = self.side_index(side)
-        return frozenset(index.parts(minimal_presentation(index.modules[i]).syz))
+        return frozenset(self.side_parts(side, minimal_presentation(self.side_modules(side)[i]).syz))
 
     @memo(lambda self, side, z, a: (side, z, a))
     def _ext1_dim(self, side: str, z: int, a: int) -> int:
         """dim Ext^1 between two members, counted without building the space:
-        most pairs the closures walk have none.  Over Gamma^op it is read
-        through D: Ext^1(DX_z, DX_a) = Ext^1(X_a, X_z)."""
-        if side == "gamma_op":
-            return self._ext1_dim("gamma", a, z)
-        index = self.side_index(side)
-        return ext_dim(1, index.modules[z], index.modules[a])
+        most pairs the closures walk have none."""
+        modules = self.side_modules(side)
+        return ext_dim(1, modules[z], modules[a])
 
     def _ext_closure(self, side: str, ids) -> tuple[frozenset[int], bool]:
         """Ids of the summands of the middle terms of the Ext^1 classes between
@@ -326,14 +348,14 @@ class AuslanderContext:
         the exhaustive flag agree."""
         if side == "gamma_op":
             return self._ext_closure("gamma", ids)
-        index = self.side_index(side)
+        modules = self.side_modules(side)
         middles, exhaustive = set(), True
         for z in sorted(ids):
             for a in sorted(ids):
                 if self._ext1_dim(side, z, a) == 0:
                     continue
-                dim = ext_space(index.modules[z], index.modules[a]).dim
-                vectors, walked_all = subspace_lines(Matrix.identity(index.algebra.field, dim), ELEMENT_CAP)
+                dim = ext_space(modules[z], modules[a]).dim
+                vectors, walked_all = subspace_lines(Matrix.identity(self.algebra.field, dim), ELEMENT_CAP)
                 exhaustive = exhaustive and walked_all
                 for vec in vectors:
                     middles |= self.ext_middle_parts(side, z, a, vec)
@@ -352,7 +374,7 @@ class AuslanderContext:
         syzygy of C, so extension closure plus summand closure plus syzygies
         inside the subcategory give the kernel.
         """
-        report = Report(f"is_resolving[{sub.provenance}]")
+        report = Report()
         ids = sub.ids
         report.add("inside the ambient subcategory", ids <= ambient_ids)
         report.add("generating (contains all projectives)", self.projective_ids(sub.side) <= ids)
@@ -378,16 +400,13 @@ class AuslanderContext:
 
     def tr_subcategory(self, sub: SubcategorySpec) -> SubcategorySpec:
         """Tr(X) over the opposite side: projectives plus the summands of the
-        transposes of the members."""
+        transposes of the members.  Tr F_i = D tau F_i, the Gamma^op member
+        with the id of tau F_i, and Tr F_i = 0 for F_i projective."""
         if sub.side != "gamma":
             raise AuslanderError("tr_subcategory expects a gamma-side subcategory")
-        out = self.projective_ids("gamma_op").union(*(self._transpose_parts(i) for i in sub.ids))
-        return SubcategorySpec("gamma_op", out, f"Tr[{sub.provenance}]")
-
-    @memo(lambda self, i: i)
-    def _transpose_parts(self, i: int) -> frozenset[int]:
-        """Ids of the summands of Tr F_i over Gamma^op."""
-        return frozenset(self.gop_index.parts(transpose_module(self.gamma_module(i))))
+        quiver = self.gamma_index.ar_quiver()
+        taus = {quiver[i].tau for i in sub.ids} - {None}
+        return SubcategorySpec("gamma_op", self.projective_ids("gamma_op") | taus)
 
     # -- reconstruction ---------------------------------------------------------------
 
@@ -405,7 +424,7 @@ class AuslanderContext:
     @memo(lambda self, z, a, vec: (z, a, tuple(int(c) for c in vec)))
     def _inflation_functor_parts(self, z: int, a: int, vec) -> frozenset[int]:
         """Summand ids of coker(yoneda(i)) for the realized class (cached)."""
-        ses = self.cat.ext(z, a).realize(vec)
+        ses = self.cat.realize(self.cat.ext(z, a), vec)
         y_i = self.ea.yoneda_map(ses.i)
         if not y_i.is_injective():
             raise AuslanderError("yoneda image of an inflation is not monic")
@@ -429,7 +448,7 @@ class AuslanderContext:
         return ExactStructure(self.cat, subs)
 
     def reconstruction_preconditions(self, sub: SubcategorySpec) -> Report:
-        report = Report("reconstruction preconditions")
+        report = Report()
         p2 = self.p2_ids("gamma")
         res = self.is_resolving(sub, p2)
         report.add("X resolving in P^2(Gamma)", res.ok)
@@ -437,7 +456,7 @@ class AuslanderContext:
         res_op = self.is_resolving(tr_sub, self.p2_ids("gamma_op"))
         report.add("Tr(X) resolving in P^2(Gamma^op)", res_op.ok)
         g1 = [i for i in sorted(sub.ids) if self.grade(self.gamma_index.modules[i], "gamma") == 1]
-        g2 = [i for i in sorted(tr_sub.ids) if self.grade(self.gop_index.modules[i], "gamma_op") == 1]
+        g2 = [i for i in sorted(tr_sub.ids) if self.grade(self.side_modules("gamma_op")[i], "gamma_op") == 1]
         report.add("no grade-1 objects in X", not g1, str(g1))
         report.add("no grade-1 objects in Tr(X)", not g2, str(g2))
         return report
@@ -445,7 +464,7 @@ class AuslanderContext:
     # -- the Auslander exact axioms ----------------------------------------------------
 
     def check_auslander_axioms(self, e: ExactStructure) -> Report:
-        report = Report("auslander_axioms")
+        report = Report()
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
         tf = quad.torsion_free.ids & smodad
@@ -543,7 +562,7 @@ class AuslanderContext:
     # -- Auslander's formula and the localization ---------------------------------------
 
     def verify_formula_and_localization(self, e: ExactStructure) -> Report:
-        report = Report("formula_and_localization")
+        report = Report()
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
 
@@ -671,7 +690,7 @@ class AuslanderContext:
         return tuple(chain)
 
     def verify_injective_projective_correspondence(self, e: ExactStructure) -> Report:
-        report = Report("injective_projective_correspondence")
+        report = Report()
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
 
@@ -773,7 +792,7 @@ class AuslanderContext:
         """smodad of an extension/kernel-closed subcategory X of mod(Lambda),
         computed over End(M_X) both by the membership test and by the
         idempotent condition N*e in X, and compared."""
-        report = Report("restricted_description")
+        report = Report()
         x_ids = frozenset(x_ids)
         index = self.index
         report.add("X contains the projectives", self.projective_ids("lambda") <= x_ids)

@@ -253,6 +253,7 @@ def cmd_exact_structures(session: Session, ctx: AuslanderContext, out: RunOutput
 
 
 def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options: dict):
+    gamma_modules = ctx.gamma_index.modules  # builds Gamma: a Gamma cap stops verify before its first line
     out.emit("== verify ==")
     structures = ctx.structures()
     payload = {"name": "verify", "structures": len(structures), "sections": []}
@@ -313,7 +314,7 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
         out.failed = True
 
     out.emit("  [section] Auslander-Bridger sequence and grade dichotomy")
-    ab_ok = all(ctx.auslander_bridger_check(m) for m in ctx.gamma_index.modules)
+    ab_ok = all(ctx.auslander_bridger_check(m) for m in gamma_modules)
     dich_ok = True
     for e in structures:
         quad = ctx.build_subcategories(e)
@@ -321,7 +322,7 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
             if ctx.grade(ctx.gamma_module(i), "gamma") == 1:
                 dich_ok = False
         for i in ctx.tr_subcategory(quad.smodad).sorted_ids():
-            if ctx.grade(ctx.gop_index.modules[i], "gamma_op") == 1:
+            if ctx.grade(ctx.side_modules("gamma_op")[i], "gamma_op") == 1:
                 dich_ok = False
     out.emit(f"    AB sequence pointwise: {'PASS' if ab_ok else 'FAIL'}")
     out.emit(f"    grade dichotomy: {'PASS' if dich_ok else 'FAIL'}")

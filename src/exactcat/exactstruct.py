@@ -476,7 +476,7 @@ def is_exact_structure(e: ExactStructure) -> Report:
     up to scalar; the bound is recorded in the report.
     """
     ctx = e.ctx
-    report = Report("is_exact_structure")
+    report = Report()
     report.note("composition checks: indecomposable outer end terms; class enumeration up to scalar")
 
     report.add("action closure (class-level R2/L2)", _action_stable(e))

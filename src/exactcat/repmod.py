@@ -1340,31 +1340,15 @@ class Mesh(NamedTuple):
 class IndecIndex:
     """All indecomposables of a representation-finite algebra, with stable ids."""
 
-    def __init__(self, algebra: Algebra, modules: list[Module], source: IndecIndex | None = None):
-        """source, when given, is an index over the opposite algebra whose
-        member i is D of member i here (see dual)."""
+    def __init__(self, algebra: Algebra, modules: list[Module]):
         self.algebra = algebra
         self.modules = modules
-        self.source = source
         self._id_by_key = {m.key(): i for i, m in enumerate(modules)}
         self._dimvecs = np.array([m.dims for m in modules], dtype=np.int64).reshape(len(modules), algebra.nv)
-        if source is not None:
-            # D swaps projectives and injectives and keeps simples
-            self.is_projective, self.is_injective = source.is_injective, source.is_projective
-            self.is_simple = source.is_simple
-            return
         std = standard_modules(algebra)
         self.is_projective = [find_isomorphic(m, std.projectives) is not None for m in modules]
         self.is_injective = [find_isomorphic(m, std.injectives) is not None for m in modules]
         self.is_simple = [find_isomorphic(m, std.simples) is not None for m in modules]
-
-    @classmethod
-    def dual(cls, index: IndecIndex, opposite_algebra: Algebra) -> IndecIndex:
-        """The index over the opposite algebra whose member i is D of member i
-        of index, for the exact duality D = Hom_k(-, k): its flags and the
-        relations of parts are read off index, with no isomorphism search and
-        no almost split sequence of its own."""
-        return cls(opposite_algebra, [dual_module(m) for m in index.modules], source=index)
 
     def identify(self, m: Module) -> int | None:
         hit = self._id_by_key.get(m.key())
@@ -1414,29 +1398,15 @@ class IndecIndex:
     def ar_quiver(self) -> list[Mesh]:
         """The mesh at each member X_i: the id of tau X_i and the arrows into
         X_i, from the almost split sequence ending at X_i, or from rad X_i for
-        X_i projective.
-
-        A dual index reads its non-projective members off its source: D sends
-        the almost split sequence 0 -> X_i -> E -> X_j -> 0 of the source to
-        the one ending at DX_i, whose translate is DX_j and whose middle term
-        DE has the ids of E.  A projective DX_i (X_i injective) decomposes its
-        own radical."""
-        meshes: list[Mesh | None] = [None] * len(self.modules)
-        if self.source is not None:
-            for j, mesh in enumerate(self.source.ar_quiver()):
-                if mesh.tau is not None:
-                    meshes[mesh.tau] = Mesh(j, mesh.arrows)
-            if [mesh is not None for mesh in meshes] != [not proj for proj in self.is_projective]:
-                raise RepmodError("the source translates are not the non-projective members of the dual index")
-        for i, x in enumerate(self.modules):
-            if meshes[i] is not None:
-                continue
-            if self.is_projective[i]:
+        X_i projective."""
+        meshes = []
+        for x, projective in zip(self.modules, self.is_projective):
+            if projective:
                 tau, middle = None, radical_submodule(x)[0]
             else:
                 ses = ar_sequence(x, self)
                 tau, middle = self._member(ses.sub), ses.mid
-            meshes[i] = Mesh(tau, tuple(sorted(self._member(part) for part, _ in decompose(middle))))
+            meshes.append(Mesh(tau, tuple(sorted(self._member(part) for part, _ in decompose(middle)))))
         return meshes
 
     @memo()

@@ -1,11 +1,12 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from exactcat import repmod
 from exactcat.algebra import QuiverPresentation, algebra_dual_numbers, algebra_kA2, algebra_kA3, build_from_quiver
-from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in, sum_family
+from exactcat.auslander import AuslanderContext, AuslanderError, SubcategorySpec, _admissible_with_image_in, sum_family
 from exactcat.exactstruct import (
     ELEMENT_CAP,
     ExactstructError,
@@ -40,10 +41,29 @@ from exactcat.repmod import (
     projective_cover,
     radical_submodule,
     standard_modules,
+    transpose_module,
 )
 
 GF2 = FieldPrime(2)
 GF5 = FieldPrime(5)
+
+_FRESH_GAMMA_OP = weakref.WeakKeyDictionary()
+
+
+def fresh_gamma_op_index(ctx):
+    """The oracle for what the context reads through D: an index over
+    Gamma^op whose member i is D of Gamma's member i, which searches the
+    standard modules of Gamma^op for its flags and runs ar_sequence on
+    Gamma^op for the relations of parts."""
+    if ctx not in _FRESH_GAMMA_OP:
+        _FRESH_GAMMA_OP[ctx] = repmod.IndecIndex(ctx.gamma_op, [dual_module(m) for m in ctx.gamma_index.modules])
+    return _FRESH_GAMMA_OP[ctx]
+
+
+def side_index(ctx, side):
+    if side == "gamma_op":
+        return fresh_gamma_op_index(ctx)
+    return ctx.index if side == "lambda" else ctx.gamma_index
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +189,7 @@ def test_grade_dichotomy(kA2, dn, kA3rel):
                 assert ctx.grade(ctx.gamma_module(i), "gamma") != 1
             tr = ctx.tr_subcategory(quad.smodad)
             for i in tr.ids:
-                assert ctx.grade(ctx.gop_index.modules[i], "gamma_op") != 1
+                assert ctx.grade(dual_module(ctx.gamma_module(i)), "gamma_op") != 1
 
 
 def test_is_resolving_cases(kA2):
@@ -241,7 +261,7 @@ def test_ext_closure_builds_ext_spaces_only_where_ext1_is_nonzero(monkeypatch):
 
     # a fresh context, so that nothing over Gamma is remembered yet
     op_ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
-    gop = op_ctx.gop_index
+    gop = fresh_gamma_op_index(op_ctx)
     ids = frozenset(range(len(gop.modules)))
     built.clear()
     counted.clear()
@@ -626,8 +646,9 @@ def test_ext_middle_parts_realizes_one_class_per_line(monkeypatch):
 
 
 def test_gamma_side_cap_names_the_gamma_cap():
+    ctx = AuslanderContext(algebra_kA3(GF2, False), gamma_dim_cap=2)
     with pytest.raises(repmod.CapExceeded) as info:
-        AuslanderContext(algebra_kA3(GF2, False), gamma_dim_cap=2)
+        ctx.gamma_index
     assert info.value.exit_code == 3
     assert "exceeds the Gamma-side cap gamma_dim_cap=2" in str(info.value)
 
@@ -640,42 +661,42 @@ def test_restricted_description_knits_under_the_gamma_cap():
 
 
 def test_gamma_op_index_is_the_dual_of_the_gamma_index(kA2, dn, kA3rel):
-    """Member i of the Gamma^op index is D of Gamma's member i.  The members
-    are a knitted enumeration of mod(Gamma^op) up to isomorphism, D swaps the
-    projective and injective flags, and the AR relations of parts hold."""
+    """Member i of the Gamma^op side is D of Gamma's member i.  The members
+    are a knitted enumeration of mod(Gamma^op) up to isomorphism, named by
+    the ids parts reads through D, and D sends Gamma's injectives to the
+    projectives."""
     for ctx in (kA2, dn, kA3rel):
-        gamma, gop = ctx.gamma_index, ctx.gop_index
-        assert gop.algebra is ctx.gamma_op
-        assert [m.key() for m in gop.modules] == [dual_module(m).key() for m in gamma.modules]
-        assert (gop.is_projective, gop.is_injective) == (gamma.is_injective, gamma.is_projective)
-        assert gop.is_simple == gamma.is_simple
+        members = ctx.side_modules("gamma_op")
+        assert all(m.algebra is ctx.gamma_op for m in members)
+        assert [m.key() for m in members] == [dual_module(m).key() for m in ctx.gamma_index.modules]
         knitted = all_indecomposables(ctx.gamma_op, 40)
-        ids = [gop.identify(m) for m in knitted.modules]
-        assert sorted(ids) == list(range(len(gop.modules)))
-        for k, i in enumerate(ids):
-            assert (knitted.is_projective[k], knitted.is_injective[k]) == (gop.is_projective[i], gop.is_injective[i])
-        total, _, _ = direct_sum(gop.modules)
-        assert gop.parts(total) == list(range(len(gop.modules)))
+        ids = [ctx.side_parts("gamma_op", m) for m in knitted.modules]
+        assert sorted(ids) == [[i] for i in range(len(members))]
+        assert ctx.projective_ids("gamma_op") == {i for (i,), proj in zip(ids, knitted.is_projective) if proj}
+        total, _, _ = direct_sum(members)
+        assert ctx.side_parts("gamma_op", total) == list(range(len(members)))
 
 
-def test_dual_index_reads_flags_and_relations_off_gamma_as_a_fresh_index_finds_them(kA2, dn, kA3rel):
-    """The Gamma^op index takes its flags and the relations of parts from
-    Gamma's through D.  A fresh index over the same members searches the
-    standard modules of Gamma^op for its flags and runs ar_sequence, with its
-    is_almost_split test, on Gamma^op for its relations: both agree."""
+def test_gamma_op_answers_read_through_d_agree_with_a_fresh_gamma_op_index(kA2, dn, kA3rel):
+    """On every Gamma member, the Gamma^op answers the context reads through
+    D agree with a fresh index over Gamma^op: projective ids, P^2 ids,
+    syzygy ids, the ids of Tr F_i, and the ids of every sum of two members."""
     kx3 = build_from_quiver(QuiverPresentation(GF2, ["1"], [("x", "1", "1")], [[(1, ("x", "x", "x"))]], 3))
     more = [AuslanderContext(alg) for alg in (algebra_kA3(GF2, False), algebra_kA3(GF5, False), kx3)]
     for ctx in (kA2, dn, kA3rel, *more):
-        gop = ctx.gop_index
-        fresh = repmod.IndecIndex(ctx.gamma_op, [dual_module(m) for m in ctx.gamma_index.modules])
-        assert gop.source is ctx.gamma_index and fresh.source is None
-        for flag in ("is_projective", "is_injective", "is_simple"):
-            assert getattr(gop, flag) == getattr(fresh, flag), flag
-        assert np.array_equal(gop._relations(), fresh._relations())
-        assert [(m.tau, sorted(m.arrows)) for m in gop.ar_quiver()] == [
-            (m.tau, sorted(m.arrows)) for m in fresh.ar_quiver()
-        ]
-        assert not all(gop.is_projective)
+        fresh = fresh_gamma_op_index(ctx)
+        members = range(len(fresh.modules))
+        projectives = {i for i in members if fresh.is_projective[i]}
+        assert ctx.projective_ids("gamma_op") == projectives != set(members)
+        dims = [proj_dim(m, ctx.cutoff) for m in fresh.modules]
+        assert ctx.p2_ids("gamma_op") == {i for i, pd in enumerate(dims) if pd is not None and pd <= 2}
+        for i in members:
+            assert ctx.syzygy_parts("gamma_op", i) == set(fresh.parts(minimal_presentation(fresh.modules[i]).syz))
+            tr_ids = fresh.parts(transpose_module(ctx.gamma_module(i)))
+            assert ctx.tr_subcategory(SubcategorySpec("gamma", frozenset({i}))).ids == projectives | set(tr_ids)
+        for x, y in itertools.combinations_with_replacement(fresh.modules, 2):
+            total = direct_sum([x, y])[0]
+            assert ctx.side_parts("gamma_op", total) == fresh.parts(total)
 
 
 def test_ar_quiver_reads_the_almost_split_sequences_and_the_radicals(kA2, dn, kA3rel):
@@ -739,7 +760,7 @@ def _old_elements(dim, p):
 def _old_middles(ctx, side, z, a, cache):
     """Summand ids of the middle term of every walked class of Ext(z, a), realized directly."""
     if (side, z, a) not in cache:
-        index = ctx.side_index(side)
+        index = side_index(ctx, side)
         space = ext_space(index.modules[z], index.modules[a])
         cache[side, z, a] = [
             set(index.parts(space.realize(vec).mid)) for vec in _old_elements(space.dim, ctx.gamma.field.p)
@@ -748,7 +769,7 @@ def _old_middles(ctx, side, z, a, cache):
 
 
 def _old_syzygy(ctx, side, i):
-    index = ctx.side_index(side)
+    index = side_index(ctx, side)
     _, cover = projective_cover(index.modules[i])
     syz, _ = kernel(cover)
     return set() if syz.is_zero() else set(index.parts(syz))

@@ -364,13 +364,35 @@ def test_cap_messages_name_the_side_of_the_cap(monkeypatch):
     code, out = run_session(payload, None)
     assert code == EXIT_CAP
     assert out.lines[-1] == "cap exceeded: indecomposable of dimension 3 exceeds dim_cap=1"
-    # the mod-side knit passes; Gamma = End(M) has indecomposables above dimension 2
+    # the mod-side knit passes; Gamma = End(M) has indecomposables above
+    # dimension 2, and verify builds Gamma before its first line
     payload["caps"]["dim"] = 12
+    payload["commands"] = ["indecomposables", "verify"]
     monkeypatch.setattr(cli, "AuslanderContext", functools.partial(cli.AuslanderContext, gamma_dim_cap=2))
     code, out = run_session(payload, None)
     assert code == EXIT_CAP
+    assert out.lines[-2].startswith("  M") and "== verify ==" not in out.lines
     assert out.lines[-1].startswith("cap exceeded: indecomposable of dimension ")
     assert out.lines[-1].endswith(" exceeds the Gamma-side cap gamma_dim_cap=2")
+
+
+def test_listing_commands_do_not_build_gamma(monkeypatch):
+    """D4 over GF(2): Gamma = End(M) is representation-infinite and stops at
+    the Gamma-side cap, but indecomposables and exact_structures never build
+    it, so they exit 0."""
+    from exactcat import auslander
+
+    built = []
+    monkeypatch.setattr(auslander, "end_algebra", lambda spec: built.append(spec))
+    payload = session_kA2(["indecomposables", "exact_structures"])
+    payload["quiver"] = {
+        "vertices": ["1", "2", "3", "4"],
+        "arrows": [["a", "1", "4"], ["b", "2", "4"], ["c", "3", "4"]],
+        "relations": [],
+    }
+    code, out = run_session(payload, None)
+    assert code == EXIT_OK and built == []
+    assert len(out.json["commands"][1]["structures"]) == 256
 
 
 def test_determinism(tmp_path):

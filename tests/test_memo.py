@@ -130,7 +130,6 @@ HOISTED_STORES = tuple(
         "_domdim_chain",
         "_trace_parts",
         "ext_middle_parts",
-        "_transpose_parts",
         "p2_ids",
     )
 )
@@ -369,23 +368,31 @@ def test_tracer_paths_resolve_and_a_traced_session_runs():
 
 
 def test_a_session_runs_no_almost_split_sequence_and_no_ext1_over_gamma_op(monkeypatch):
-    """verify answers the Gamma^op side through D: after a whole session the
-    Gamma^op algebra holds no ar_candidate entry, and ext_middle_parts none
-    for the side gamma_op, although the round trip read Gamma^op ids."""
+    """verify answers the Gamma^op side through D: after a whole session no
+    index over Gamma^op was built, the Gamma^op algebra holds no ar_candidate
+    entry, and ext_middle_parts none for the side gamma_op, although the round
+    trip read Gamma^op ids."""
     from exactcat import cli
 
-    contexts = []
+    contexts, indexed = [], []
 
     def keep(*args, **kwargs):
         contexts.append(AuslanderContext(*args, **kwargs))
         return contexts[-1]
 
+    def spy_index(self, algebra, modules):
+        indexed.append(algebra)
+        index_init(self, algebra, modules)
+
+    index_init = repmod.IndecIndex.__init__
     monkeypatch.setattr(cli, "AuslanderContext", keep)
+    monkeypatch.setattr(repmod.IndecIndex, "__init__", spy_index)
     payload = json.loads((ROOT / "sessions" / "kA3_gf5.json").read_text())
     code, _ = run_session(payload, None)
     assert code == 0 and len(contexts) == 1
     ctx = contexts[0]
-    assert vars(ctx.gop_index).get("__relations_memo")
+    assert indexed == [ctx.algebra, ctx.gamma]
+    assert any(side == "gamma_op" for side, _ in vars(ctx)["_syzygy_parts_memo"])
     assert not vars(ctx.gamma_op).get("_ar_candidate_memo")
     middles = vars(ctx)["_ext_middle_parts_memo"]
     assert middles and {key[0] for key in middles} == {"gamma"}
