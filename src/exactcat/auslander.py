@@ -88,7 +88,6 @@ class SubcategoryQuad:
     eff: SubcategorySpec
     smodad: SubcategorySpec
     cogen_q: SubcategorySpec
-    perp_q: SubcategorySpec
     torsion_free: SubcategorySpec
 
 
@@ -108,13 +107,13 @@ class AuslanderContext:
     projective_ids)."""
 
     GAMMA_CAP = "the Gamma-side cap gamma_dim_cap"
+    GAMMA_DIM_CAP = 40  # largest dimension of a Gamma-side indecomposable that is knitted
     GAMMA_ATTRS = frozenset({"ea", "gamma", "gamma_op", "gamma_index", "yoneda_ids"})
 
-    def __init__(self, algebra: Algebra, dim_cap: int = 12, gamma_dim_cap: int = 40, cutoff: int = 8, seed: int = 0):
+    def __init__(self, algebra: Algebra, dim_cap: int = 12, cutoff: int = 8, seed: int = 0):
         # seed is ignored (nothing here is randomized); perfbench/run.py still passes it
         self.algebra = algebra
         self.cutoff = cutoff
-        self.gamma_dim_cap = gamma_dim_cap
         self.index = all_indecomposables(algebra, dim_cap)
         self.spec = AdditiveCategorySpec(algebra, self.index.modules)
         self.cat = CategoryContext(self.spec, self.index)
@@ -125,7 +124,7 @@ class AuslanderContext:
         if name not in self.GAMMA_ATTRS:
             raise AttributeError(name)
         ea = end_algebra(self.spec)
-        gamma_index = all_indecomposables(ea.gamma, self.gamma_dim_cap, cap_name=self.GAMMA_CAP)
+        gamma_index = all_indecomposables(ea.gamma, self.GAMMA_DIM_CAP, cap_name=self.GAMMA_CAP)
         yoneda_ids = [gamma_index.identify(ea.yoneda(m)) for m in self.index.modules]
         if any(i is None for i in yoneda_ids):
             raise AuslanderError("a representable functor is missing from the Gamma index")
@@ -172,15 +171,6 @@ class AuslanderContext:
 
     # -- memberships -------------------------------------------------------------
 
-    def eff_membership(self, f_mod: Module, e: ExactStructure) -> bool:
-        """Is the transported minimal-presentation morphism a deflation of e?"""
-        f = self.transported(f_mod).f
-        return "deflation" in classify_morphism(f, e)
-
-    def smodad_membership(self, f_mod: Module, e: ExactStructure) -> bool:
-        f = self.transported(f_mod).f
-        return "admissible" in classify_morphism(f, e)
-
     @memo(lambda self, i: i)
     def _presentation_classes(self, i: int) -> dict[str, tuple]:
         """morphism_classes of the transported presentation morphism of F_i."""
@@ -197,16 +187,13 @@ class AuslanderContext:
                 smodad.add(i)
             if "inflation" in kinds:
                 infl.add(i)
-        # independent routes; perp Q and cogen Q live inside the admissibly
-        # presented subcategory, so the raw tests are intersected with it
-        reps = [self.gamma_module(y) for y in self.yoneda_ids]
-        perp = {i for i in smodad if all(hom_dim(self.gamma_module(i), q) == 0 for q in reps)}
+        # an independent route; cogen Q lives inside the admissibly presented
+        # subcategory, so the raw test is intersected with it
         cogen = {i for i in smodad if self._cogenerated(i)}
         return SubcategoryQuad(
             SubcategorySpec("gamma", frozenset(eff)),
             SubcategorySpec("gamma", frozenset(smodad)),
             SubcategorySpec("gamma", frozenset(cogen)),
-            SubcategorySpec("gamma", frozenset(perp)),
             SubcategorySpec("gamma", frozenset(infl)),
         )
 
@@ -222,7 +209,7 @@ class AuslanderContext:
     def torsion_decomposition(self, f_mod: Module, e: ExactStructure) -> ShortExactSeq:
         """The canonical sequence tF >-> F ->> fF from the deflation-inflation
         factorization of the presentation morphism."""
-        if not self.smodad_membership(f_mod, e):
+        if "admissible" not in classify_morphism(self.transported(f_mod).f, e):
             raise AuslanderError("module is not admissibly presented in this structure")
         return self._torsion_sequence(f_mod)
 
@@ -455,11 +442,18 @@ class AuslanderContext:
         tr_sub = self.tr_subcategory(sub)
         res_op = self.is_resolving(tr_sub, self.p2_ids("gamma_op"))
         report.add("Tr(X) resolving in P^2(Gamma^op)", res_op.ok)
-        g1 = [i for i in sorted(sub.ids) if self.grade(self.gamma_index.modules[i], "gamma") == 1]
-        g2 = [i for i in sorted(tr_sub.ids) if self.grade(self.side_modules("gamma_op")[i], "gamma_op") == 1]
+        g1, g2 = self.grade_one_ids(sub, tr_sub)
         report.add("no grade-1 objects in X", not g1, str(g1))
         report.add("no grade-1 objects in Tr(X)", not g2, str(g2))
         return report
+
+    def grade_one_ids(self, sub: SubcategorySpec, tr_sub: SubcategorySpec) -> tuple[list[int], list[int]]:
+        """The sorted ids of the grade-1 members of X = sub over Gamma and of
+        Tr(X) = tr_sub, its tr_subcategory, over Gamma^op."""
+        op_modules = self.side_modules("gamma_op")
+        g1 = [i for i in sub.sorted_ids() if self.grade(self.gamma_module(i), "gamma") == 1]
+        g2 = [i for i in tr_sub.sorted_ids() if self.grade(op_modules[i], "gamma_op") == 1]
+        return g1, g2
 
     # -- the Auslander exact axioms ----------------------------------------------------
 
@@ -490,17 +484,16 @@ class AuslanderContext:
                         a2_ok = False
         report.add("(ii) morphisms into eff objects are admissible with image in eff", a2_ok)
 
-        rigidity = all(
-            self._ext1_dim("gamma", t, y) == 0
-            for t in sorted(eff)
-            for y in self.yoneda_ids
-        )
-        report.add("(iii) Ext^1(eff, representables) = 0", rigidity)
+        report.add("(iii) Ext^1(eff, representables) = 0", self._eff_rigid(eff))
 
         omega1 = self._syzygy_closure("gamma", smodad)
         gl_ok = omega1 <= smodad and self._syzygy_closure("gamma", omega1) <= self.projective_ids("gamma")
         report.add("(iv) length-two projective resolutions inside the subcategory", gl_ok)
         return report
+
+    def _eff_rigid(self, eff: frozenset[int]) -> bool:
+        """Ext^1(eff, representables) = 0."""
+        return all(self._ext1_dim("gamma", t, y) == 0 for t in sorted(eff) for y in self.yoneda_ids)
 
     def _map_summand_ids(self, g: ModuleMap) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         """Summand ids of the image, kernel and cokernel of g."""
@@ -652,10 +645,6 @@ class AuslanderContext:
             if all(self._ext1_dim("gamma", i, j) == 0 for i in smodad)
         )
 
-    def smodad_domdim_at_least(self, e: ExactStructure, n: int) -> bool:
-        """Is domdim >= n for the admissibly presented subcategory?"""
-        return self.smodad_domdim_up_to(e, n) >= n
-
     def smodad_domdim_up_to(self, e: ExactStructure, n: int) -> int:
         """min(n, domdim) of the admissibly presented subcategory, by iterated
         minimal left approximations of the representables into the
@@ -692,17 +681,12 @@ class AuslanderContext:
     def verify_injective_projective_correspondence(self, e: ExactStructure) -> Report:
         report = Report()
         quad = self.build_subcategories(e)
-        smodad, eff = quad.smodad.ids, quad.eff.ids
+        eff = quad.eff.ids
 
-        e_inj = self.e_injective_ids(e)
-        transfer_inj = all(
-            (i in e_inj)
-            == all(
-                self._ext1_dim("gamma", s, self.yoneda_ids[i]) == 0
-                for s in smodad
-            )
-            for i in range(len(self.index.modules))
-        )
+        # each representable is in smodad (0 -> M_y needs no class), so
+        # yoneda(I) is injective there exactly when it is in smodad_injective_ids
+        e_inj, smodad_inj = self.e_injective_ids(e), self.smodad_injective_ids(e)
+        transfer_inj = all((i in e_inj) == (y in smodad_inj) for i, y in enumerate(self.yoneda_ids))
         report.add("I injective in (C,e) iff yoneda(I) injective in the subcategory", transfer_inj)
 
         enough_inj = self.has_enough_injectives(e)
@@ -714,16 +698,12 @@ class AuslanderContext:
             f"enough={enough_inj}, domdim>=2: {dd2}, domdim>=1: {dd1}",
         )
 
-        e_proj = self.e_projective_ids(e)
-        transfer_proj = all(
-            (z in e_proj)
-            == all(hom_dim(self.gamma_module(self.yoneda_ids[z]), self.gamma_module(t)) == 0 for t in eff)
-            for z in range(len(self.index.modules))
-        )
+        e_proj, perp_reps = self.e_projective_ids(e), self._perp_eff_representables(eff)
+        transfer_proj = all((z in e_proj) == (y in perp_reps) for z, y in enumerate(self.yoneda_ids))
         report.add("P projective in (C,e) iff yoneda(P) is in perp(eff)", transfer_proj)
 
         enough_proj = self.has_enough_projectives(e)
-        gen_decomp = self._gen_torsion_decomposition_exists(e)
+        gen_decomp = self._gen_torsion_decomposition_exists(quad, perp_reps)
         report.add(
             "enough projectives iff the (gen(Q cap perp-eff), eff) decomposition exists",
             enough_proj == gen_decomp,
@@ -731,23 +711,20 @@ class AuslanderContext:
         )
 
         if dd2:
-            rigid = all(
-                self._ext1_dim("gamma", t, y) == 0
-                for t in eff
-                for y in self.yoneda_ids
-            )
-            report.add("domdim >= 2 forces Ext^1(perp P, P) = 0", rigid)
+            report.add("domdim >= 2 forces Ext^1(perp P, P) = 0", self._eff_rigid(eff))
             closed = self._perp_closed_under_admissible_subobjects(e)
             report.add("perp P closed under admissible subobjects (bounded check)", closed)
             report.note("subobject check bounded: inflations into sums of two eff members")
         return report
 
-    def _gen_torsion_decomposition_exists(self, e: ExactStructure) -> bool:
-        quad = self.build_subcategories(e)
-        smodad, eff = quad.smodad.ids, quad.eff.ids
-        p_ids = tuple(
+    def _perp_eff_representables(self, eff: frozenset[int]) -> tuple[int, ...]:
+        """The representables F_y with Hom(F_y, eff) = 0, in Yoneda order."""
+        return tuple(
             y for y in self.yoneda_ids if all(hom_dim(self.gamma_module(y), self.gamma_module(t)) == 0 for t in eff)
         )
+
+    def _gen_torsion_decomposition_exists(self, quad: SubcategoryQuad, p_ids: tuple[int, ...]) -> bool:
+        smodad, eff = quad.smodad.ids, quad.eff.ids
         for i in sorted(smodad):
             trace, ker_u, quot = self._trace_parts(i, p_ids)
             if not (quot <= eff and trace <= smodad and ker_u <= smodad):
@@ -810,7 +787,7 @@ class AuslanderContext:
         sub_ctx = CategoryContext(subspec)
         ea_x = end_algebra(subspec)
         gamma_x = ea_x.gamma
-        gx_index = all_indecomposables(gamma_x, self.gamma_dim_cap, cap_name=self.GAMMA_CAP)
+        gx_index = all_indecomposables(gamma_x, self.GAMMA_DIM_CAP, cap_name=self.GAMMA_CAP)
 
         full = maximal_structure(sub_ctx)
         route1 = set()

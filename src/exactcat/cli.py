@@ -79,7 +79,7 @@ class Session:
             raise SessionError(f"bad caps or seed: seed = {self.seed} is not in [0, 2^32)")
         self.algebra = self._load_algebra(payload)
         self.commands = self._load_commands(payload.get("commands", []))
-        self.given_structures = payload.get("structures")
+        self.given_structures = payload.get("structures")  # parsed by _check_ids
         if not isinstance(self.given_structures, (list, type(None))):
             raise SessionError("structures must be a list")
         generators = payload.get("generators", "all")
@@ -260,7 +260,7 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
 
     if session.given_structures is not None:
         out.emit("  [section] declared structures match the enumeration")
-        given = _parse_given_structures(session, ctx)
+        given = session.given_structures
         same = {e.key() for e in structures} == {e.key() for e in given}
         out.emit(f"    [{'PASS' if same else 'FAIL'}] {len(given)} declared vs {len(structures)} enumerated")
         payload["sections"].append({"name": "declared structures", "ok": same})
@@ -289,9 +289,6 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
 
     if session.generators != "all":
         out.emit("  [section] restricted description for the selected generators")
-        bad = [i for i in session.generators if not (0 <= i < len(ctx.index.modules))]
-        if bad:
-            raise SessionError(f"unknown generator ids: {bad}")
         report = ctx.restricted_description(session.generators)
         out.emit(f"    {'PASS' if report.ok else 'FAIL'}")
         if not report.ok:
@@ -317,13 +314,9 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
     ab_ok = all(ctx.auslander_bridger_check(m) for m in gamma_modules)
     dich_ok = True
     for e in structures:
-        quad = ctx.build_subcategories(e)
-        for i in sorted(quad.smodad.ids):
-            if ctx.grade(ctx.gamma_module(i), "gamma") == 1:
-                dich_ok = False
-        for i in ctx.tr_subcategory(quad.smodad).sorted_ids():
-            if ctx.grade(ctx.side_modules("gamma_op")[i], "gamma_op") == 1:
-                dich_ok = False
+        smodad = ctx.build_subcategories(e).smodad
+        g1, g2 = ctx.grade_one_ids(smodad, ctx.tr_subcategory(smodad))
+        dich_ok = dich_ok and not (g1 or g2)
     out.emit(f"    AB sequence pointwise: {'PASS' if ab_ok else 'FAIL'}")
     out.emit(f"    grade dichotomy: {'PASS' if dich_ok else 'FAIL'}")
     payload["sections"].append({"name": "AB sequence", "ok": ab_ok})
@@ -333,8 +326,17 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
     out.json["commands"].append(payload)
 
 
-def _parse_given_structures(session: Session, ctx: AuslanderContext) -> list[ExactStructure]:
+def _check_ids(session: Session, ctx: AuslanderContext):
+    """Checks the generator ids and parses the declared structures against
+    the objects of mod(Lambda), before any command prints a line or builds
+    Gamma."""
     n = len(ctx.cat.objects)
+    if session.generators != "all":
+        bad = [i for i in session.generators if not 0 <= i < n]
+        if bad:
+            raise SessionError(f"unknown generator ids: {bad}")
+    if session.given_structures is None:
+        return
     out = []
     for entry in session.given_structures:
         subs = {}
@@ -350,7 +352,7 @@ def _parse_given_structures(session: Session, ctx: AuslanderContext) -> list[Exa
         except (TypeError, ValueError, OverflowError) as exc:
             raise SessionError(f"bad structures entry {entry!r}: {exc}")
         out.append(ExactStructure(ctx.cat, subs))
-    return out
+    session.given_structures = out
 
 
 def cmd_smodad(session: Session, ctx: AuslanderContext, out: RunOutput, options: dict):
@@ -402,6 +404,7 @@ def run_session(payload: dict, out_dir: Path | None) -> tuple[int, RunOutput]:
             dim_cap=session.dim_cap,
             cutoff=session.resolution_cutoff,
         )
+        _check_ids(session, ctx)
         for command in session.commands:
             COMMANDS[command["name"]](session, ctx, out, command)
     except ExactcatError as exc:

@@ -30,7 +30,6 @@ from .linalg import (
     iterate_subspaces,
     kernel_basis,
     memo,
-    rank,
     row_space_contains,
     rref,
     subspace_lines,
@@ -201,11 +200,9 @@ class ExactStructure:
         self.ctx = ctx
         canonical: dict[tuple[int, int], Matrix] = {}
         for pair, rows in subspaces.items():
-            r, _ = rref(rows)
-            rk = rank(rows)
-            trimmed = Matrix(ctx.algebra.field, r.a[:rk])
-            if rk > 0:
-                canonical[pair] = trimmed
+            r, pivots = rref(rows)
+            if pivots:
+                canonical[pair] = Matrix(ctx.algebra.field, r.a[: len(pivots)])
         self.subspaces = canonical
 
     def subspace(self, z: int, a: int) -> Matrix:
@@ -355,30 +352,6 @@ def kinds_in(e: ExactStructure, classes_by_kind: dict[str, tuple]) -> set[str]:
 def classify_morphism(f: ModuleMap, e: ExactStructure) -> set[str]:
     """Subset of {"inflation", "deflation", "admissible"} for f, in the structure e."""
     return kinds_in(e, morphism_classes(e.ctx, f))
-
-
-def ext_action(ctx: CategoryContext, z_id: int, a_id: int, vec, g: ModuleMap, side: str) -> tuple[int, int, np.ndarray]:
-    """The pushout (side="sub") or pullback (side="quot") of a class along g.
-
-    For side="sub", g must start at the subobject (objects[a_id]); for
-    side="quot", g must land in the quotient (objects[z_id]).
-    """
-    src = ctx.ext(z_id, a_id)
-    if side == "sub":
-        a2 = ctx.identify(g.target)
-        if a2 is None or g.source.dims != ctx.objects[a_id].dims:
-            raise ExactstructError("map is not composable with the class on the subobject side")
-        tgt = ctx.ext(z_id, a2)
-        mat = src.pushout_matrix(tgt, g)
-        return z_id, a2, (mat.a @ (np.asarray(vec) % ctx.algebra.field.p)) % ctx.algebra.field.p
-    if side == "quot":
-        z2 = ctx.identify(g.source)
-        if z2 is None or g.target.dims != ctx.objects[z_id].dims:
-            raise ExactstructError("map is not composable with the class on the quotient side")
-        tgt = ctx.ext(z2, a_id)
-        mat = src.pullback_matrix(tgt, g)
-        return z2, a_id, (mat.a @ (np.asarray(vec) % ctx.algebra.field.p)) % ctx.algebra.field.p
-    raise ExactstructError("side must be 'sub' or 'quot'")
 
 
 # -- generation and enumeration ------------------------------------------------

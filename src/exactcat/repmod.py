@@ -1144,8 +1144,9 @@ class ExtSpace:
 
     Classes are coordinatised through the minimal cover 0 -> K -> P0 -> z -> 0:
     Ext^1(z, a) = Hom(K, a) / restriction of Hom(P0, a).  realize() builds the
-    pushout extension of a representative, class_of() recovers coordinates by
-    lifting the cover through the deflation.
+    pushout extension of a representative; exactstruct.componentwise_classes
+    recovers the coordinates of a sequence by lifting the cover through its
+    deflation.
     """
 
     def __init__(self, z: Module, a: Module):
@@ -1189,11 +1190,6 @@ class ExtSpace:
         ses = ShortExactSeq(proj @ injections[0], descend(deflation, proj))
         ses.validate()
         return ses
-
-    def class_of(self, ses: ShortExactSeq) -> np.ndarray:
-        """Coordinates of a short exact sequence 0 -> a -> B -> z -> 0."""
-        lam = lift_through_epi(self.cover, ses.p)
-        return self.coords_of_homs([factor_through_mono(lam @ self.syz_incl, ses.i)]).a[:, 0]
 
     def pushout_matrix(self, other: "ExtSpace", g: ModuleMap) -> Matrix:
         """Matrix of the pushout action Ext^1(z, a) -> Ext^1(z, a') along g: a -> a'.

@@ -24,6 +24,7 @@ from exactcat.repmod import (
     direct_sum,
     dual_module,
     ext_dim,
+    hom_dim,
     homological_dims,
     is_isomorphic,
     proj_dim,
@@ -94,7 +95,10 @@ def test_criterion_04_torsion_pair_identities(contexts):
     for ctx in contexts.values():
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            if quad.eff.ids != quad.perp_q.ids:
+            # perp Q inside the admissibly presented subcategory
+            reps = [ctx.gamma_module(y) for y in ctx.yoneda_ids]
+            perp_q = {i for i in quad.smodad.ids if all(hom_dim(ctx.gamma_module(i), q) == 0 for q in reps)}
+            if quad.eff.ids != perp_q:
                 ok = False
             if quad.torsion_free.ids != quad.cogen_q.ids:
                 ok = False
@@ -162,7 +166,7 @@ def test_criterion_09_injectives_domdim(contexts):
     ok = True
     for ctx in contexts.values():
         abelian = ctx.structures()[-1]
-        if not ctx.smodad_domdim_at_least(abelian, 2):
+        if ctx.smodad_domdim_up_to(abelian, 2) < 2:
             ok = False
         dims = homological_dims(ctx.gamma, ctx.cutoff)
         if dims.global_dimension is None or dims.global_dimension > 2:

@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -368,7 +367,7 @@ def test_cap_messages_name_the_side_of_the_cap(monkeypatch):
     # dimension 2, and verify builds Gamma before its first line
     payload["caps"]["dim"] = 12
     payload["commands"] = ["indecomposables", "verify"]
-    monkeypatch.setattr(cli, "AuslanderContext", functools.partial(cli.AuslanderContext, gamma_dim_cap=2))
+    monkeypatch.setattr(cli.AuslanderContext, "GAMMA_DIM_CAP", 2)
     code, out = run_session(payload, None)
     assert code == EXIT_CAP
     assert out.lines[-2].startswith("  M") and "== verify ==" not in out.lines
@@ -477,3 +476,22 @@ def test_generator_selection_validation():
     payload = session_kA2(["verify"], generators=[True])
     code, _ = run_session(payload, None)
     assert code == EXIT_INPUT
+
+
+def test_verify_input_is_checked_before_any_command_prints(monkeypatch):
+    """Unknown generator ids and malformed declared structures exit 2 with
+    one line: before the listing commands ahead of verify print anything, and
+    before Gamma is built."""
+    from exactcat import auslander
+
+    monkeypatch.setattr(auslander, "end_algebra", lambda spec: pytest.fail("Gamma built"))
+    base = json.loads((Path(__file__).resolve().parents[1] / "sessions" / "kA3_gf5.json").read_text())
+    assert base["commands"] == ["indecomposables", "exact_structures", "verify"]
+    for extra, message in (
+        ({"generators": [99]}, "unknown generator ids: [99]"),
+        ({"structures": [{"subspaces": [[0, 0, [[1]]]]}]}, "rows of pair [0, 0] must be lists of length 0"),
+        ({"structures": [{"subspaces": [[9, 9, [[1]]]]}]}, "is not a pair of object ids below 6"),
+    ):
+        code, out = run_session({**base, **extra}, None)
+        assert code == EXIT_INPUT
+        assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)

@@ -23,7 +23,6 @@ from exactcat.exactstruct import (
     classify_morphism,
     componentwise_classes,
     enumerate_exact_structures,
-    ext_action,
     generate_from_ar_subset,
     is_conflation,
     is_exact_structure,
@@ -108,16 +107,22 @@ def test_split_and_maximal(kA2_ctx):
 
 
 def test_ext_action_identity_and_zero(kA2_ctx):
+    """The pushout along the identity of the subobject and the pullback
+    along the identity of the quotient fix a class; along zero maps both
+    kill it."""
     ctx = kA2_ctx
     (z, a) = ctx.nonzero_pairs()[0]
-    vec = np.zeros(ctx.ext_dim(z, a), dtype=np.int64)
+    space = ctx.ext(z, a)
+    vec = np.zeros(space.dim, dtype=np.int64)
     vec[0] = 1
     ident = ModuleMap.identity(ctx.objects[a])
-    z2, a2, moved = ext_action(ctx, z, a, vec, ident, "sub")
-    assert (z2, a2) == (z, a) and moved.tolist() == vec.tolist()
+    moved = space.pushout_matrix(space, ident).a @ vec % 2
+    assert ctx.identify(ident.target) == a and moved.tolist() == vec.tolist()
+    assert (space.pullback_matrix(space, ModuleMap.identity(ctx.objects[z])).a @ vec % 2).tolist() == vec.tolist()
     zero = ModuleMap.zero_map(ctx.objects[a], ctx.objects[a])
-    _, _, killed = ext_action(ctx, z, a, vec, zero, "sub")
+    killed = space.pushout_matrix(space, zero).a @ vec
     assert not killed.any()
+    assert not space.pullback_matrix(space, ModuleMap.zero_map(ctx.objects[z], ctx.objects[z])).a.any()
 
 
 def test_pushout_of_ar_class_along_epi_to_zero_splits(kA2_ctx):
@@ -128,7 +133,8 @@ def test_pushout_of_ar_class_along_epi_to_zero_splits(kA2_ctx):
     # S2 -> 0 is not a map to an object of the category; emulate by pushing along
     # the zero endomorphism, which kills the class by bilinearity
     zero = ModuleMap.zero_map(ctx.objects[tz], ctx.objects[tz])
-    _, _, moved = ext_action(ctx, z, tz, vec, zero, "sub")
+    space = ctx.ext(z, tz)
+    moved = space.pushout_matrix(space, zero).a @ vec
     assert not moved.any()
     ses = ctx.ext(z, tz).realize(moved)
     from exactcat.repmod import lift_through_epi
