@@ -26,7 +26,7 @@ from .exactstruct import (
     maximal_structure,
     morphism_classes,
 )
-from .functorcat import AdditiveCategorySpec, EndAlgebra, end_algebra
+from .functorcat import AdditiveCategorySpec, end_algebra
 from .linalg import (
     ExactcatError,
     Matrix,
@@ -43,7 +43,6 @@ from .repmod import (
     all_indecomposables,
     block_map,
     cokernel,
-    decompose,
     descend,
     direct_sum,
     dual_module,
@@ -92,8 +91,11 @@ class SubcategoryQuad:
 
 
 class AuslanderContext:
-    """All derived data of one ground algebra: the category C = mod(Lambda),
-    its endomorphism algebra, and the indecomposables on both sides.
+    """All derived data of one ground algebra: the category C = add of the
+    given objects (Lambda-index ids, all of mod(Lambda) by default; C's object
+    k is the k-th in increasing order), its endomorphism algebra, and the
+    indecomposables on both sides.  Only C = mod(Lambda) keeps the Lambda
+    index on cat, so structures() refuses a proper subcategory.
 
     Gamma = End(M) and what hangs off it, the attributes GAMMA_ATTRS, are
     built on first use (see __getattr__): the indecomposables and the exact
@@ -110,13 +112,16 @@ class AuslanderContext:
     GAMMA_DIM_CAP = 40  # largest dimension of a Gamma-side indecomposable that is knitted
     GAMMA_ATTRS = frozenset({"ea", "gamma", "gamma_op", "gamma_index", "yoneda_ids"})
 
-    def __init__(self, algebra: Algebra, dim_cap: int = 12, cutoff: int = 8, seed: int = 0):
+    def __init__(self, algebra: Algebra, dim_cap: int = 12, cutoff: int = 8, seed: int = 0, objects=None):
         # seed is ignored (nothing here is randomized); perfbench/run.py still passes it
         self.algebra = algebra
+        self.dim_cap = dim_cap
         self.cutoff = cutoff
         self.index = all_indecomposables(algebra, dim_cap)
-        self.spec = AdditiveCategorySpec(algebra, self.index.modules)
-        self.cat = CategoryContext(self.spec, self.index)
+        n = len(self.index.modules)
+        ids = range(n) if objects is None else sorted(frozenset(objects))
+        self.spec = AdditiveCategorySpec(algebra, [self.index.modules[i] for i in ids])
+        self.cat = CategoryContext(self.spec, self.index if len(ids) == n else None)
 
     def __getattr__(self, name: str):
         """Builds Gamma on the first read of one of GAMMA_ATTRS and sets them
@@ -125,7 +130,7 @@ class AuslanderContext:
             raise AttributeError(name)
         ea = end_algebra(self.spec)
         gamma_index = all_indecomposables(ea.gamma, self.GAMMA_DIM_CAP, cap_name=self.GAMMA_CAP)
-        yoneda_ids = [gamma_index.identify(ea.yoneda(m)) for m in self.index.modules]
+        yoneda_ids = [gamma_index.identify(ea.yoneda(m)) for m in self.cat.objects]
         if any(i is None for i in yoneda_ids):
             raise AuslanderError("a representable functor is missing from the Gamma index")
         self.ea, self.gamma, self.gamma_op = ea, ea.gamma, ea.gamma.opposite()
@@ -304,7 +309,7 @@ class AuslanderContext:
 
     # -- resolving subcategories ---------------------------------------------------
 
-    @memo(lambda self, side, z, a, vec: (side, z, a, line_representative(vec, self.gamma.field.p)))
+    @memo(lambda self, side, z, a, vec: (side, z, a, line_representative(vec, self.algebra.field.p)))
     def ext_middle_parts(self, side: str, z: int, a: int, vec) -> frozenset[int]:
         """Ids of the summands of the middle term of the realized class,
         cached per line: the middle term of c*xi is that of xi (pushout along
@@ -419,7 +424,7 @@ class AuslanderContext:
         return frozenset(self.gamma_index.parts(cok))
 
     def _reconstruct_unchecked(self, sub: SubcategorySpec) -> ExactStructure:
-        field = self.gamma.field
+        field = self.algebra.field
         p = field.p
         subs = {}
         for (z, a) in self.cat.nonzero_pairs():
@@ -559,11 +564,12 @@ class AuslanderContext:
         quad = self.build_subcategories(e)
         smodad, eff = quad.smodad.ids, quad.eff.ids
 
+        objects = self.cat.objects
         hom_bij = all(
             hom_dim(self.gamma_module(self.yoneda_ids[i]), self.gamma_module(self.yoneda_ids[j]))
-            == hom_dim(self.index.modules[i], self.index.modules[j])
-            for i in range(len(self.index.modules))
-            for j in range(len(self.index.modules))
+            == hom_dim(objects[i], objects[j])
+            for i in range(len(objects))
+            for j in range(len(objects))
         )
         report.add("L is bijective on hom dimensions over representables", hom_bij)
 
@@ -586,16 +592,12 @@ class AuslanderContext:
     # -- injectives, projectives, dominant dimension -------------------------------------
 
     def e_injective_ids(self, e: ExactStructure) -> frozenset[int]:
-        n = len(self.index.modules)
-        return frozenset(
-            i for i in range(n) if all(e.subspace(z, i).rows == 0 for z in range(n))
-        )
+        """The objects no class of e ends in: e keeps only nonzero subspaces."""
+        return frozenset(range(len(self.cat.objects))) - {a for _, a in e.subspaces}
 
     def e_projective_ids(self, e: ExactStructure) -> frozenset[int]:
-        n = len(self.index.modules)
-        return frozenset(
-            z for z in range(n) if all(e.subspace(z, a).rows == 0 for a in range(n))
-        )
+        """The objects no class of e starts from."""
+        return frozenset(range(len(self.cat.objects))) - {z for z, _ in e.subspaces}
 
     def _left_approximation(self, m: Module, targets: list[Module]) -> ModuleMap:
         """The map from m into one copy of t per Hom-basis map m -> t, over
@@ -616,11 +618,11 @@ class AuslanderContext:
         cancellation axiom for idempotent complete exact categories it is
         enough to test the universal map into the injectives."""
         inj = tuple(sorted(self.e_injective_ids(e)))
-        return all(self._approximation_is(e, "inflation", z, inj) for z in range(len(self.index.modules)))
+        return all(self._approximation_is(e, "inflation", z, inj) for z in range(len(self.cat.objects)))
 
     def has_enough_projectives(self, e: ExactStructure) -> bool:
         proj = tuple(sorted(self.e_projective_ids(e)))
-        return all(self._approximation_is(e, "deflation", z, proj) for z in range(len(self.index.modules)))
+        return all(self._approximation_is(e, "deflation", z, proj) for z in range(len(self.cat.objects)))
 
     def _approximation_is(self, e: ExactStructure, kind: str, z: int, ids: tuple[int, ...]) -> bool:
         """Is the left (kind "inflation") or right ("deflation") approximation
@@ -633,10 +635,11 @@ class AuslanderContext:
         """morphism_classes of the left (kind "inflation") or right
         ("deflation") approximation of the object z by the objects ids: it
         depends on z and the id tuple only, and structures repeat the tuples."""
-        m, others = self.index.modules[z], [self.index.modules[i] for i in ids]
+        m, others = self.cat.objects[z], [self.cat.objects[i] for i in ids]
         approx = self._left_approximation(m, others) if kind == "inflation" else self._right_approximation(m, others)
         return morphism_classes(self.cat, approx)
 
+    @memo(lambda self, e: e.key())
     def smodad_injective_ids(self, e: ExactStructure) -> frozenset[int]:
         smodad = self.build_subcategories(e).smodad.ids
         return frozenset(
@@ -766,50 +769,24 @@ class AuslanderContext:
     # -- restricted description -----------------------------------------------------------
 
     def restricted_description(self, x_ids) -> Report:
-        """smodad of an extension/kernel-closed subcategory X of mod(Lambda),
-        computed over End(M_X) both by the membership test and by the
-        idempotent condition N*e in X, and compared."""
-        report = Report()
+        """smodad of the maximal structure on a resolving subcategory X of
+        mod(Lambda), computed in the context of C = add(X) (Gamma = End(M_X))
+        both by the membership test and by the idempotent condition N*e in X,
+        and compared."""
         x_ids = frozenset(x_ids)
-        index = self.index
-        report.add("X contains the projectives", self.projective_ids("lambda") <= x_ids)
-        middles, exhaustive = self._ext_closure("lambda", x_ids)
-        if not exhaustive:
-            report.note("X extension closed: some Ext^1 walked on a spanning set only")
-        report.add("X extension closed", middles <= x_ids)
-        syz_ok = self._syzygy_closure("lambda", x_ids) <= x_ids
-        report.add("X closed under kernels of deflations (syzygy reduction)", syz_ok)
+        report = self.is_resolving(SubcategorySpec("lambda", x_ids), frozenset(range(len(self.index.modules))))
         if not report.ok:
             return report
-
-        members = [index.modules[i] for i in sorted(x_ids)]
-        subspec = AdditiveCategorySpec(self.algebra, members)
-        sub_ctx = CategoryContext(subspec)
-        ea_x = end_algebra(subspec)
-        gamma_x = ea_x.gamma
-        gx_index = all_indecomposables(gamma_x, self.GAMMA_DIM_CAP, cap_name=self.GAMMA_CAP)
-
-        full = maximal_structure(sub_ctx)
-        route1 = set()
-        for i, n_mod in enumerate(gx_index.modules):
-            f = ea_x.presentation_in_category(n_mod).f
-            if "admissible" in classify_morphism(f, full):
-                route1.add(i)
-
-        # idempotent route: N*e as a Lambda-module, tested for membership in add(X)
-        lam_pos = {}
-        for v in range(self.algebra.nv):
-            pos = subspec.identify_summand(projective_module(self.algebra, v))
-            if pos is None:
-                report.add("projective summand located in X", False)
-                return report
-            lam_pos[v] = pos
-        route2 = set()
-        for i, n_mod in enumerate(gx_index.modules):
-            restricted = self._restrict_to_lambda(n_mod, ea_x, lam_pos)
-            parts = [index.identify(part) for part, _ in decompose(restricted)]
-            if all(pid is not None and pid in x_ids for pid in parts):
-                route2.add(i)
+        x_ctx = AuslanderContext(self.algebra, self.dim_cap, self.cutoff, objects=x_ids)
+        route1 = x_ctx.build_subcategories(maximal_structure(x_ctx.cat)).smodad.ids
+        # idempotent route: N*e as a Lambda-module, tested for membership in add(X);
+        # X holds the projectives, so each P_v is one of its objects
+        lam_pos = [x_ctx.spec.identify_summand(projective_module(self.algebra, v)) for v in range(self.algebra.nv)]
+        route2 = {
+            i
+            for i, n_mod in enumerate(x_ctx.gamma_index.modules)
+            if x_ctx.cat.contains(x_ctx._restrict_to_lambda(n_mod, lam_pos))
+        }
         report.add(
             "membership route equals the idempotent route",
             route1 == route2,
@@ -817,24 +794,24 @@ class AuslanderContext:
         )
         return report
 
-    def _restrict_to_lambda(self, n_mod: Module, ea_x: EndAlgebra, lam_pos: dict[int, int]) -> Module:
-        """The Lambda-module N*e for e the idempotent of the projective summands."""
-        alg = self.algebra
-        gamma_x = ea_x.gamma
+    def _restrict_to_lambda(self, n_mod: Module, lam_pos: list[int]) -> Module:
+        """The Lambda-module N*e for e the idempotent of the projective
+        objects of C, P_v being object lam_pos[v]."""
+        alg, gamma = self.algebra, self.gamma
         dims = [n_mod.dims[lam_pos[v]] for v in range(alg.nv)]
         act = {}
         for b in alg.radical_indices:
             u, v = alg.left[b], alg.right[b]
-            # left multiplication by b: P_v -> P_u, as an element of Gamma_X
+            # left multiplication by b: P_v -> P_u, as an element of Gamma
             coeffs = np.zeros((1, 1, alg.dim), dtype=np.int64)
             coeffs[0, 0, b] = 1
             lmul = std_map_from_coeffs(std_projective(alg, (v,)), std_projective(alg, (u,)), coeffs)
             blk = [
                 g
-                for g in range(gamma_x.dim)
-                if gamma_x.right[g] == lam_pos[v] and gamma_x.left[g] == lam_pos[u]
+                for g in range(gamma.dim)
+                if gamma.right[g] == lam_pos[v] and gamma.left[g] == lam_pos[u]
             ]
-            coords = hom_coords(alg.field, [lmul], [ea_x.dictionary[g] for g in blk])
+            coords = hom_coords(alg.field, [lmul], [self.ea.dictionary[g] for g in blk])
             mat = Matrix.zeros(alg.field, dims[v], dims[u])
             for row, g in enumerate(blk):
                 c = int(coords.a[row, 0])

@@ -1,10 +1,12 @@
 import itertools
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from exactcat import repmod
+from exactcat import auslander, repmod
 from exactcat.algebra import QuiverPresentation, algebra_dual_numbers, algebra_kA2, algebra_kA3, build_from_quiver
 from exactcat.auslander import AuslanderContext, AuslanderError, SubcategorySpec, _admissible_with_image_in, sum_family
 from exactcat.exactstruct import (
@@ -15,6 +17,7 @@ from exactcat.exactstruct import (
     is_exact_structure,
     kinds_in,
 )
+from exactcat.functorcat import end_algebra
 from exactcat.linalg import FieldPrime, line_representative
 from exactcat.repmod import (
     MapParts,
@@ -335,6 +338,23 @@ def test_one_domdim_walk_answers_every_smaller_bound(kA2, dn, kA3rel, monkeypatc
         assert kA2.smodad_domdim_up_to(e, 2) == 0 and kA2.smodad_domdim_up_to(e, 1) < 1
 
 
+def test_smodad_injective_ids_computed_once_per_structure(monkeypatch):
+    """The injective transfer and the domdim walk share one computation of
+    smodad_injective_ids per structure."""
+    ctx = AuslanderContext(algebra_kA3(GF2, False))
+    build = ctx.build_subcategories
+    callers = Counter()
+
+    def spy(e):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return build(e)
+
+    monkeypatch.setattr(ctx, "build_subcategories", spy)
+    for e in ctx.structures():
+        ctx.verify_injective_projective_correspondence(e)
+    assert callers["smodad_injective_ids"] == len(ctx.structures()) > 1
+
+
 def test_enough_injectives_in_abelian_structure(kA2, dn):
     for ctx in (kA2, dn):
         maximal = ctx.structures()[-1]
@@ -366,7 +386,34 @@ def test_restricted_description_pd_one(kA3rel):
 def test_restricted_description_rejects_bad_subcategory(kA3rel):
     # a subcategory missing a projective fails the hypotheses
     report = kA3rel.restricted_description([0])
-    assert not report.ok
+    assert [item.label for item in report.failures()] == ["generating (contains all projectives)"]
+
+
+def test_restricted_description_builds_only_the_endomorphism_algebra_of_x(monkeypatch):
+    """On a fresh context, restricted_description builds End(M_X) and no
+    Gamma of mod(Lambda): the Lambda-side closures read the field off Lambda."""
+    ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
+    x_ids = [i for i, m in enumerate(ctx.index.modules) if proj_dim(m, 8) is not None and proj_dim(m, 8) <= 1]
+    built = []
+
+    def spy(spec):
+        built.append(len(spec.generators))
+        return end_algebra(spec)
+
+    monkeypatch.setattr(auslander, "end_algebra", spy)
+    assert ctx.restricted_description(x_ids).ok
+    assert built == [4]
+
+
+def test_a_context_over_a_proper_subcategory_refuses_ar_data(kA3rel):
+    """C = add(X) for X the projectives: its objects are X's in id order, and
+    without the full Lambda index the AR data of the structures is refused."""
+    x_ids = sorted(kA3rel.projective_ids("lambda"))
+    x_ctx = AuslanderContext(kA3rel.algebra, objects=reversed(x_ids))
+    assert [m.key() for m in x_ctx.cat.objects] == [kA3rel.index.modules[i].key() for i in x_ids]
+    assert x_ctx.index is kA3rel.index and x_ctx.cat.index is None
+    with pytest.raises(ExactstructError, match="AR data requires the full indecomposable index"):
+        x_ctx.structures()
 
 
 def test_padded_presentation_invariance(kA2):
@@ -823,6 +870,22 @@ def _old_axiom_iv(ctx, smodad):
     return ok
 
 
+X_CHECK_LABELS = (
+    "generating (contains all projectives)",
+    "extension closed",
+    "kernels of deflations (via syzygy reduction)",
+)
+
+
+def _old_end_ids(ctx, e):
+    """(e-injective, e-projective) object ids: no nonzero subspace of e in
+    any Ext^1(z, i), respectively in any Ext^1(i, a)."""
+    n = len(ctx.cat.objects)
+    inj = {i for i in range(n) if all(e.subspace(z, i).rows == 0 for z in range(n))}
+    proj = {i for i in range(n) if all(e.subspace(i, a).rows == 0 for a in range(n))}
+    return inj, proj
+
+
 def _old_x_checks(ctx, x_ids, cache):
     """(contains the projectives, extension closed, syzygy closed) of X in mod Lambda."""
     index = ctx.index
@@ -857,6 +920,7 @@ def test_closure_helpers_agree_with_the_old_loops(make):
         assert ctx.resolving_closure(quad.eff.ids, "gamma", p2) == _old_resolving_closure(ctx, quad.eff.ids, "gamma", cache)
         (iv,) = [item for item in ctx.check_auslander_axioms(e).items if item.label == iv_label]
         assert iv.ok == _old_axiom_iv(ctx, quad.smodad.ids)
+        assert (ctx.e_injective_ids(e), ctx.e_projective_ids(e)) == _old_end_ids(ctx, e)
     # the axiom (iv) test on id sets where it can fail: each eff and each single member
     projectives = ctx.projective_ids("gamma")
     effs = [ctx.build_subcategories(e).eff.ids for e in ctx.structures()]
@@ -876,7 +940,8 @@ def test_closure_helpers_agree_with_the_old_loops(make):
     for x_ids in candidates:
         report = ctx.restricted_description(x_ids)
         old = _old_x_checks(ctx, x_ids, cache)
-        assert tuple(item.ok for item in report.items[:3]) == old
+        oks = {item.label: item.ok for item in report.items}
+        assert tuple(oks[label] for label in X_CHECK_LABELS) == old
         outcomes.add(all(old))
     assert outcomes == {True, False}  # both passing and failing X are compared
 

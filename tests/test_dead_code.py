@@ -1,6 +1,10 @@
 """Every function, class and method of the package is used somewhere, and
 one that only tests read is named in TEST_ONLY with its reason; every name a
-package module imports is read there, and no step draws random numbers."""
+package module imports is read there, and no step draws random numbers.
+
+A module-level function counts as used only where it is imported, read as
+module.name, named in a string, or read by its bare name in its own module,
+so an attribute or a local of the same name elsewhere does not hide it."""
 import ast
 import re
 from collections import Counter
@@ -28,6 +32,7 @@ TEST_ONLY = {
     "split_structure": "paper API: the least exact structure",
     "leq": "paper API: the order of the lattice of exact structures",
     "radical_basis": "paper API: the radical basis, after re-checking the algebra",
+    "image": "oracle: the image of a map from its column spaces, against map_parts",
 }
 
 
@@ -44,12 +49,36 @@ def _names(tree) -> Counter:
     return out
 
 
+def _function_reads(tree) -> Counter:
+    """The reads that can name a module-level function: ("from", module,
+    name) per import, ("attr", module, name) per module.name, ("str", name)
+    per part of a dotted-name string, and ("load", name) per bare read."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.update(("from", node.module.split(".")[-1], alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            out["attr", node.value.id, node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+            out.update(("str", part) for part in node.value.split("."))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out["load", node.id] += 1
+    return out
+
+
+def _function_uses(reads: Counter, module: str, name: str, own_module: bool) -> int:
+    """How often reads (from _function_reads) name the function module.name."""
+    bare = reads["load", name] if own_module else 0
+    return reads["from", module, name] + reads["attr", module, name] + reads["str", name] + bare
+
+
 def test_no_dead_definitions():
     """Nothing is named only inside its own definition, and what is named
     only by tests (test_*.py files) is exactly TEST_ONLY."""
     trees = {p: ast.parse(p.read_text()) for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))}
     used = sum((_names(t) for t in trees.values()), Counter())
     program = sum((_names(t) for p, t in trees.items() if not p.name.startswith("test_")), Counter())
+    reads = {p: _function_reads(t) for p, t in trees.items()}
     dead, test_only = [], set()
     for path, tree in trees.items():
         if path.parent != ROOT / "src" / "exactcat":
@@ -58,10 +87,17 @@ def test_no_dead_definitions():
             for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
                 if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("__") or d.name in EXEMPT:
                     continue
-                own = _names(d)[d.name]  # a recursive definition names itself
-                if used[d.name] == own:
+                if d is node and isinstance(d, ast.FunctionDef):
+                    uses = {p: _function_uses(r, path.stem, d.name, p == path) for p, r in reads.items()}
+                    own = _function_uses(_function_reads(d), path.stem, d.name, True)
+                    total = sum(uses.values())
+                    in_program = sum(n for p, n in uses.items() if not p.name.startswith("test_"))
+                else:
+                    own = _names(d)[d.name]  # a recursive definition names itself
+                    total, in_program = used[d.name], program[d.name]
+                if total == own:
                     dead.append(f"{path.name}:{d.name}")
-                elif program[d.name] == own:
+                elif in_program == own:
                     test_only.add(d.name)
     assert not dead, f"defined but never used: {dead}"
     assert not test_only - TEST_ONLY.keys(), f"read only by tests, not in TEST_ONLY: {sorted(test_only - TEST_ONLY.keys())}"
