@@ -94,8 +94,9 @@ class AuslanderContext:
     """All derived data of one ground algebra: the category C = add of the
     given objects (Lambda-index ids, all of mod(Lambda) by default; C's object
     k is the k-th in increasing order), its endomorphism algebra, and the
-    indecomposables on both sides.  Only C = mod(Lambda) keeps the Lambda
-    index on cat, so structures() refuses a proper subcategory.
+    indecomposables on both sides.  structures() reads C's Ext^1 data alone,
+    so an extension-closed add(X) gets its exact structures as mod(Lambda)
+    does.
 
     Gamma = End(M) and what hangs off it, the attributes GAMMA_ATTRS, are
     built on first use (see __getattr__): the indecomposables and the exact
@@ -118,10 +119,9 @@ class AuslanderContext:
         self.dim_cap = dim_cap
         self.cutoff = cutoff
         self.index = all_indecomposables(algebra, dim_cap)
-        n = len(self.index.modules)
-        ids = range(n) if objects is None else sorted(frozenset(objects))
-        self.spec = AdditiveCategorySpec(algebra, [self.index.modules[i] for i in ids])
-        self.cat = CategoryContext(self.spec, self.index if len(ids) == n else None)
+        self.object_ids = range(len(self.index.modules)) if objects is None else sorted(frozenset(objects))
+        self.spec = AdditiveCategorySpec(algebra, [self.index.modules[i] for i in self.object_ids])
+        self.cat = CategoryContext(self.spec, self.index)
 
     def __getattr__(self, name: str):
         """Builds Gamma on the first read of one of GAMMA_ATTRS and sets them
@@ -591,14 +591,6 @@ class AuslanderContext:
 
     # -- injectives, projectives, dominant dimension -------------------------------------
 
-    def e_injective_ids(self, e: ExactStructure) -> frozenset[int]:
-        """The objects no class of e ends in: e keeps only nonzero subspaces."""
-        return frozenset(range(len(self.cat.objects))) - {a for _, a in e.subspaces}
-
-    def e_projective_ids(self, e: ExactStructure) -> frozenset[int]:
-        """The objects no class of e starts from."""
-        return frozenset(range(len(self.cat.objects))) - {z for z, _ in e.subspaces}
-
     def _left_approximation(self, m: Module, targets: list[Module]) -> ModuleMap:
         """The map from m into one copy of t per Hom-basis map m -> t, over
         the targets t; the zero map into zero when there is none."""
@@ -617,11 +609,11 @@ class AuslanderContext:
         """Every object admits an inflation into a sum of e-injectives; by the
         cancellation axiom for idempotent complete exact categories it is
         enough to test the universal map into the injectives."""
-        inj = tuple(sorted(self.e_injective_ids(e)))
+        inj = tuple(sorted(e.injective_ids()))
         return all(self._approximation_is(e, "inflation", z, inj) for z in range(len(self.cat.objects)))
 
     def has_enough_projectives(self, e: ExactStructure) -> bool:
-        proj = tuple(sorted(self.e_projective_ids(e)))
+        proj = tuple(sorted(e.projective_ids()))
         return all(self._approximation_is(e, "deflation", z, proj) for z in range(len(self.cat.objects)))
 
     def _approximation_is(self, e: ExactStructure, kind: str, z: int, ids: tuple[int, ...]) -> bool:
@@ -688,7 +680,7 @@ class AuslanderContext:
 
         # each representable is in smodad (0 -> M_y needs no class), so
         # yoneda(I) is injective there exactly when it is in smodad_injective_ids
-        e_inj, smodad_inj = self.e_injective_ids(e), self.smodad_injective_ids(e)
+        e_inj, smodad_inj = e.injective_ids(), self.smodad_injective_ids(e)
         transfer_inj = all((i in e_inj) == (y in smodad_inj) for i, y in enumerate(self.yoneda_ids))
         report.add("I injective in (C,e) iff yoneda(I) injective in the subcategory", transfer_inj)
 
@@ -701,7 +693,7 @@ class AuslanderContext:
             f"enough={enough_inj}, domdim>=2: {dd2}, domdim>=1: {dd1}",
         )
 
-        e_proj, perp_reps = self.e_projective_ids(e), self._perp_eff_representables(eff)
+        e_proj, perp_reps = e.projective_ids(), self._perp_eff_representables(eff)
         transfer_proj = all((z in e_proj) == (y in perp_reps) for z, y in enumerate(self.yoneda_ids))
         report.add("P projective in (C,e) iff yoneda(P) is in perp(eff)", transfer_proj)
 
@@ -772,12 +764,13 @@ class AuslanderContext:
         """smodad of the maximal structure on a resolving subcategory X of
         mod(Lambda), computed in the context of C = add(X) (Gamma = End(M_X))
         both by the membership test and by the idempotent condition N*e in X,
-        and compared."""
+        and compared.  When X is C itself, that context is this one."""
         x_ids = frozenset(x_ids)
         report = self.is_resolving(SubcategorySpec("lambda", x_ids), frozenset(range(len(self.index.modules))))
         if not report.ok:
             return report
-        x_ctx = AuslanderContext(self.algebra, self.dim_cap, self.cutoff, objects=x_ids)
+        whole = x_ids == frozenset(self.object_ids)
+        x_ctx = self if whole else AuslanderContext(self.algebra, self.dim_cap, self.cutoff, objects=x_ids)
         route1 = x_ctx.build_subcategories(maximal_structure(x_ctx.cat)).smodad.ids
         # idempotent route: N*e as a Lambda-module, tested for membership in add(X);
         # X holds the projectives, so each P_v is one of its objects
@@ -811,13 +804,9 @@ class AuslanderContext:
                 for g in range(gamma.dim)
                 if gamma.right[g] == lam_pos[v] and gamma.left[g] == lam_pos[u]
             ]
-            coords = hom_coords(alg.field, [lmul], [self.ea.dictionary[g] for g in blk])
-            mat = Matrix.zeros(alg.field, dims[v], dims[u])
-            for row, g in enumerate(blk):
-                c = int(coords.a[row, 0])
-                if c:
-                    mat = mat + n_mod.action(g).scale(c)
-            act[b] = mat
+            element = np.zeros(gamma.dim, dtype=np.int64)
+            element[blk] = hom_coords(alg.field, [lmul], [self.ea.dictionary[g] for g in blk]).a[:, 0]
+            act[b] = n_mod.element_action(element, lam_pos[u], lam_pos[v])
         return Module(alg, dims, act)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_from_quiver, validate_algebra
 from .auslander import AuslanderContext
-from .exactstruct import CategoryContext, ExactStructure, brute_force_structures, is_exact_structure
+from .exactstruct import ExactStructure, brute_force_structures, is_exact_structure
 from .linalg import ExactcatError, FieldPrime, LinalgError, Matrix
 from .repmod import IndecIndex, proj_dim
 
@@ -47,6 +47,21 @@ def _integer(value, name: str) -> int:
     """value, which must be a JSON integer; ValueError naming it otherwise."""
     if not _is_id(value):
         raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
+
+
+def _index(value, name: str, bound: int) -> int:
+    """value, a JSON integer in [0, bound); a negative one would alias an entry from the end."""
+    if not 0 <= _integer(value, name) < bound:
+        raise ValueError(f"{name} = {value} is not in [0, {bound})")
+    return value
+
+
+def _of(kind: type, value, name: str):
+    """value, which must be a JSON list (kind list) or object (kind dict): a
+    string would be read as its characters, and only an object has items."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} = {value!r} is not a JSON {'list' if kind is list else 'object'}")
     return value
 
 
@@ -91,38 +106,39 @@ class Session:
 
     def _load_algebra(self, payload) -> Algebra:
         if "quiver" in payload:
-            q = payload["quiver"]
             try:
+                q = _of(dict, payload["quiver"], "quiver")
                 relations = []
-                for rel in q.get("relations", []):
-                    if rel and isinstance(rel[0], str):
+                for rel in _of(list, q.get("relations", []), "relations"):
+                    if _of(list, rel, "relation") and isinstance(rel[0], str):
                         relations.append([(1, tuple(rel))])
                     else:
-                        relations.append([(_integer(c, "relation coefficient"), tuple(path)) for c, path in rel])
+                        relations.append(
+                            [(_integer(c, "relation coefficient"), tuple(_of(list, path, "path"))) for c, path in rel]
+                        )
                 cap = _integer(q.get("path_length_cap", 8), "path_length_cap")
                 if cap < 0:
                     raise ValueError(f"path_length_cap = {cap} is negative")
-                pres = QuiverPresentation(
-                    self.field, list(q["vertices"]), [tuple(a) for a in q["arrows"]], relations, cap
-                )
+                arrows = [tuple(_of(list, a, "arrow")) for a in _of(list, q["arrows"], "arrows")]
+                pres = QuiverPresentation(self.field, _of(list, q["vertices"], "vertices"), arrows, relations, cap)
                 return build_from_quiver(pres)
             except (KeyError, TypeError, ValueError, IndexError, AlgebraError) as exc:
                 raise SessionError(f"bad quiver: {exc}")
         if "table" in payload:
-            t = payload["table"]
             try:
-                dim = len(t["basis"])
+                t = _of(dict, payload["table"], "table")
+                dim, nv = len(_of(list, t["basis"], "basis")), len(_of(list, t["vertices"], "vertices"))
                 mult = np.zeros((dim, dim, dim), dtype=np.int64)
-                for key, row in t["products"].items():
-                    i, j = (int(x) for x in key.split(","))
-                    for k, c in row.items():
-                        mult[i, j, int(k)] = _integer(c, "product coefficient")
+                for key, row in _of(dict, t["products"], "products").items():
+                    i, j = (_index(int(x), "product index", dim) for x in key.split(","))
+                    for k, c in _of(dict, row, f"products[{key!r}]").items():
+                        mult[i, j, _index(int(k), "product index", dim)] = _integer(c, "product coefficient")
                 algebra = Algebra(
                     self.field,
-                    len(t["vertices"]),
+                    nv,
                     [str(x) for x in t["basis"]],
-                    [_integer(x, "left entry") for x in t["left"]],
-                    [_integer(x, "right entry") for x in t["right"]],
+                    [_index(x, "left entry", nv) for x in t["left"]],
+                    [_index(x, "right entry", nv) for x in t["right"]],
                     mult,
                 )
                 failures = validate_algebra(algebra).failures()
@@ -203,17 +219,17 @@ def _ar_quiver_dot(index: IndecIndex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lattice_dot(cat: CategoryContext, structures: list[ExactStructure]) -> str:
+def _lattice_dot(structures: list[ExactStructure]) -> str:
     """The Hasse diagram of the structures, each read as the set S of objects
-    whose almost split class it contains; a cover adds one object to S."""
+    some class starts at (the set generate_from_ar_subset was given), the
+    complement of its projectives; a cover adds one object to S."""
     lines = ["digraph exact_structure_lattice {"]
     for i, e in enumerate(structures):
         lines.append(f'  "E{i}" [label="E{i} (dim {e.total_dim()})"];')
-    nonproj = cat.nonprojective_ids()
-    sets = [frozenset(z for z in nonproj if e.contains(z, *cat.ar_class(z))) for e in structures]
-    for i, s_i in enumerate(sets):
-        for j, s_j in enumerate(sets):
-            if s_i < s_j and len(s_j - s_i) == 1:
+    projectives = [e.projective_ids() for e in structures]
+    for i, p_i in enumerate(projectives):
+        for j, p_j in enumerate(projectives):
+            if p_j < p_i and len(p_i - p_j) == 1:
                 lines.append(f'  "E{i}" -> "E{j}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -246,7 +262,7 @@ def cmd_exact_structures(session: Session, ctx: AuslanderContext, out: RunOutput
         out.emit(f"  oracle cross-check: {'PASS' if same else 'FAIL'} ({len(oracle)} structures)")
         if not same:
             out.failed = True
-    out.files["structures.dot"] = _lattice_dot(ctx.cat, structures)
+    out.files["structures.dot"] = _lattice_dot(structures)
     out.json["commands"].append(
         {"name": "exact_structures", "structures": _structures_payload(structures)}
     )

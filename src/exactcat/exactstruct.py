@@ -9,10 +9,11 @@ C is required to be extension-closed in mod(Lambda), so the kernel-cokernel
 pairs of the maximal structure are exactly the ambient short exact sequences
 with end terms in C.
 
-Generation from almost split classes is the fast enumeration path: the
+Generation from a set of objects is the fast enumeration path: the
 structure of a set S of non-projective objects has, in each Ext^1(z, a), the
 common kernel of the pullback blocks Ext^1(z, a) -> Ext^1(w, a) along the Hom
-basis maps w -> z, over all w outside S, so no sequence is realized.  The
+basis maps w -> z, over all w outside S, so no sequence is realized.  Only
+Ext^1 data is read, so C may be any extension-closed add(X).  The
 independent oracle enumerates every action-stable subspace family and filters
 through the bounded axiom checker.
 """
@@ -42,7 +43,6 @@ from .repmod import (
     ModuleMap,
     RepmodError,
     ShortExactSeq,
-    ar_sequence,
     block_map,
     cokernel,
     decompose,
@@ -74,9 +74,10 @@ AXIOM_ELEMENT_CAP = 32
 
 
 class CategoryContext:
-    """Ext^1 bifunctor data over the objects of an additive category spec."""
+    """Ext^1 bifunctor data over the objects of an additive category spec;
+    index is the indecomposable index of mod(Lambda), which membership reads."""
 
-    def __init__(self, spec: AdditiveCategorySpec, index: IndecIndex | None = None):
+    def __init__(self, spec: AdditiveCategorySpec, index: IndecIndex):
         self.spec = spec
         self.objects = spec.generators
         self.algebra = spec.algebra
@@ -96,11 +97,9 @@ class CategoryContext:
         return out
 
     def contains(self, m: Module) -> bool:
-        """Does m lie in the category?  With an index, its summands are counted
+        """Does m lie in the category?  Its summands are counted
         (IndecIndex.parts) rather than split off, and each is looked up among
-        the objects; without one, m is decomposed."""
-        if self.index is None:
-            return self.parts(m) is not None
+        the objects."""
         try:
             ids = self.index.parts(m)
         except RepmodError:
@@ -168,29 +167,11 @@ class CategoryContext:
             return Matrix.identity(field, self.ext_dim(z, a))
         return kernel_basis(vstack(field, blocks)).transpose()
 
-    @memo(lambda self, z_id: z_id)
-    def ar_class(self, z_id: int) -> tuple[int, np.ndarray]:
-        """(tau-z id, class vector) of the almost split sequence ending at object z_id."""
-        if self.index is None:
-            raise ExactstructError("AR data requires the full indecomposable index")
-        ses = ar_sequence(self.objects[z_id], self.index)
-        comps = componentwise_classes(self, ses)
-        if len(comps) != 1:
-            raise ExactstructError("almost split sequence has decomposable end terms")
-        (zc, ac, vec) = comps[0]
-        if zc != z_id:
-            raise ExactstructError("AR class misidentified")
-        return (ac, vec)
-
     def nonprojective_ids(self) -> list[int]:
-        if self.index is None:
-            raise ExactstructError("AR data requires the full indecomposable index")
-        out = []
-        for i, obj in enumerate(self.objects):
-            oid = self.index.identify(obj)
-            if oid is None or not self.index.is_projective[oid]:
-                out.append(i)
-        return out
+        """The objects z with Ext^1(z, a) nonzero for some object a.  On
+        mod(Lambda) these are the non-projectives, as Ext^1(z, tau z) is
+        nonzero; on add(X) they are the objects that are not Ext-projective."""
+        return sorted({z for z, _ in self.nonzero_pairs()})
 
 
 class ExactStructure:
@@ -223,6 +204,15 @@ class ExactStructure:
     def contains_all(self, classes) -> bool:
         """Does the family contain every (z, a, vector) of classes?"""
         return all(self.contains(z, a, vec) for z, a, vec in classes)
+
+    def projective_ids(self) -> frozenset[int]:
+        """The objects no class of the family starts from: only nonzero
+        subspaces are kept."""
+        return frozenset(range(len(self.ctx.objects))) - {z for z, _ in self.subspaces}
+
+    def injective_ids(self) -> frozenset[int]:
+        """The objects no class of the family ends in."""
+        return frozenset(range(len(self.ctx.objects))) - {a for _, a in self.subspaces}
 
     def total_dim(self) -> int:
         return sum(m.rows for m in self.subspaces.values())
@@ -359,18 +349,20 @@ def classify_morphism(f: ModuleMap, e: ExactStructure) -> set[str]:
 
 def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
     """The smallest exact structure containing the almost split conflations of
-    the chosen non-projective objects.
+    the chosen non-projective objects, computed from the Ext^1 data alone.
 
     A class belongs to the structure exactly when its defect functor has all
     composition factors at chosen objects, i.e. every map from an unchosen w
     lifts through its deflation, i.e. the pullback of the class along every
     Hom basis map w -> z vanishes.  So the subspace of Ext(z, a) is the common
-    kernel of the pullback blocks Ext(z, a) -> Ext(w, a) over all unchosen w.
-    This realizes the bijection between exact structures and sets of almost
-    split sequences on an additively finite category.  Closing the AR classes
-    under the Ext actions and addition alone is not enough: compositions of
-    deflations force further classes in, which the defect criterion accounts
-    for.
+    kernel of the pullback blocks Ext(z, a) -> Ext(w, a) over all unchosen w;
+    no almost split sequence is built.  The pullback along id_z kills every
+    class at an unchosen z, so the chosen objects are those some class starts
+    at.  This realizes the bijection between exact structures and sets of
+    almost split sequences on an additively finite category.  Closing the AR
+    classes under the Ext actions and addition alone is not enough:
+    compositions of deflations force further classes in, which the defect
+    criterion accounts for.
     """
     chosen_set = set(chosen)
     subs: dict[tuple[int, int], Matrix] = {}
@@ -382,7 +374,7 @@ def generate_from_ar_subset(ctx: CategoryContext, chosen) -> ExactStructure:
 
 def enumerate_exact_structures(ctx: CategoryContext) -> list[ExactStructure]:
     """All exact structures, one per subset of non-projective objects, through
-    almost-split-class generation; raises if two subsets give one structure."""
+    generate_from_ar_subset; raises if two subsets give one structure."""
     nonproj = ctx.nonprojective_ids()
     seen: dict[tuple, tuple[int, ...]] = {}
     out = []

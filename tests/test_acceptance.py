@@ -171,7 +171,7 @@ def test_criterion_09_injectives_domdim(contexts):
         dims = homological_dims(ctx.gamma, ctx.cutoff)
         if dims.global_dimension is None or dims.global_dimension > 2:
             ok = False
-        inj_ids = ctx.e_injective_ids(abelian)
+        inj_ids = abelian.injective_ids()
         for i in inj_ids:
             y = ctx.yoneda_ids[i]
             for s in range(len(ctx.gamma_index.modules)):

@@ -12,6 +12,7 @@ from exactcat.auslander import AuslanderContext, AuslanderError, SubcategorySpec
 from exactcat.exactstruct import (
     ELEMENT_CAP,
     ExactstructError,
+    brute_force_structures,
     classify_morphism,
     componentwise_classes,
     is_exact_structure,
@@ -31,6 +32,7 @@ from exactcat.repmod import (
     decompose,
     direct_sum,
     dual_module,
+    ext_dim,
     ext_space,
     hom_basis,
     hom_dim,
@@ -42,6 +44,7 @@ from exactcat.repmod import (
     minimal_resolution,
     proj_dim,
     projective_cover,
+    projective_module,
     radical_submodule,
     standard_modules,
     transpose_module,
@@ -362,7 +365,7 @@ def test_enough_injectives_in_abelian_structure(kA2, dn):
         assert ctx.smodad_domdim_up_to(maximal, 2) >= 2
         split = ctx.structures()[0]
         # split structure: every object injective, enough injectives trivially
-        assert ctx.e_injective_ids(split) == frozenset(range(len(ctx.index.modules)))
+        assert split.injective_ids() == frozenset(range(len(ctx.index.modules)))
         assert ctx.has_enough_injectives(split)
 
 
@@ -391,7 +394,9 @@ def test_restricted_description_rejects_bad_subcategory(kA3rel):
 
 def test_restricted_description_builds_only_the_endomorphism_algebra_of_x(monkeypatch):
     """On a fresh context, restricted_description builds End(M_X) and no
-    Gamma of mod(Lambda): the Lambda-side closures read the field off Lambda."""
+    Gamma of mod(Lambda): the Lambda-side closures read the field off Lambda.
+    When X is every object, both routes run on the context itself, so its
+    Gamma is built once for them and for verify's reads."""
     ctx = AuslanderContext(algebra_kA3(GF2, zero_relation=True))
     x_ids = [i for i, m in enumerate(ctx.index.modules) if proj_dim(m, 8) is not None and proj_dim(m, 8) <= 1]
     built = []
@@ -403,17 +408,66 @@ def test_restricted_description_builds_only_the_endomorphism_algebra_of_x(monkey
     monkeypatch.setattr(auslander, "end_algebra", spy)
     assert ctx.restricted_description(x_ids).ok
     assert built == [4]
+    assert ctx.restricted_description(range(len(ctx.index.modules))).ok
+    assert ctx.gamma_index.modules
+    assert built == [4, 5]
 
 
-def test_a_context_over_a_proper_subcategory_refuses_ar_data(kA3rel):
-    """C = add(X) for X the projectives: its objects are X's in id order, and
-    without the full Lambda index the AR data of the structures is refused."""
-    x_ids = sorted(kA3rel.projective_ids("lambda"))
+def test_a_context_over_a_proper_subcategory_enumerates_its_structures(kA3rel):
+    """C = add(X) for X the modules of projective dimension at most one: its
+    objects are X's in id order, it shares the Lambda index, and its exact
+    structures, read off its Ext^1 data, are brute force's."""
+    x_ids = [i for i, m in enumerate(kA3rel.index.modules) if proj_dim(m, 8) is not None and proj_dim(m, 8) <= 1]
     x_ctx = AuslanderContext(kA3rel.algebra, objects=reversed(x_ids))
     assert [m.key() for m in x_ctx.cat.objects] == [kA3rel.index.modules[i].key() for i in x_ids]
-    assert x_ctx.index is kA3rel.index and x_ctx.cat.index is None
-    with pytest.raises(ExactstructError, match="AR data requires the full indecomposable index"):
-        x_ctx.structures()
+    assert x_ctx.index is kA3rel.index and x_ctx.cat.index is kA3rel.index
+    structures = x_ctx.structures()
+    assert len(structures) == 2 ** len(x_ctx.cat.nonprojective_ids()) > 1
+    assert [e.key() for e in structures] == [e.key() for e in brute_force_structures(x_ctx.cat)]
+
+
+def algebra_t2_dual_numbers():
+    """T_2(k[x]/(x^2)) over GF(2): loops x at 1 and y at 2, an arrow
+    a: 1 -> 2, x^2 = y^2 = 0 and xa = ay.  It is 1-Gorenstein."""
+    arrows = [("x", "1", "1"), ("a", "1", "2"), ("y", "2", "2")]
+    relations = [[(1, ("x", "x"))], [(1, ("y", "y"))], [(1, ("x", "a")), (1, ("a", "y"))]]
+    return build_from_quiver(QuiverPresentation(GF2, ["1", "2"], arrows, relations, 4))
+
+
+def test_gorenstein_projectives_of_t2_have_brute_force_structures():
+    """E = Gproj T_2(k[x]/(x^2)) = perp Lambda, five of its nine
+    indecomposables with two projective: E's exact structures are the 2^3
+    that brute force finds, though E is not all of mod(Lambda)."""
+    alg = algebra_t2_dual_numbers()
+    index = AuslanderContext(alg).index
+    gproj = [
+        i
+        for i, m in enumerate(index.modules)
+        if all(ext_dim(k, m, projective_module(alg, v)) == 0 for k in (1, 2) for v in range(alg.nv))
+    ]
+    assert len(index.modules) == 9 and gproj == [0, 1, 2, 4, 7]
+    ctx = AuslanderContext(alg, objects=gproj)
+    structures = ctx.structures()
+    assert len(structures) == 8 and len(ctx.cat.nonprojective_ids()) == 3
+    assert [e.key() for e in structures] == [e.key() for e in brute_force_structures(ctx.cat)]
+
+
+@pytest.mark.parametrize("zero_relation, count", [(False, 33), (True, 24)], ids=["kA3-GF2", "kA3rel-GF2"])
+def test_every_extension_closed_subcategory_enumerates_as_brute_force(zero_relation, count):
+    """Every nonempty extension-closed add(X) of mod(Lambda): the structures
+    generated from sets of its non-Ext-projective objects are brute force's."""
+    ctx = AuslanderContext(algebra_kA3(GF2, zero_relation))
+    ids = range(len(ctx.index.modules))
+    closed = [
+        x
+        for r in range(1, len(ids) + 1)
+        for x in itertools.combinations(ids, r)
+        if ctx._ext_closure("lambda", x)[0] <= set(x)
+    ]
+    assert len(closed) == count
+    for x in closed:
+        x_ctx = AuslanderContext(ctx.algebra, objects=x)
+        assert [e.key() for e in x_ctx.structures()] == [e.key() for e in brute_force_structures(x_ctx.cat)], x
 
 
 def test_padded_presentation_invariance(kA2):
@@ -920,7 +974,7 @@ def test_closure_helpers_agree_with_the_old_loops(make):
         assert ctx.resolving_closure(quad.eff.ids, "gamma", p2) == _old_resolving_closure(ctx, quad.eff.ids, "gamma", cache)
         (iv,) = [item for item in ctx.check_auslander_axioms(e).items if item.label == iv_label]
         assert iv.ok == _old_axiom_iv(ctx, quad.smodad.ids)
-        assert (ctx.e_injective_ids(e), ctx.e_projective_ids(e)) == _old_end_ids(ctx, e)
+        assert (e.injective_ids(), e.projective_ids()) == _old_end_ids(ctx, e)
     # the axiom (iv) test on id sets where it can fail: each eff and each single member
     projectives = ctx.projective_ids("gamma")
     effs = [ctx.build_subcategories(e).eff.ids for e in ctx.structures()]

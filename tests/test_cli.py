@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from exactcat.exactstruct import ExactstructError, GuardExceeded
 from exactcat.functorcat import FunctorcatError
 from exactcat.linalg import ExactcatError, LinalgError
 from exactcat.repmod import CapExceeded, RepmodError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def session_kA2(commands, **extra):
@@ -69,7 +72,7 @@ AR_QUIVER_DOTS = {
 
 @pytest.mark.parametrize("session", sorted(AR_QUIVER_DOTS))
 def test_ar_quiver_dot_text(session):
-    payload = json.loads((Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text())
+    payload = json.loads((ROOT / "sessions" / f"{session}.json").read_text())
     payload["commands"] = ["indecomposables"]
     code, out = run_session(payload, None)
     assert code == EXIT_OK
@@ -270,6 +273,16 @@ DUAL_NUMBERS_TABLE = {
     "right": [0, 0],
     "products": {"0,0": {"0": 1}, "0,1": {"1": 1}, "1,0": {"1": 1}, "1,1": {}},
 }
+# kA2 on the basis (e1, e2, a), a in e1 A e2; index -1 would alias a
+KA2_TABLE = {
+    "vertices": ["1", "2"],
+    "basis": ["e1", "e2", "a"],
+    "left": [0, 1, 0],
+    "right": [0, 1, 1],
+    "products": {"0,0": {"0": 1}, "1,1": {"1": 1}, "0,2": {"2": 1}, "2,1": {"2": 1}},
+}
+# the same products with a written as -1: the kA2 table this used to run as
+KA2_ALIASED_PRODUCTS = {"0,0": {"0": 1}, "1,1": {"1": 1}, "0,-1": {"-1": 1}, "-1,1": {"-1": 1}}
 
 
 @pytest.mark.parametrize(
@@ -297,6 +310,17 @@ DUAL_NUMBERS_TABLE = {
             {"table": {**DUAL_NUMBERS_TABLE, "products": {"0,1": {"1": True}}}},
             "bad table: product coefficient = True is not an integer",
         ),
+        ({"table": {**KA2_TABLE, "products": KA2_ALIASED_PRODUCTS}}, "bad table: product index = -1 is not in [0, 3)"),
+        ({"table": {**KA2_TABLE, "products": {"0,3": {"2": 1}}}}, "bad table: product index = 3 is not in [0, 3)"),
+        ({"table": {**KA2_TABLE, "left": [0, 1, -1]}}, "bad table: left entry = -1 is not in [0, 2)"),
+        ({"table": {**KA2_TABLE, "vertices": "12"}}, "bad table: vertices = '12' is not a JSON list"),
+        ({"quiver": {**KA3_RELATION, "vertices": "123"}}, "bad quiver: vertices = '123' is not a JSON list"),
+        ({"table": {**KA2_TABLE, "products": {"0,0": [1]}}}, "bad table: products['0,0'] = [1] is not a JSON object"),
+        ({"table": {**KA2_TABLE, "products": [1]}}, "bad table: products = [1] is not a JSON object"),
+        ({"quiver": []}, "bad quiver: quiver = [] is not a JSON object"),
+        ({"quiver": {**KA3_RELATION, "relations": ["ab"]}}, "bad quiver: relation = 'ab' is not a JSON list"),
+        ({"quiver": {**KA3_RELATION, "relations": [[[1, "ab"]]]}}, "bad quiver: path = 'ab' is not a JSON list"),
+        ({"quiver": {**KA3_RELATION, "arrows": ["a12", "b23"]}}, "bad quiver: arrow = 'a12' is not a JSON list"),
     ],
     ids=[
         "cap_negative",
@@ -309,12 +333,28 @@ DUAL_NUMBERS_TABLE = {
         "right_bool",
         "product_float",
         "product_bool",
+        "product_negative",
+        "product_too_large",
+        "left_negative",
+        "table_vertices_string",
+        "quiver_vertices_string",
+        "product_row_list",
+        "products_list",
+        "quiver_list",
+        "relation_string",
+        "relation_path_string",
+        "arrow_string",
     ],
 )
 def test_non_integer_or_negative_algebra_entries_exit_2(monkeypatch, algebra, message):
-    """The integers of a quiver or a table are JSON integers, and the path
+    """The integers of a quiver or a table are JSON integers, the path
     length cap is not negative (-1 used to build the semisimple algebra on
-    the quiver's vertices); rejected before any context is built."""
+    the quiver's vertices), table indices lie in range (a negative one used
+    to alias an entry counted from the end, so the kA2 table with -1 for a
+    ran as kA2), vertices, arrows and relations are lists, not strings read
+    as their characters ("a12" ran as an arrow a: 1 -> 2), and what is read as
+    an object is one (a list used to end in a traceback); rejected before any
+    context is built."""
     monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
     code, out = run_session({"p": 2, **algebra, "commands": ["verify"]}, None)
     assert code == EXIT_INPUT
@@ -406,7 +446,7 @@ def test_determinism(tmp_path):
 @pytest.mark.parametrize("session", ["kA2", "dual_numbers", "kA3_relation"])
 def test_reports_do_not_depend_on_the_seed(tmp_path, session):
     """The seed drives nothing: every output file is byte-identical at any seed."""
-    text = (Path(__file__).resolve().parents[1] / "sessions" / f"{session}.json").read_text()
+    text = (ROOT / "sessions" / f"{session}.json").read_text()
     outputs = []
     for seed in (0, 1, 7):
         payload = json.loads(text)
@@ -485,7 +525,7 @@ def test_verify_input_is_checked_before_any_command_prints(monkeypatch):
     from exactcat import auslander
 
     monkeypatch.setattr(auslander, "end_algebra", lambda spec: pytest.fail("Gamma built"))
-    base = json.loads((Path(__file__).resolve().parents[1] / "sessions" / "kA3_gf5.json").read_text())
+    base = json.loads((ROOT / "sessions" / "kA3_gf5.json").read_text())
     assert base["commands"] == ["indecomposables", "exact_structures", "verify"]
     for extra, message in (
         ({"generators": [99]}, "unknown generator ids: [99]"),
@@ -495,3 +535,18 @@ def test_verify_input_is_checked_before_any_command_prints(monkeypatch):
         code, out = run_session({**base, **extra}, None)
         assert code == EXIT_INPUT
         assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)
+
+
+REFERENCE_SESSIONS = [("stock", path) for path in sorted((ROOT / "sessions").glob("*.json"))]
+REFERENCE_SESSIONS += [("gamma_kx3", ROOT / "perfbench" / "sessions" / "gamma_kx3.json")]
+
+
+@pytest.mark.parametrize("workload, path", REFERENCE_SESSIONS, ids=[path.stem for _, path in REFERENCE_SESSIONS])
+def test_session_outputs_match_the_reference_digests(tmp_path, workload, path):
+    """Every output file of the shipped sessions is byte-identical to the
+    sha256 digests that perfbench/reference.json records for them."""
+    expected = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))[workload][path.stem]
+    code, out = run_session(json.loads(path.read_text(encoding="utf-8")), tmp_path)
+    assert code == EXIT_OK, out.text()
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+    assert got == expected

@@ -584,7 +584,7 @@ def test_ext_space_realize_round_trip(kA2):
     ses.validate()
     assert ses.mid.dims == (1, 1)
     assert not any(m.is_zero() for m in ses.mid.act.values())  # the middle is P1
-    ctx = CategoryContext(AdditiveCategorySpec(kA2, [s1, s2]))
+    ctx = CategoryContext(AdditiveCategorySpec(kA2, [s1, s2]), all_indecomposables(kA2, 4))
     assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, ses)] == [(0, 1, [1])]
     split = ext.realize([0])
     assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, split)] == [(0, 1, [0])]
