@@ -26,7 +26,7 @@ from .exactstruct import (
     maximal_structure,
     morphism_classes,
 )
-from .functorcat import AdditiveCategorySpec, end_algebra
+from .functorcat import end_algebra
 from .linalg import (
     ExactcatError,
     Matrix,
@@ -71,32 +71,23 @@ class AuslanderError(ExactcatError):
     pass
 
 
-@dataclass(frozen=True)
-class SubcategorySpec:
-    """A set of indecomposable ids over Gamma, Gamma^op or Lambda."""
-
-    side: str  # "gamma", "gamma_op" or "lambda" (mod Lambda itself)
-    ids: frozenset[int]
-
-    def sorted_ids(self) -> list[int]:
-        return sorted(self.ids)
-
-
 @dataclass
 class SubcategoryQuad:
-    eff: SubcategorySpec
-    smodad: SubcategorySpec
-    cogen_q: SubcategorySpec
-    torsion_free: SubcategorySpec
+    """The Gamma-index ids of the four subcategories of one structure."""
+
+    eff: frozenset[int]
+    smodad: frozenset[int]
+    cogen_q: frozenset[int]
+    torsion_free: frozenset[int]
 
 
 class AuslanderContext:
     """All derived data of one ground algebra: the category C = add of the
-    given objects (Lambda-index ids, all of mod(Lambda) by default; C's object
-    k is the k-th in increasing order), its endomorphism algebra, and the
-    indecomposables on both sides.  structures() reads C's Ext^1 data alone,
-    so an extension-closed add(X) gets its exact structures as mod(Lambda)
-    does.
+    given objects, Lambda-index ids (all of mod(Lambda) by default), which
+    cat holds; its endomorphism algebra; and the indecomposables on both
+    sides.  A subcategory on any side is a frozenset of that side's index
+    ids.  structures() reads C's Ext^1 data alone, so an extension-closed
+    add(X) gets its exact structures as mod(Lambda) does.
 
     Gamma = End(M) and what hangs off it, the attributes GAMMA_ATTRS, are
     built on first use (see __getattr__): the indecomposables and the exact
@@ -119,16 +110,14 @@ class AuslanderContext:
         self.dim_cap = dim_cap
         self.cutoff = cutoff
         self.index = all_indecomposables(algebra, dim_cap)
-        self.object_ids = range(len(self.index.modules)) if objects is None else sorted(frozenset(objects))
-        self.spec = AdditiveCategorySpec(algebra, [self.index.modules[i] for i in self.object_ids])
-        self.cat = CategoryContext(self.spec, self.index)
+        self.cat = CategoryContext(self.index, range(len(self.index.modules)) if objects is None else objects)
 
     def __getattr__(self, name: str):
         """Builds Gamma on the first read of one of GAMMA_ATTRS and sets them
         all, so every later read is a plain attribute read."""
         if name not in self.GAMMA_ATTRS:
             raise AttributeError(name)
-        ea = end_algebra(self.spec)
+        ea = end_algebra(self.cat.objects)
         gamma_index = all_indecomposables(ea.gamma, self.GAMMA_DIM_CAP, cap_name=self.GAMMA_CAP)
         yoneda_ids = [gamma_index.identify(ea.yoneda(m)) for m in self.cat.objects]
         if any(i is None for i in yoneda_ids):
@@ -195,12 +184,7 @@ class AuslanderContext:
         # an independent route; cogen Q lives inside the admissibly presented
         # subcategory, so the raw test is intersected with it
         cogen = {i for i in smodad if self._cogenerated(i)}
-        return SubcategoryQuad(
-            SubcategorySpec("gamma", frozenset(eff)),
-            SubcategorySpec("gamma", frozenset(smodad)),
-            SubcategorySpec("gamma", frozenset(cogen)),
-            SubcategorySpec("gamma", frozenset(infl)),
-        )
+        return SubcategoryQuad(frozenset(eff), frozenset(smodad), frozenset(cogen), frozenset(infl))
 
     @memo(lambda self, i: i)
     def _cogenerated(self, i: int) -> bool:
@@ -357,9 +341,10 @@ class AuslanderContext:
         """Ids of the summands of the syzygies of the members of ids."""
         return frozenset().union(*(self.syzygy_parts(side, i) for i in ids))
 
-    def is_resolving(self, sub: SubcategorySpec, ambient_ids: frozenset[int]) -> Report:
-        """Resolving in the ambient id-set: generating, extension-closed,
-        summand-closed (by construction), closed under kernels of deflations.
+    def is_resolving(self, side: str, ids: frozenset[int], ambient_ids: frozenset[int]) -> Report:
+        """Is ids resolving in the ambient id-set of the side: generating,
+        extension-closed, summand-closed (by construction), closed under
+        kernels of deflations.
 
         Kernels of deflations reduce to syzygy closure: for an epi B ->> C the
         pullback against the projective cover of C is an extension of B by the
@@ -367,51 +352,55 @@ class AuslanderContext:
         inside the subcategory give the kernel.
         """
         report = Report()
-        ids = sub.ids
         report.add("inside the ambient subcategory", ids <= ambient_ids)
-        report.add("generating (contains all projectives)", self.projective_ids(sub.side) <= ids)
-        middles, exhaustive = self._ext_closure(sub.side, ids)
+        report.add("generating (contains all projectives)", self.projective_ids(side) <= ids)
+        middles, exhaustive = self._ext_closure(side, ids)
         if not exhaustive:
             report.note("extension closure: some Ext^1 walked on a spanning set only")
         report.add("extension closed", middles <= ids)
-        report.add("kernels of deflations (via syzygy reduction)", self._syzygy_closure(sub.side, ids) <= ids)
+        report.add("kernels of deflations (via syzygy reduction)", self._syzygy_closure(side, ids) <= ids)
         return report
 
-    def resolving_closure(self, seed_ids, side: str, ambient_ids: frozenset[int]) -> frozenset[int]:
+    def resolving_closure(self, seed_ids, side: str, ambient_ids: frozenset[int]) -> tuple[frozenset[int], bool]:
         """Least id-set containing the seed and the projectives, closed under
-        extensions (summands of realized middle terms) and syzygies."""
-        current = frozenset(seed_ids) | self.projective_ids(side)
+        extensions (summands of realized middle terms) and syzygies, and
+        whether every Ext^1 line was walked (see _ext_closure)."""
+        current, exhaustive = frozenset(seed_ids) | self.projective_ids(side), True
         while True:
-            grown = current | self._syzygy_closure(side, current) | self._ext_closure(side, current)[0]
+            syzygies = self._syzygy_closure(side, current)
+            middles, walked_all = self._ext_closure(side, current)
+            exhaustive = exhaustive and walked_all
+            grown = current | syzygies | middles
             if grown == current:
                 break
             current = grown
         if not current <= ambient_ids:
             raise AuslanderError("resolving closure escapes the ambient subcategory")
-        return current
+        return current, exhaustive
 
-    def tr_subcategory(self, sub: SubcategorySpec) -> SubcategorySpec:
-        """Tr(X) over the opposite side: projectives plus the summands of the
-        transposes of the members.  Tr F_i = D tau F_i, the Gamma^op member
-        with the id of tau F_i, and Tr F_i = 0 for F_i projective."""
-        if sub.side != "gamma":
-            raise AuslanderError("tr_subcategory expects a gamma-side subcategory")
+    def tr_subcategory(self, ids: frozenset[int]) -> frozenset[int]:
+        """The Gamma^op ids of Tr(X) for X the Gamma ids: projectives plus the
+        summands of the transposes of the members.  Tr F_i = D tau F_i, the
+        Gamma^op member with the id of tau F_i, and Tr F_i = 0 for F_i
+        projective."""
         quiver = self.gamma_index.ar_quiver()
-        taus = {quiver[i].tau for i in sub.ids} - {None}
-        return SubcategorySpec("gamma_op", self.projective_ids("gamma_op") | taus)
+        taus = {quiver[i].tau for i in ids} - {None}
+        return self.projective_ids("gamma_op") | taus
 
     # -- reconstruction ---------------------------------------------------------------
 
-    def reconstruct_structure(self, sub: SubcategorySpec) -> ExactStructure:
+    def reconstruct_structure(self, ids: frozenset[int]) -> tuple[ExactStructure, bool]:
         """The exact structure whose conflations are the sequences with
-        yoneda-monic inflation part and cokernel functor in add(X)."""
-        pre = self.reconstruction_preconditions(sub)
+        yoneda-monic inflation part and cokernel functor in add(X), X the
+        Gamma ids; with whether the resolving preconditions walked every
+        Ext^1 line (their report has no note)."""
+        pre = self.reconstruction_preconditions(ids)
         if not pre.ok:
             raise AuslanderError(
                 "reconstruction preconditions fail: "
                 + "; ".join(i.label for i in pre.failures())
             )
-        return self._reconstruct_unchecked(sub)
+        return self._reconstruct_unchecked(ids), not pre.notes
 
     @memo(lambda self, z, a, vec: (z, a, tuple(int(c) for c in vec)))
     def _inflation_functor_parts(self, z: int, a: int, vec) -> frozenset[int]:
@@ -423,13 +412,13 @@ class AuslanderContext:
         cok, _ = cokernel(y_i)
         return frozenset(self.gamma_index.parts(cok))
 
-    def _reconstruct_unchecked(self, sub: SubcategorySpec) -> ExactStructure:
+    def _reconstruct_unchecked(self, ids: frozenset[int]) -> ExactStructure:
         field = self.algebra.field
         p = field.p
         subs = {}
         for (z, a) in self.cat.nonzero_pairs():
             lines, _ = subspace_lines(Matrix.identity(field, self.cat.ext_dim(z, a)))
-            members = [vec for vec in lines if self._inflation_functor_parts(z, a, vec) <= sub.ids]
+            members = [vec for vec in lines if self._inflation_functor_parts(z, a, vec) <= ids]
             if not members:
                 continue
             rows = Matrix(field, np.vstack(members))
@@ -439,25 +428,27 @@ class AuslanderContext:
             subs[(z, a)] = rows
         return ExactStructure(self.cat, subs)
 
-    def reconstruction_preconditions(self, sub: SubcategorySpec) -> Report:
+    def reconstruction_preconditions(self, ids: frozenset[int]) -> Report:
+        """The conditions on X, the Gamma ids, under which reconstruct_structure
+        applies; the notes of both resolving checks are kept."""
         report = Report()
-        p2 = self.p2_ids("gamma")
-        res = self.is_resolving(sub, p2)
+        res = self.is_resolving("gamma", ids, self.p2_ids("gamma"))
         report.add("X resolving in P^2(Gamma)", res.ok)
-        tr_sub = self.tr_subcategory(sub)
-        res_op = self.is_resolving(tr_sub, self.p2_ids("gamma_op"))
+        tr_ids = self.tr_subcategory(ids)
+        res_op = self.is_resolving("gamma_op", tr_ids, self.p2_ids("gamma_op"))
         report.add("Tr(X) resolving in P^2(Gamma^op)", res_op.ok)
-        g1, g2 = self.grade_one_ids(sub, tr_sub)
+        report.notes += [f"X: {n}" for n in res.notes] + [f"Tr(X): {n}" for n in res_op.notes]
+        g1, g2 = self.grade_one_ids(ids, tr_ids)
         report.add("no grade-1 objects in X", not g1, str(g1))
         report.add("no grade-1 objects in Tr(X)", not g2, str(g2))
         return report
 
-    def grade_one_ids(self, sub: SubcategorySpec, tr_sub: SubcategorySpec) -> tuple[list[int], list[int]]:
-        """The sorted ids of the grade-1 members of X = sub over Gamma and of
-        Tr(X) = tr_sub, its tr_subcategory, over Gamma^op."""
+    def grade_one_ids(self, ids: frozenset[int], tr_ids: frozenset[int]) -> tuple[list[int], list[int]]:
+        """The sorted ids of the grade-1 members of X, the Gamma ids, and of
+        Tr(X) = tr_ids, its tr_subcategory, over Gamma^op."""
         op_modules = self.side_modules("gamma_op")
-        g1 = [i for i in sub.sorted_ids() if self.grade(self.gamma_module(i), "gamma") == 1]
-        g2 = [i for i in tr_sub.sorted_ids() if self.grade(op_modules[i], "gamma_op") == 1]
+        g1 = [i for i in sorted(ids) if self.grade(self.gamma_module(i), "gamma") == 1]
+        g2 = [i for i in sorted(tr_ids) if self.grade(op_modules[i], "gamma_op") == 1]
         return g1, g2
 
     # -- the Auslander exact axioms ----------------------------------------------------
@@ -465,8 +456,8 @@ class AuslanderContext:
     def check_auslander_axioms(self, e: ExactStructure) -> Report:
         report = Report()
         quad = self.build_subcategories(e)
-        smodad, eff = quad.smodad.ids, quad.eff.ids
-        tf = quad.torsion_free.ids & smodad
+        smodad, eff = quad.smodad, quad.eff
+        tf = quad.torsion_free & smodad
 
         hom_vanishes = all(
             hom_dim(self.gamma_module(t), self.gamma_module(f)) == 0
@@ -562,7 +553,7 @@ class AuslanderContext:
     def verify_formula_and_localization(self, e: ExactStructure) -> Report:
         report = Report()
         quad = self.build_subcategories(e)
-        smodad, eff = quad.smodad.ids, quad.eff.ids
+        smodad, eff = quad.smodad, quad.eff
 
         objects = self.cat.objects
         hom_bij = all(
@@ -633,7 +624,7 @@ class AuslanderContext:
 
     @memo(lambda self, e: e.key())
     def smodad_injective_ids(self, e: ExactStructure) -> frozenset[int]:
-        smodad = self.build_subcategories(e).smodad.ids
+        smodad = self.build_subcategories(e).smodad
         return frozenset(
             j
             for j in smodad
@@ -645,7 +636,7 @@ class AuslanderContext:
         minimal left approximations of the representables into the
         projective-injective representables: one walk answers every
         domdim >= k for k <= n."""
-        smodad = self.build_subcategories(e).smodad.ids
+        smodad = self.build_subcategories(e).smodad
         pi_ids = tuple(sorted(set(self.yoneda_ids) & self.smodad_injective_ids(e)))
         depth = n
         for y in self.yoneda_ids:
@@ -676,7 +667,7 @@ class AuslanderContext:
     def verify_injective_projective_correspondence(self, e: ExactStructure) -> Report:
         report = Report()
         quad = self.build_subcategories(e)
-        eff = quad.eff.ids
+        eff = quad.eff
 
         # each representable is in smodad (0 -> M_y needs no class), so
         # yoneda(I) is injective there exactly when it is in smodad_injective_ids
@@ -719,7 +710,7 @@ class AuslanderContext:
         )
 
     def _gen_torsion_decomposition_exists(self, quad: SubcategoryQuad, p_ids: tuple[int, ...]) -> bool:
-        smodad, eff = quad.smodad.ids, quad.eff.ids
+        smodad, eff = quad.smodad, quad.eff
         for i in sorted(smodad):
             trace, ker_u, quot = self._trace_parts(i, p_ids)
             if not (quot <= eff and trace <= smodad and ker_u <= smodad):
@@ -739,7 +730,7 @@ class AuslanderContext:
         """No member outside eff is an admissible subobject of an eff member
         or a sum of two: an injective map whose cokernel lies in smodad."""
         quad = self.build_subcategories(e)
-        smodad, eff = quad.smodad.ids, quad.eff.ids
+        smodad, eff = quad.smodad, quad.eff
         targets = sorted(eff)
         sums = [(t,) for t in targets] + [(a, b) for a in targets for b in targets]
         return not any(
@@ -766,15 +757,15 @@ class AuslanderContext:
         both by the membership test and by the idempotent condition N*e in X,
         and compared.  When X is C itself, that context is this one."""
         x_ids = frozenset(x_ids)
-        report = self.is_resolving(SubcategorySpec("lambda", x_ids), frozenset(range(len(self.index.modules))))
+        report = self.is_resolving("lambda", x_ids, frozenset(range(len(self.index.modules))))
         if not report.ok:
             return report
-        whole = x_ids == frozenset(self.object_ids)
+        whole = x_ids == frozenset(self.cat.object_ids)
         x_ctx = self if whole else AuslanderContext(self.algebra, self.dim_cap, self.cutoff, objects=x_ids)
-        route1 = x_ctx.build_subcategories(maximal_structure(x_ctx.cat)).smodad.ids
+        route1 = x_ctx.build_subcategories(maximal_structure(x_ctx.cat)).smodad
         # idempotent route: N*e as a Lambda-module, tested for membership in add(X);
         # X holds the projectives, so each P_v is one of its objects
-        lam_pos = [x_ctx.spec.identify_summand(projective_module(self.algebra, v)) for v in range(self.algebra.nv)]
+        lam_pos = [x_ctx.cat.identify(projective_module(self.algebra, v)) for v in range(self.algebra.nv)]
         route2 = {
             i
             for i, n_mod in enumerate(x_ctx.gamma_index.modules)

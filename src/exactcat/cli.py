@@ -165,6 +165,11 @@ class Session:
         for c in out:
             if not isinstance(c["name"], str) or c["name"] not in COMMANDS:
                 raise SessionError(f"unknown command: {c['name']}")
+            unknown = sorted(set(c) - {"name"} - OPTIONS[c["name"]])
+            if unknown:
+                raise SessionError(f"{c['name']}: unknown options {unknown}")
+            if not isinstance(c.get("oracle", False), bool):
+                raise SessionError(f"{c['name']}: oracle = {c['oracle']!r} is not true or false")
         return out
 
 
@@ -317,10 +322,12 @@ def cmd_verify(session: Session, ctx: AuslanderContext, out: RunOutput, options:
     rt_ok = True
     for i, e in enumerate(structures):
         quad = ctx.build_subcategories(e)
-        ok = ctx.reconstruct_structure(quad.smodad) == e
-        closure = ctx.resolving_closure(quad.eff.ids, "gamma", ctx.p2_ids("gamma"))
-        ok = ok and closure == quad.smodad.ids
+        rebuilt, rebuilt_exhaustive = ctx.reconstruct_structure(quad.smodad)
+        closure, closure_exhaustive = ctx.resolving_closure(quad.eff, "gamma", ctx.p2_ids("gamma"))
+        ok = rebuilt == e and closure == quad.smodad
         out.emit(f"    E{i}: {'PASS' if ok else 'FAIL'}")
+        if not (rebuilt_exhaustive and closure_exhaustive):
+            out.emit("      note: resolving checks walked some Ext^1 on a spanning set only")
         rt_ok = rt_ok and ok
     payload["sections"].append({"name": "round trip and smallest resolving", "ok": rt_ok})
     if not rt_ok:
@@ -379,11 +386,12 @@ def cmd_smodad(session: Session, ctx: AuslanderContext, out: RunOutput, options:
     e = structures[sid]
     quad = ctx.build_subcategories(e)
     out.emit(f"== smodad of E{sid} ==")
-    out.emit(f"  smodad ids: {quad.smodad.sorted_ids()}")
-    out.emit(f"  eff ids: {quad.eff.sorted_ids()}")
-    out.emit(f"  cogenQ ids: {quad.cogen_q.sorted_ids()}")
+    smodad, eff, cogen_q = sorted(quad.smodad), sorted(quad.eff), sorted(quad.cogen_q)
+    out.emit(f"  smodad ids: {smodad}")
+    out.emit(f"  eff ids: {eff}")
+    out.emit(f"  cogenQ ids: {cogen_q}")
     table = []
-    for i in quad.smodad.sorted_ids():
+    for i in smodad:
         m = ctx.gamma_module(i)
         g = ctx.grade(m, "gamma")
         pd = proj_dim(m, session.resolution_cutoff)
@@ -395,9 +403,9 @@ def cmd_smodad(session: Session, ctx: AuslanderContext, out: RunOutput, options:
         {
             "name": "smodad",
             "structure": sid,
-            "smodad": quad.smodad.sorted_ids(),
-            "eff": quad.eff.sorted_ids(),
-            "cogenQ": quad.cogen_q.sorted_ids(),
+            "smodad": smodad,
+            "eff": eff,
+            "cogenQ": cogen_q,
             "table": table,
         }
     )
@@ -408,6 +416,13 @@ COMMANDS = {
     "exact_structures": cmd_exact_structures,
     "verify": cmd_verify,
     "smodad": cmd_smodad,
+}
+# the keys besides "name" that a command entry may hold
+OPTIONS = {
+    "indecomposables": frozenset(),
+    "exact_structures": frozenset({"oracle"}),
+    "verify": frozenset(),
+    "smodad": frozenset({"structure"}),
 }
 
 

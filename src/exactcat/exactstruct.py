@@ -24,7 +24,6 @@ import itertools
 import numpy as np
 
 from .algebra import Report
-from .functorcat import AdditiveCategorySpec
 from .linalg import (
     ExactcatError,
     Matrix,
@@ -74,17 +73,21 @@ AXIOM_ELEMENT_CAP = 32
 
 
 class CategoryContext:
-    """Ext^1 bifunctor data over the objects of an additive category spec;
-    index is the indecomposable index of mod(Lambda), which membership reads."""
+    """Ext^1 bifunctor data over C = add of the members object_ids of index,
+    the indecomposable index of mod(Lambda).  C's object k is the k-th id in
+    increasing order; members of one index are pairwise non-isomorphic, so
+    the objects are."""
 
-    def __init__(self, spec: AdditiveCategorySpec, index: IndecIndex):
-        self.spec = spec
-        self.objects = spec.generators
-        self.algebra = spec.algebra
+    def __init__(self, index: IndecIndex, object_ids):
         self.index = index
+        self.algebra = index.algebra
+        self.object_ids = sorted(frozenset(object_ids))
+        self.objects = [index.modules[i] for i in self.object_ids]
+        self._object_of_id = {i: k for k, i in enumerate(self.object_ids)}
 
     def identify(self, m: Module) -> int | None:
-        return self.spec.identify_summand(m)
+        """The object isomorphic to m; None when m is decomposable or outside C."""
+        return self._object_of_id.get(self.index.identify(m))
 
     def parts(self, m: Module) -> list[tuple[int, Module, ModuleMap]] | None:
         """Summands of m as (object id, part, inclusion); None if one is outside."""
@@ -104,11 +107,7 @@ class CategoryContext:
             ids = self.index.parts(m)
         except RepmodError:
             return False
-        return all(self._object_of_member(i) is not None for i in set(ids))
-
-    @memo(lambda self, i: i)
-    def _object_of_member(self, i: int) -> int | None:
-        return self.identify(self.index.modules[i])
+        return all(i in self._object_of_id for i in ids)
 
     def ext(self, z_id: int, a_id: int) -> ExtSpace:
         return ext_space(self.objects[z_id], self.objects[a_id])

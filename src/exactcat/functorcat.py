@@ -1,7 +1,7 @@
 """The bridge between an additive subcategory C = add(M) of mod(Lambda) and
 mod(Gamma) for Gamma = End(M).
 
-Gamma is assembled from the hom blocks between the generator summands, with
+Gamma is assembled from the hom blocks between the summands of M, with
 composition as multiplication; the Yoneda functor Hom(M, -) identifies add(M)
 with the projective Gamma-modules, and the exact left adjoint L sends a
 finitely presented Gamma-module back to the cokernel (in mod Lambda) of the
@@ -27,7 +27,6 @@ from .repmod import (
     coeffs_of_std_map,
     descend,
     direct_sum,
-    find_isomorphic,
     hom_basis,
     hom_coords,
     hom_from_coords,
@@ -43,24 +42,11 @@ class FunctorcatError(ExactcatError):
     pass
 
 
-@dataclass
-class AdditiveCategorySpec:
-    """C = add(M) for M the direct sum of pairwise non-isomorphic indecomposables."""
-
-    algebra: Algebra
-    generators: list[Module]
-
-    def __post_init__(self):
-        for i, m in enumerate(self.generators):
-            if find_isomorphic(m, self.generators[i + 1 :]) is not None:
-                raise FunctorcatError("generator summands are not pairwise non-isomorphic")
-
-    def identify_summand(self, m: Module) -> int | None:
-        return find_isomorphic(m, self.generators)
-
-
 class EndAlgebra:
-    """Gamma = End(M) together with its basis dictionary.
+    """Gamma = End(M) for M the direct sum of the objects, pairwise
+    non-isomorphic indecomposable Lambda-modules (a nonempty list), together
+    with its basis dictionary.  A repeated object makes Gamma fail
+    validate_algebra, which raises FunctorcatError.
 
     Basis layout: the idempotents are the identity maps of the summands (one
     per summand, in order), followed by the radical part: the non-isomorphism
@@ -69,11 +55,11 @@ class EndAlgebra:
     sits in e_j Gamma e_i, so its vertex tags are (left, right) = (j, i).
     """
 
-    def __init__(self, spec: AdditiveCategorySpec):
-        self.spec = spec
-        gens = spec.generators
+    def __init__(self, objects: Sequence[Module]):
+        self.objects = gens = list(objects)
+        self.algebra = gens[0].algebra
         n = len(gens)
-        field = spec.algebra.field
+        field = self.algebra.field
 
         dictionary: list[ModuleMap] = []
         labels: list[str] = []
@@ -129,7 +115,7 @@ class EndAlgebra:
 
     @memo(lambda self, x: x.key())
     def _yoneda_data(self, x: Module) -> tuple[Module, list[list[ModuleMap]]]:
-        gens = self.spec.generators
+        gens = self.objects
         gamma = self.gamma
         bases = [hom_basis(g, x) for g in gens]
         act = {}
@@ -155,11 +141,11 @@ class EndAlgebra:
 
     @memo(lambda self, verts: tuple(verts))
     def sum_of_generators(self, verts) -> tuple[Module, Sequence[ModuleMap], Sequence[ModuleMap]]:
-        """The direct sum of the generators at verts with its lazy injections
+        """The direct sum of the objects at verts with its lazy injections
         and projections, remembered per verts tuple."""
-        mods = [self.spec.generators[v] for v in verts]
+        mods = [self.objects[v] for v in verts]
         if not mods:
-            return Module.zero(self.spec.algebra), (), ()
+            return Module.zero(self.algebra), (), ()
         return direct_sum(mods)
 
     def unyoneda_std(self, d: ModuleMap, p1: StdProjective, p0: StdProjective) -> ModuleMap:
@@ -167,7 +153,7 @@ class EndAlgebra:
         projectives: block (t, s) is the combination coeffs[t, s] of the
         dictionary maps M_{p1.verts[s]} -> M_{p0.verts[t]}."""
         coeffs = coeffs_of_std_map(d, p1, p0)
-        gens = self.spec.generators
+        gens = self.objects
         blocks = [
             [hom_from_coords(coeffs[t, s], self.dictionary, gens[v], gens[u]) for s, v in enumerate(p1.verts)]
             for t, u in enumerate(p0.verts)
@@ -187,7 +173,7 @@ class EndAlgebra:
         sp = std_projective(self.gamma, verts)
         gamma = self.gamma
         mats = []
-        for i in range(len(self.spec.generators)):
+        for i in range(len(self.objects)):
             mat = np.zeros((sp.module.dims[i], len(bases[i])), dtype=np.int64)
             for s, v in enumerate(verts):
                 blk = [b for b in range(gamma.dim) if gamma.left[b] == v and gamma.right[b] == i]
@@ -268,5 +254,5 @@ class CategoryPresentation:
     projection: ModuleMap
 
 
-def end_algebra(spec: AdditiveCategorySpec) -> EndAlgebra:
-    return EndAlgebra(spec)
+def end_algebra(objects: Sequence[Module]) -> EndAlgebra:
+    return EndAlgebra(objects)

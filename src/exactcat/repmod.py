@@ -1052,14 +1052,15 @@ def ext_dim(i: int, m: Module, n: Module) -> int:
 
 
 def proj_dim(m: Module, cutoff: int) -> int | None:
-    """Projective dimension of m; None means 'at least cutoff + 1'."""
-    if m.is_zero():
-        return 0
-    projs, _, _ = minimal_resolution(m, cutoff + 1)
-    last_nonzero = max(k for k, sp in enumerate(projs) if not sp.module.is_zero())
-    if last_nonzero > cutoff:
-        return None
-    return last_nonzero
+    """Projective dimension of m; None means 'at least cutoff + 1'.  The
+    syzygies are walked only until one vanishes, so the cost does not grow
+    with the cutoff."""
+    syz = m
+    for k in range(cutoff + 1):
+        syz = minimal_presentation(syz).syz
+        if syz.is_zero():
+            return k
+    return None
 
 
 @dataclass

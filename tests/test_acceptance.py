@@ -97,12 +97,12 @@ def test_criterion_04_torsion_pair_identities(contexts):
             quad = ctx.build_subcategories(e)
             # perp Q inside the admissibly presented subcategory
             reps = [ctx.gamma_module(y) for y in ctx.yoneda_ids]
-            perp_q = {i for i in quad.smodad.ids if all(hom_dim(ctx.gamma_module(i), q) == 0 for q in reps)}
-            if quad.eff.ids != perp_q:
+            perp_q = {i for i in quad.smodad if all(hom_dim(ctx.gamma_module(i), q) == 0 for q in reps)}
+            if quad.eff != perp_q:
                 ok = False
-            if quad.torsion_free.ids != quad.cogen_q.ids:
+            if quad.torsion_free != quad.cogen_q:
                 ok = False
-            for t in quad.eff.ids:
+            for t in quad.eff:
                 for y in ctx.yoneda_ids:
                     if ext_dim(1, ctx.gamma_module(t), ctx.gamma_module(y)) != 0:
                         ok = False
@@ -125,10 +125,10 @@ def test_criterion_06_grade_dichotomy(contexts):
     for ctx in contexts.values():
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            for i in quad.smodad.ids:
+            for i in quad.smodad:
                 if ctx.grade(ctx.gamma_module(i), "gamma") == 1:
                     ok = False
-            for i in ctx.tr_subcategory(quad.smodad).ids:
+            for i in ctx.tr_subcategory(quad.smodad):
                 if ctx.grade(dual_module(ctx.gamma_module(i)), "gamma_op") == 1:
                     ok = False
     announce(6, ok, "no grade-1 objects in smodad(e) or Tr(smodad(e)) for any structure")
@@ -141,12 +141,12 @@ def test_criterion_07_round_trip_bijection(contexts):
         p2op = ctx.p2_ids("gamma_op")
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            if not ctx.is_resolving(quad.smodad, p2).ok:
+            if not ctx.is_resolving("gamma", quad.smodad, p2).ok:
                 ok = False
             tr = ctx.tr_subcategory(quad.smodad)
-            if not ctx.is_resolving(tr, p2op).ok:
+            if not ctx.is_resolving("gamma_op", tr, p2op).ok:
                 ok = False
-            if ctx.reconstruct_structure(quad.smodad) != e:
+            if ctx.reconstruct_structure(quad.smodad)[0] != e:
                 ok = False
     announce(7, ok, "reconstruct(smodad(e)) = e subspace-for-subspace; both sides resolving in P^2")
 
@@ -157,7 +157,7 @@ def test_criterion_08_smallest_resolving(contexts):
         p2 = ctx.p2_ids("gamma")
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            if ctx.resolving_closure(quad.eff.ids, "gamma", p2) != quad.smodad.ids:
+            if ctx.resolving_closure(quad.eff, "gamma", p2)[0] != quad.smodad:
                 ok = False
     announce(8, ok, "resolving_closure(eff(e)) = smodad(e) as id-sets for every structure")
 

@@ -8,7 +8,7 @@ import pytest
 
 from exactcat import auslander, repmod
 from exactcat.algebra import QuiverPresentation, algebra_dual_numbers, algebra_kA2, algebra_kA3, build_from_quiver
-from exactcat.auslander import AuslanderContext, AuslanderError, SubcategorySpec, _admissible_with_image_in, sum_family
+from exactcat.auslander import AuslanderContext, AuslanderError, _admissible_with_image_in, sum_family
 from exactcat.exactstruct import (
     ELEMENT_CAP,
     ExactstructError,
@@ -34,6 +34,7 @@ from exactcat.repmod import (
     dual_module,
     ext_dim,
     ext_space,
+    find_isomorphic,
     hom_basis,
     hom_dim,
     hom_from_coords,
@@ -102,25 +103,25 @@ def test_eff_membership_examples(kA2):
     quad = kA2.build_subcategories(maximal)
     # representables are never effaceable
     for y in kA2.yoneda_ids:
-        assert y not in quad.eff.ids
-    assert len(quad.eff.ids) == 1
-    (t,) = quad.eff.ids
+        assert y not in quad.eff
+    assert len(quad.eff) == 1
+    (t,) = quad.eff
     assert "deflation" in classify_morphism(kA2.transported(kA2.gamma_module(t)).f, maximal)
-    assert t not in kA2.build_subcategories(split).eff.ids
+    assert t not in kA2.build_subcategories(split).eff
 
 
 def test_smodad_split_is_projectives(kA2):
     split, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(split)
-    assert quad.smodad.ids == frozenset(kA2.yoneda_ids)
-    assert quad.eff.ids == frozenset()
+    assert quad.smodad == frozenset(kA2.yoneda_ids)
+    assert quad.eff == frozenset()
 
 
 def test_smodad_abelian_is_everything(kA2, dn, kA3rel):
     for ctx in (kA2, dn, kA3rel):
         maximal = ctx.structures()[-1]
         quad = ctx.build_subcategories(maximal)
-        assert quad.smodad.ids == frozenset(range(len(ctx.gamma_index.modules)))
+        assert quad.smodad == frozenset(range(len(ctx.gamma_index.modules)))
 
 
 def test_torsion_routes_agree(kA2, dn, kA3rel):
@@ -129,15 +130,15 @@ def test_torsion_routes_agree(kA2, dn, kA3rel):
             quad = ctx.build_subcategories(e)
             # perp Q inside the admissibly presented subcategory
             reps = [ctx.gamma_module(y) for y in ctx.yoneda_ids]
-            perp_q = {i for i in quad.smodad.ids if all(hom_dim(ctx.gamma_module(i), q) == 0 for q in reps)}
-            assert quad.eff.ids == perp_q
-            assert quad.torsion_free.ids == quad.cogen_q.ids
+            perp_q = {i for i in quad.smodad if all(hom_dim(ctx.gamma_module(i), q) == 0 for q in reps)}
+            assert quad.eff == perp_q
+            assert quad.torsion_free == quad.cogen_q
 
 
 def test_torsion_decomposition_cases(kA2):
     _, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(maximal)
-    for t in quad.eff.ids:
+    for t in quad.eff:
         ses = kA2.torsion_decomposition(kA2.gamma_module(t), maximal)
         assert ses.quot.is_zero()
         assert is_isomorphic(ses.sub, kA2.gamma_module(t)) is not None
@@ -149,19 +150,19 @@ def test_torsion_decomposition_cases(kA2):
 def test_torsion_decomposition_mixed(kA2):
     _, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(maximal)
-    (t,) = quad.eff.ids
+    (t,) = quad.eff
     y = kA2.yoneda_ids[0]
     mixed, _, _ = direct_sum([kA2.gamma_module(t), kA2.gamma_module(y)])
     ses = kA2.torsion_decomposition(mixed, maximal)
     assert not ses.sub.is_zero() and not ses.quot.is_zero()
-    assert set(kA2.gamma_index.parts(ses.sub)) <= quad.eff.ids
+    assert set(kA2.gamma_index.parts(ses.sub)) <= quad.eff
     ses.validate()
 
 
 def test_star_dual_vanishes_on_eff(kA2):
     _, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(maximal)
-    for t in quad.eff.ids:
+    for t in quad.eff:
         assert kA2.star_dual(kA2.gamma_module(t)).total_dim == 0
 
 
@@ -183,7 +184,7 @@ def test_grade_examples(kA2):
     quad = kA2.build_subcategories(maximal)
     for y in kA2.yoneda_ids:
         assert kA2.grade(kA2.gamma_module(y)) == 0
-    for t in quad.eff.ids:
+    for t in quad.eff:
         assert kA2.grade(kA2.gamma_module(t)) == 2
     from exactcat.repmod import Module
 
@@ -194,10 +195,10 @@ def test_grade_dichotomy(kA2, dn, kA3rel):
     for ctx in (kA2, dn, kA3rel):
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            for i in quad.smodad.ids:
+            for i in quad.smodad:
                 assert ctx.grade(ctx.gamma_module(i), "gamma") != 1
             tr = ctx.tr_subcategory(quad.smodad)
-            for i in tr.ids:
+            for i in tr:
                 assert ctx.grade(dual_module(ctx.gamma_module(i)), "gamma_op") != 1
 
 
@@ -206,23 +207,23 @@ def test_is_resolving_cases(kA2):
     quad = kA2.build_subcategories(maximal)
     p2 = kA2.p2_ids("gamma")
     projectives = kA2.build_subcategories(split).smodad
-    assert kA2.is_resolving(projectives, p2).ok
+    assert kA2.is_resolving("gamma", projectives, p2).ok
     # eff alone is not resolving: it misses the projectives
-    assert not kA2.is_resolving(quad.eff, p2).ok
-    assert kA2.is_resolving(quad.smodad, p2).ok
+    assert not kA2.is_resolving("gamma", quad.eff, p2).ok
+    assert kA2.is_resolving("gamma", quad.smodad, p2).ok
 
 
 def test_resolving_closure(kA2, dn, kA3rel):
     for ctx in (kA2, dn, kA3rel):
         p2 = ctx.p2_ids("gamma")
         # empty seed closes to the projectives
-        assert ctx.resolving_closure([], "gamma", p2) == ctx.projective_ids("gamma")
+        assert ctx.resolving_closure([], "gamma", p2) == (ctx.projective_ids("gamma"), True)
         for e in ctx.structures():
             quad = ctx.build_subcategories(e)
-            closure = ctx.resolving_closure(quad.eff.ids, "gamma", p2)
-            assert closure == quad.smodad.ids
+            closure = ctx.resolving_closure(quad.eff, "gamma", p2)
+            assert closure == (quad.smodad, True)
             # idempotent
-            assert ctx.resolving_closure(closure, "gamma", p2) == closure
+            assert ctx.resolving_closure(closure[0], "gamma", p2) == closure
 
 
 def test_ext_closure_builds_ext_spaces_only_where_ext1_is_nonzero(monkeypatch):
@@ -300,13 +301,13 @@ def test_reconstruct_round_trip(kA2, dn, kA3rel):
             quad = ctx.build_subcategories(e)
             pre = ctx.reconstruction_preconditions(quad.smodad)
             assert pre.ok, [i.label for i in pre.failures()]
-            assert ctx.reconstruct_structure(quad.smodad) == e
+            assert ctx.reconstruct_structure(quad.smodad) == (e, True)
 
 
 def test_reconstruct_projectives_gives_split(kA2):
     split, _ = split_and_maximal(kA2)
     quad = kA2.build_subcategories(split)
-    assert kA2.reconstruct_structure(quad.smodad) == split
+    assert kA2.reconstruct_structure(quad.smodad) == (split, True)
 
 
 def test_formula_and_localization(kA2, dn, kA3rel):
@@ -401,9 +402,9 @@ def test_restricted_description_builds_only_the_endomorphism_algebra_of_x(monkey
     x_ids = [i for i, m in enumerate(ctx.index.modules) if proj_dim(m, 8) is not None and proj_dim(m, 8) <= 1]
     built = []
 
-    def spy(spec):
-        built.append(len(spec.generators))
-        return end_algebra(spec)
+    def spy(objects):
+        built.append(len(objects))
+        return end_algebra(objects)
 
     monkeypatch.setattr(auslander, "end_algebra", spy)
     assert ctx.restricted_description(x_ids).ok
@@ -450,6 +451,24 @@ def test_gorenstein_projectives_of_t2_have_brute_force_structures():
     structures = ctx.structures()
     assert len(structures) == 8 and len(ctx.cat.nonprojective_ids()) == 3
     assert [e.key() for e in structures] == [e.key() for e in brute_force_structures(ctx.cat)]
+
+
+def test_category_identifies_a_module_through_the_lambda_index():
+    """CategoryContext.identify looks the index id up among C's ids: on every
+    Lambda member and on each summand split off the sum of all of them, it
+    agrees with a search among C's objects, on mod(kA3) and on
+    Gproj T_2(k[x]/(x^2)); the members outside Gproj and a decomposable
+    module give None."""
+    for cat in (
+        AuslanderContext(algebra_kA3(GF2, False)).cat,
+        AuslanderContext(algebra_t2_dual_numbers(), objects=[0, 1, 2, 4, 7]).cat,
+    ):
+        members = cat.index.modules
+        cases = list(members) + [part for part, _ in decompose(direct_sum(members)[0])]
+        assert [cat.identify(m) for m in cases] == [find_isomorphic(m, cat.objects) for m in cases]
+        assert [cat.identify(members[i]) for i in cat.object_ids] == list(range(len(cat.objects)))
+        assert cat.identify(direct_sum(cat.objects[:2])[0]) is None
+    assert [i for i in range(len(members)) if cat.identify(members[i]) is None] == [3, 5, 6, 8]
 
 
 @pytest.mark.parametrize("zero_relation, count", [(False, 33), (True, 24)], ids=["kA3-GF2", "kA3rel-GF2"])
@@ -511,7 +530,7 @@ def test_idempotents_split_in_smodad(kA2):
     # idempotent completeness: decompose any smodad member plus itself
     _, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(maximal)
-    for i in quad.smodad.ids:
+    for i in quad.smodad:
         double, _, _ = direct_sum([kA2.gamma_module(i), kA2.gamma_module(i)])
         parts = decompose(double)
         assert len(parts) == 2
@@ -533,7 +552,7 @@ def test_L_exact_on_smodad_conflations(kA2):
 
     for e in kA2.structures():
         quad = kA2.build_subcategories(e)
-        ids = quad.smodad.sorted_ids()
+        ids = sorted(quad.smodad)
         for z in ids:
             for a in ids:
                 space = ext_space(kA2.gamma_module(z), kA2.gamma_module(a))
@@ -541,7 +560,7 @@ def test_L_exact_on_smodad_conflations(kA2):
                     vec = np.zeros(space.dim, dtype=np.int64)
                     vec[j] = 1
                     ses = space.realize(vec)
-                    if not set(kA2.gamma_index.parts(ses.mid)) <= quad.smodad.ids:
+                    if not set(kA2.gamma_index.parts(ses.mid)) <= quad.smodad:
                         continue
                     li = kA2.ea.localize_map(ses.i)
                     lp = kA2.ea.localize_map(ses.p)
@@ -563,7 +582,7 @@ def test_idempotent_endomorphisms_split(kA2):
     _, maximal = split_and_maximal(kA2)
     quad = kA2.build_subcategories(maximal)
     p = kA2.gamma.field.p
-    for i in quad.smodad.sorted_ids():
+    for i in sorted(quad.smodad):
         m = kA2.gamma_module(i)
         end = hom_basis(m, m)
         if p ** len(end) > 256:
@@ -588,7 +607,7 @@ def test_non_admissible_presentation_in_intermediate_structure():
     n = len(ctx.gamma_index.modules)
     for e in intermediate:
         quad = ctx.build_subcategories(e)
-        outside = set(range(n)) - quad.smodad.ids
+        outside = set(range(n)) - quad.smodad
         assert outside
         for i in sorted(outside):
             assert "admissible" not in classify_morphism(ctx.transported(ctx.gamma_module(i)).f, e)
@@ -662,7 +681,7 @@ def test_classes_computed_once_agree_with_the_per_structure_path(make):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     checked = 0
     for e in ctx.structures():
-        smodad = ctx.build_subcategories(e).smodad.ids
+        smodad = ctx.build_subcategories(e).smodad
         for i in range(n):
             f = ctx.transported(ctx.gamma_module(i)).f
             old = _old_classify_morphism(f, e)
@@ -705,7 +724,7 @@ def test_sum_records_from_localized_blocks_agree_with_whole_localization(kA2, dn
     checked = 0
     for ctx in (kA2, dn, kA3rel):
         for e in ctx.structures():
-            family, _ = sum_family(ctx.build_subcategories(e).smodad.sorted_ids())
+            family, _ = sum_family(sorted(ctx.build_subcategories(e).smodad))
             for t in family:
                 g = _whole_sum_map(ctx, *t)
                 record = ctx._sum_map_data(*t)
@@ -798,7 +817,7 @@ def test_gamma_op_answers_read_through_d_agree_with_a_fresh_gamma_op_index(kA2, 
         for i in members:
             assert ctx.syzygy_parts("gamma_op", i) == set(fresh.parts(minimal_presentation(fresh.modules[i]).syz))
             tr_ids = fresh.parts(transpose_module(ctx.gamma_module(i)))
-            assert ctx.tr_subcategory(SubcategorySpec("gamma", frozenset({i}))).ids == projectives | set(tr_ids)
+            assert ctx.tr_subcategory(frozenset({i})) == projectives | set(tr_ids)
         for x, y in itertools.combinations_with_replacement(fresh.modules, 2):
             total = direct_sum([x, y])[0]
             assert ctx.side_parts("gamma_op", total) == fresh.parts(total)
@@ -880,14 +899,13 @@ def _old_syzygy(ctx, side, i):
     return set() if syz.is_zero() else set(index.parts(syz))
 
 
-def _old_is_resolving(ctx, sub, ambient, cache):
-    ids = sub.ids
-    ok = ids <= ambient and ctx.projective_ids(sub.side) <= ids
+def _old_is_resolving(ctx, side, ids, ambient, cache):
+    ok = ids <= ambient and ctx.projective_ids(side) <= ids
     for z in sorted(ids):
         for a in sorted(ids):
-            if not all(mid <= ids for mid in _old_middles(ctx, sub.side, z, a, cache)):
+            if not all(mid <= ids for mid in _old_middles(ctx, side, z, a, cache)):
                 ok = False
-    return ok and all(_old_syzygy(ctx, sub.side, i) <= ids for i in ids)
+    return ok and all(_old_syzygy(ctx, side, i) <= ids for i in ids)
 
 
 def _old_resolving_closure(ctx, seed, side, cache):
@@ -968,16 +986,17 @@ def test_closure_helpers_agree_with_the_old_loops(make):
     for e in ctx.structures():
         quad = ctx.build_subcategories(e)
         tr = ctx.tr_subcategory(quad.smodad)
-        assert ctx.is_resolving(quad.smodad, p2).ok == _old_is_resolving(ctx, quad.smodad, p2, cache)
-        assert ctx.is_resolving(tr, p2op).ok == _old_is_resolving(ctx, tr, p2op, cache)
-        assert ctx.is_resolving(quad.eff, p2).ok == _old_is_resolving(ctx, quad.eff, p2, cache)
-        assert ctx.resolving_closure(quad.eff.ids, "gamma", p2) == _old_resolving_closure(ctx, quad.eff.ids, "gamma", cache)
+        assert ctx.is_resolving("gamma", quad.smodad, p2).ok == _old_is_resolving(ctx, "gamma", quad.smodad, p2, cache)
+        assert ctx.is_resolving("gamma_op", tr, p2op).ok == _old_is_resolving(ctx, "gamma_op", tr, p2op, cache)
+        assert ctx.is_resolving("gamma", quad.eff, p2).ok == _old_is_resolving(ctx, "gamma", quad.eff, p2, cache)
+        closure, _ = ctx.resolving_closure(quad.eff, "gamma", p2)
+        assert closure == _old_resolving_closure(ctx, quad.eff, "gamma", cache)
         (iv,) = [item for item in ctx.check_auslander_axioms(e).items if item.label == iv_label]
-        assert iv.ok == _old_axiom_iv(ctx, quad.smodad.ids)
+        assert iv.ok == _old_axiom_iv(ctx, quad.smodad)
         assert (e.injective_ids(), e.projective_ids()) == _old_end_ids(ctx, e)
     # the axiom (iv) test on id sets where it can fail: each eff and each single member
     projectives = ctx.projective_ids("gamma")
-    effs = [ctx.build_subcategories(e).eff.ids for e in ctx.structures()]
+    effs = [ctx.build_subcategories(e).eff for e in ctx.structures()]
     outcomes = set()
     for ids in effs + [frozenset({i}) for i in range(len(ctx.gamma_index.modules))]:
         omega1 = ctx._syzygy_closure("gamma", ids)

@@ -228,6 +228,12 @@ def test_malformed_session():
         ({"commands": "verify"}, "commands must be a list"),
         ({"structures": 5}, "structures must be a list"),
         ({"commands": [{"name": ["verify"]}]}, "unknown command: ['verify']"),
+        ({"commands": [{"name": "exact_structures", "oracel": True}]}, "exact_structures: unknown options ['oracel']"),
+        ({"commands": [{"name": "exact_structures", "oracle": "no"}]}, "exact_structures: oracle = 'no' is not true or false"),
+        ({"commands": [{"name": "exact_structures", "oracle": 1}]}, "exact_structures: oracle = 1 is not true or false"),
+        ({"commands": [{"name": "verify", "structure": 0}]}, "verify: unknown options ['structure']"),
+        ({"commands": [{"name": "indecomposables", "oracle": True}]}, "indecomposables: unknown options ['oracle']"),
+        ({"commands": [{"name": "smodad", "structure": 0, "oracle": True}]}, "smodad: unknown options ['oracle']"),
     ],
     ids=[
         "seed_negative",
@@ -245,12 +251,19 @@ def test_malformed_session():
         "commands_string",
         "structures_int",
         "command_name_list",
+        "option_misspelt",
+        "oracle_string",
+        "oracle_int",
+        "verify_option",
+        "indecomposables_option",
+        "smodad_oracle",
     ],
 )
 def test_non_integer_or_out_of_range_settings_exit_2(monkeypatch, extra, message):
     """JSON integers only (no floats, strings or booleans) for p, caps and
-    seed, a seed in [0, 2^32), and lists of commands and structures;
-    rejected before any context is built."""
+    seed, a seed in [0, 2^32), lists of commands and structures, and only the
+    options a command reads, oracle a JSON bool; rejected before any context
+    is built."""
     monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
     payload = session_kA2(["verify"])
     payload.update(extra)
@@ -422,7 +435,7 @@ def test_listing_commands_do_not_build_gamma(monkeypatch):
     from exactcat import auslander
 
     built = []
-    monkeypatch.setattr(auslander, "end_algebra", lambda spec: built.append(spec))
+    monkeypatch.setattr(auslander, "end_algebra", lambda objects: built.append(objects))
     payload = session_kA2(["indecomposables", "exact_structures"])
     payload["quiver"] = {
         "vertices": ["1", "2", "3", "4"],
@@ -457,6 +470,50 @@ def test_reports_do_not_depend_on_the_seed(tmp_path, session):
         outputs.append({f.name: f.read_bytes() for f in (tmp_path / str(seed)).iterdir()})
     assert {"report.txt", "report.json", "ar_quiver.dot", "structures.dot"} <= set(outputs[0])
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_huge_resolution_cap_gives_the_report_of_the_default(monkeypatch):
+    """proj_dim stops at the first zero syzygy: with caps.resolution = 10^9,
+    kA2 computes no more minimal presentations than at 8, and its report is
+    the same."""
+    from exactcat import repmod
+
+    calls, limit = [0], [None]
+    original = repmod.minimal_presentation
+
+    def spy(m):
+        calls[0] += 1
+        if limit[0] is not None and calls[0] > limit[0]:
+            pytest.fail("more minimal presentations than at resolution 8")
+        return original(m)
+
+    monkeypatch.setattr(repmod, "minimal_presentation", spy)
+    payload = json.loads((ROOT / "sessions" / "kA2.json").read_text())
+    assert payload["caps"]["resolution"] == 8 and {"name": "smodad", "structure": 1} in payload["commands"]
+    code, out = run_session(json.loads(json.dumps(payload)), None)
+    assert code == EXIT_OK
+    limit[0], calls[0] = calls[0], 0
+    payload["caps"]["resolution"] = 10**9
+    code, huge = run_session(payload, None)
+    assert code == EXIT_OK
+    assert (huge.text(), huge.json, huge.files) == (out.text(), out.json, out.files)
+
+
+def test_round_trip_notes_a_bounded_resolving_walk():
+    """At p = 65521 the Gamma side of k[x]/(x^3) has an Ext^1 with more lines
+    than ELEMENT_CAP, so the resolving checks of the maximal structure walk a
+    spanning set, and one note under that structure says so; at p = 2 every
+    line is walked and no note is printed."""
+    payload = json.loads((ROOT / "perfbench" / "sessions" / "gamma_kx3.json").read_text())
+    lines = {}
+    for p in (2, 65521):
+        code, out = run_session({**payload, "p": p}, None)
+        assert code == EXIT_OK
+        start = out.lines.index("  [section] round trip and smallest resolving subcategory")
+        end = out.lines.index("  [section] Auslander-Bridger sequence and grade dichotomy")
+        lines[p] = out.lines[start + 1 : end]
+    assert lines[2] == ["    E0: PASS", "    E1: PASS", "    E2: PASS", "    E3: PASS"]
+    assert lines[65521] == lines[2] + ["      note: resolving checks walked some Ext^1 on a spanning set only"]
 
 
 def test_main_entry_point(tmp_path):
@@ -524,7 +581,7 @@ def test_verify_input_is_checked_before_any_command_prints(monkeypatch):
     before Gamma is built."""
     from exactcat import auslander
 
-    monkeypatch.setattr(auslander, "end_algebra", lambda spec: pytest.fail("Gamma built"))
+    monkeypatch.setattr(auslander, "end_algebra", lambda objects: pytest.fail("Gamma built"))
     base = json.loads((ROOT / "sessions" / "kA3_gf5.json").read_text())
     assert base["commands"] == ["indecomposables", "exact_structures", "verify"]
     for extra, message in (

@@ -29,7 +29,6 @@ from exactcat.exactstruct import (
     maximal_structure,
     split_structure,
 )
-from exactcat.functorcat import AdditiveCategorySpec
 from exactcat.linalg import (
     FieldPrime,
     Matrix,
@@ -66,8 +65,7 @@ GF5 = FieldPrime(5)
 
 def make_ctx(algebra):
     index = all_indecomposables(algebra, 10)
-    spec = AdditiveCategorySpec(algebra, index.modules)
-    return CategoryContext(spec, index)
+    return CategoryContext(index, range(len(index.modules)))
 
 
 @pytest.fixture(scope="module")
@@ -694,10 +692,10 @@ def test_contains_agrees_with_parts(make):
         for f in hom_basis(x, y):
             parts = map_parts(f)
             cases += [parts.kernel, parts.image, parts.cokernel]
-    projectives = AdditiveCategorySpec(ctx.algebra, [m for i, m in enumerate(mods) if index.is_projective[i]])
+    projectives = [i for i in range(len(mods)) if index.is_projective[i]]
     outside = mods[next(i for i in range(len(mods)) if not index.is_projective[i])]
-    for c in (ctx, CategoryContext(projectives, index)):
+    for c in (ctx, CategoryContext(index, projectives)):
         assert [c.contains(m) for m in cases] == [c.parts(m) is not None for m in cases]
-    c = CategoryContext(projectives, index)
+    c = CategoryContext(index, projectives)
     assert c.contains(regular) and not c.contains(outside)
     assert all(ctx.contains(m) for m in cases)

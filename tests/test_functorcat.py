@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exactcat.algebra import algebra_dual_numbers, algebra_kA2, algebra_semisimple, validate_algebra
-from exactcat.functorcat import AdditiveCategorySpec, FunctorcatError, end_algebra
+from exactcat.functorcat import FunctorcatError, end_algebra
 from exactcat.linalg import FieldPrime
 from exactcat.repmod import (
     ModuleMap,
@@ -31,16 +31,14 @@ GF5 = FieldPrime(5)
 def kA2_ctx():
     a = algebra_kA2(GF2)
     index = all_indecomposables(a, 8)
-    spec = AdditiveCategorySpec(a, index.modules)
-    return a, index, end_algebra(spec)
+    return a, index, end_algebra(index.modules)
 
 
 @pytest.fixture(scope="module")
 def dn_ctx():
     a = algebra_dual_numbers(GF2)
     index = all_indecomposables(a, 8)
-    spec = AdditiveCategorySpec(a, index.modules)
-    return a, index, end_algebra(spec)
+    return a, index, end_algebra(index.modules)
 
 
 def test_end_algebra_dual_numbers_dimension(dn_ctx):
@@ -60,8 +58,7 @@ def test_end_algebra_kA2_dimension(kA2_ctx):
 
 def test_end_algebra_semisimple_single_simple():
     a = algebra_semisimple(GF5, 2)
-    spec = AdditiveCategorySpec(a, [simple_module(a, 0)])
-    ea = end_algebra(spec)
+    ea = end_algebra([simple_module(a, 0)])
     assert ea.gamma.dim == 1
 
 
@@ -227,7 +224,9 @@ def test_exactness_of_L_on_smodad_sequences(kA2_ctx):
     assert is_isomorphic(ker_lp, ses.sub) is not None
 
 
-def test_spec_rejects_isomorphic_generators(kA2_ctx):
-    a, index, _ = kA2_ctx
-    with pytest.raises(FunctorcatError):
-        AdditiveCategorySpec(a, [index.modules[0], index.modules[0]])
+def test_end_algebra_rejects_a_repeated_object(kA2_ctx, dn_ctx):
+    """End(M + M) has a radical that is no ideal, so validate_algebra fails."""
+    for _, index, _ in (kA2_ctx, dn_ctx):
+        for m in index.modules:
+            with pytest.raises(FunctorcatError, match="failed validation: radical is an ideal; radical nilpotent; split semisimple quotient"):
+                end_algebra([m, m])

@@ -152,8 +152,8 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     ctx = AuslanderContext(algebra_kA3(GF2, False))
     structures = ctx.structures()
     first, second = structures[-1], structures[1]  # the maximal structure has the largest smodad
-    members = sorted(ctx.build_subcategories(first).smodad.ids)
-    assert ctx.build_subcategories(second).smodad.ids < set(members)
+    members = sorted(ctx.build_subcategories(first).smodad)
+    assert ctx.build_subcategories(second).smodad < set(members)
     calls = {"map_parts": [], "localize_map": []}
     map_parts, localize_map = repmod.map_parts, functorcat.EndAlgebra.localize_map
 
@@ -181,7 +181,7 @@ def test_a_second_structure_recomputes_only_its_new_family_tuples(monkeypatch):
     calls["localize_map"].clear()
     assert ctx.verify_formula_and_localization(second).ok
     assert ctx.check_auslander_axioms(second).ok
-    family, _ = auslander.sum_family(sorted(ctx.build_subcategories(second).smodad.ids))
+    family, _ = auslander.sum_family(sorted(ctx.build_subcategories(second).smodad))
     new = [t for t in family if t not in recorded]
     assert new and len(new) < len(family)
     nonzero = [t for t in new if store[t] is not None]
@@ -250,7 +250,7 @@ def test_the_sum_family_is_deterministic_and_whole_when_small():
     assert stores[0] == stores[1]
     sizes = []
     for e in contexts[0].structures():
-        ids = sorted(contexts[0].build_subcategories(e).smodad.ids)
+        ids = sorted(contexts[0].build_subcategories(e).smodad)
         family, total = auslander.sum_family(ids)
         sizes.append(len(ids))
         assert len(family) == min(total, auslander.FAMILY_CAP)

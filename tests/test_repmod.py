@@ -19,7 +19,7 @@ from exactcat.algebra import (
 from exactcat.auslander import AuslanderContext
 from exactcat.cli import Session
 from exactcat.exactstruct import CategoryContext, componentwise_classes
-from exactcat.functorcat import AdditiveCategorySpec, end_algebra
+from exactcat.functorcat import end_algebra
 from exactcat.linalg import FieldPrime, Matrix, block_diag, hstack, inverse, kernel_basis, rank, rref, solve_right
 from exactcat.repmod import (
     CapExceeded,
@@ -584,10 +584,12 @@ def test_ext_space_realize_round_trip(kA2):
     ses.validate()
     assert ses.mid.dims == (1, 1)
     assert not any(m.is_zero() for m in ses.mid.act.values())  # the middle is P1
-    ctx = CategoryContext(AdditiveCategorySpec(kA2, [s1, s2]), all_indecomposables(kA2, 4))
-    assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, ses)] == [(0, 1, [1])]
+    index = all_indecomposables(kA2, 4)
+    ctx = CategoryContext(index, [index.identify(s1), index.identify(s2)])
+    z, a = ctx.identify(s1), ctx.identify(s2)
+    assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, ses)] == [(z, a, [1])]
     split = ext.realize([0])
-    assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, split)] == [(0, 1, [0])]
+    assert [(z, a, v.tolist()) for z, a, v in componentwise_classes(ctx, split)] == [(z, a, [0])]
 
 
 @pytest.mark.parametrize(
@@ -787,7 +789,7 @@ def _gamma_kx3():
     """Gamma = End of the additive generator of mod k[x]/(x^3) over GF(2)."""
     a = _kx3(GF2)
     index = all_indecomposables(a, 12)
-    return end_algebra(AdditiveCategorySpec(a, index.modules)).gamma
+    return end_algebra(index.modules).gamma
 
 
 def _kron_hom_system(m, n, indices=None):
