@@ -273,6 +273,14 @@ def build_from_quiver(q: QuiverPresentation) -> Algebra:
     nv = len(q.vertices)
     if len(set(q.vertices)) != nv:
         raise AlgebraError("duplicate vertex labels")
+    for arrow in q.arrows:
+        if len(arrow) != 3:
+            raise AlgebraError(f"arrow {list(arrow)!r} is not [label, source, target]")
+        if not isinstance(arrow[0], str):
+            raise AlgebraError(f"arrow {list(arrow)!r}: label {arrow[0]!r} is not a string")
+        for end, label in zip(("source", "target"), arrow[1:]):
+            if label not in q.vertices:
+                raise AlgebraError(f"arrow {arrow[0]!r}: {end} {label!r} is not a vertex")
     arrow_names = [a[0] for a in q.arrows]
     if len(set(arrow_names)) != len(arrow_names):
         raise AlgebraError("duplicate arrow labels")
@@ -295,6 +303,9 @@ def build_from_quiver(q: QuiverPresentation) -> Algebra:
         terms = {}
         for coeff, path in rel:
             path = tuple(path)
+            unknown = [x for x in path if x not in arrow_names]
+            if unknown:
+                raise AlgebraError(f"relation path {path}: {unknown[0]!r} is not an arrow")
             if len(path) < 2:
                 raise AlgebraError(f"non-admissible relation: path {path} has length < 2")
             for x, y in zip(path, path[1:]):

@@ -65,6 +65,20 @@ def _of(kind: type, value, name: str):
     return value
 
 
+def _vertices(value) -> list:
+    """The vertex labels, a nonempty JSON list: an algebra with no vertex is zero."""
+    if not _of(list, value, "vertices"):
+        raise ValueError("vertices = [] is empty: the algebra has no vertex")
+    return value
+
+
+def _term(value) -> tuple[int, tuple]:
+    """A relation term [coefficient, path]."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"relation term {value!r} is not [coefficient, path]")
+    return _integer(value[0], "relation coefficient"), tuple(_of(list, value[1], "path"))
+
+
 class Session:
     def __init__(self, payload: dict):
         try:
@@ -113,21 +127,19 @@ class Session:
                     if _of(list, rel, "relation") and isinstance(rel[0], str):
                         relations.append([(1, tuple(rel))])
                     else:
-                        relations.append(
-                            [(_integer(c, "relation coefficient"), tuple(_of(list, path, "path"))) for c, path in rel]
-                        )
+                        relations.append([_term(term) for term in rel])
                 cap = _integer(q.get("path_length_cap", 8), "path_length_cap")
                 if cap < 0:
                     raise ValueError(f"path_length_cap = {cap} is negative")
                 arrows = [tuple(_of(list, a, "arrow")) for a in _of(list, q["arrows"], "arrows")]
-                pres = QuiverPresentation(self.field, _of(list, q["vertices"], "vertices"), arrows, relations, cap)
+                pres = QuiverPresentation(self.field, _vertices(q["vertices"]), arrows, relations, cap)
                 return build_from_quiver(pres)
             except (KeyError, TypeError, ValueError, IndexError, AlgebraError) as exc:
                 raise SessionError(f"bad quiver: {exc}")
         if "table" in payload:
             try:
                 t = _of(dict, payload["table"], "table")
-                dim, nv = len(_of(list, t["basis"], "basis")), len(_of(list, t["vertices"], "vertices"))
+                dim, nv = len(_of(list, t["basis"], "basis")), len(_vertices(t["vertices"]))
                 mult = np.zeros((dim, dim, dim), dtype=np.int64)
                 for key, row in _of(dict, t["products"], "products").items():
                     i, j = (_index(int(x), "product index", dim) for x in key.split(","))
@@ -360,13 +372,17 @@ def _check_ids(session: Session, ctx: AuslanderContext):
             raise SessionError(f"unknown generator ids: {bad}")
     if session.given_structures is None:
         return
-    out = []
-    for entry in session.given_structures:
+    out, first = [], {}
+    for k, entry in enumerate(session.given_structures):
+        if isinstance(entry, dict) and set(entry) != {"subspaces"}:
+            raise SessionError(f"structures[{k}] has keys {sorted(entry)}, not exactly ['subspaces']")
         subs = {}
         try:
-            for z, a, rows in entry.get("subspaces", []) if isinstance(entry, dict) else entry:
+            for z, a, rows in entry["subspaces"] if isinstance(entry, dict) else entry:
                 if not (_is_id(z) and _is_id(a) and 0 <= z < n and 0 <= a < n):
                     raise SessionError(f"structure pair {[z, a]!r} is not a pair of object ids below {n}")
+                if (z, a) in subs:
+                    raise SessionError(f"structures[{k}] lists the pair {[z, a]} twice")
                 expected = ctx.cat.ext_dim(z, a)
                 if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != expected for r in rows):
                     raise SessionError(f"rows of pair {[z, a]} must be lists of length {expected}")
@@ -374,7 +390,10 @@ def _check_ids(session: Session, ctx: AuslanderContext):
                 subs[(z, a)] = Matrix(session.field, mat)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SessionError(f"bad structures entry {entry!r}: {exc}")
-        out.append(ExactStructure(ctx.cat, subs))
+        e = ExactStructure(ctx.cat, subs)
+        if first.setdefault(e.key(), k) != k:
+            raise SessionError(f"structures[{first[e.key()]}] and structures[{k}] declare the same structure")
+        out.append(e)
     session.given_structures = out
 
 

@@ -51,7 +51,7 @@ from .repmod import (
     hom_basis,
     is_isomorphic,
     kernel,
-    lift_through_epi,
+    lift_from_projective,
     map_parts,
 )
 
@@ -277,7 +277,7 @@ def componentwise_classes(ctx: CategoryContext, ses: ShortExactSeq) -> list[tupl
     for zid, part, incl in quot_parts:
         zk = ctx.objects[zid]
         espaces = [ext_space(zk, rep) for rep in reps]
-        lam = lift_through_epi(incl @ is_isomorphic(zk, part) @ espaces[0].cover, ses.p)
+        lam = lift_from_projective(espaces[0].p0, incl @ is_isomorphic(zk, part) @ espaces[0].cover, ses.p)
         phi = factor_through_mono(lam @ espaces[0].syz_incl, sub_conj)
         for (aid, _, _), proj, space in zip(sub_parts, sub_proj, espaces):
             out.append((zid, aid, space.coords_of_homs([proj @ phi]).a[:, 0]))

@@ -31,7 +31,7 @@ from .repmod import (
     hom_coords,
     hom_from_coords,
     inverse_map,
-    lift_through_epi,
+    lift_from_projective,
     minimal_presentation,
     projective_cover,
     std_projective,
@@ -234,7 +234,7 @@ class EndAlgebra:
         src = self.presentation_in_category(eta.source)
         tgt = self.presentation_in_category(eta.target)
         # lift eta o aug_src through aug_tgt, then transport and descend
-        alpha = lift_through_epi(eta @ src.presentation.aug, tgt.presentation.aug)
+        alpha = lift_from_projective(src.presentation.p0, eta @ src.presentation.aug, tgt.presentation.aug)
         a0 = self.unyoneda_std(alpha, src.presentation.p0, tgt.presentation.p0)
         return descend(tgt.projection @ a0, src.projection)
 

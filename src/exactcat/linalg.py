@@ -168,9 +168,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy(), reduced=True)
 
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.a[:, j : j + 1].copy(), reduced=True)
-
     def take_columns(self, indices) -> "Matrix":
         return Matrix(self.field, np.take(self.a, list(indices), axis=1), reduced=True)
 

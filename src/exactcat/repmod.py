@@ -874,18 +874,40 @@ def coeffs_of_std_map(f: ModuleMap, src: StdProjective, tgt: StdProjective) -> n
 
 
 def std_map_from_coeffs(src: StdProjective, tgt: StdProjective, coeffs: np.ndarray) -> ModuleMap:
+    """The map sending gen_s to sum_t gen_t * x_ts, coeffs as coeffs_of_std_map
+    gives them: the image of gen_s is the vector of tgt at src.verts[s] whose
+    entry at gen_t * b is coeffs[t, s, b]."""
     a = src.module.algebra
-    mats = [np.zeros((tgt.module.dims[w], src.module.dims[w]), dtype=np.int64) for w in range(a.nv)]
-    for (s, b), col in src.block_index.items():
-        w = a.right[b]
-        # image of the basis vector gen_s * b
-        for t in range(len(tgt.verts)):
-            x = coeffs[t, s]
-            for bi in np.nonzero(x)[0]:
-                prod = a.mult[int(bi), b]
-                for k in np.nonzero(prod)[0]:
-                    mats[w][tgt.block_index[(t, int(k))], col] += x[bi] * prod[k]
-    return ModuleMap(src.module, tgt.module, [Matrix(a.field, mat) for mat in mats])
+    images = [np.zeros(tgt.module.dims[v], dtype=np.int64) for v in src.verts]
+    for (t, b), row in tgt.block_index.items():
+        for s, v in enumerate(src.verts):
+            if a.right[b] == v:
+                images[s][row] = coeffs[t, s, b]
+    return map_from_generators(src, tgt.module, images)
+
+
+def map_from_generators(sp: StdProjective, target: Module, images) -> ModuleMap:
+    """The map sp -> target sending generator t to images[t], a vector of
+    target at vertex sp.verts[t]: by Yoneda, gen_t * b goes to images[t]
+    acted on by b."""
+    alg = target.algebra
+    mats = [np.zeros((target.dims[w], sp.module.dims[w]), dtype=np.int64) for w in range(alg.nv)]
+    for (t, b), col in sp.block_index.items():
+        mats[alg.right[b]][:, col] = images[t] if b < alg.nv else target.act[b].a @ images[t]
+    return ModuleMap(sp.module, target, [Matrix(alg.field, mat) for mat in mats])
+
+
+def lift_from_projective(sp: StdProjective, f: ModuleMap, p: ModuleMap) -> ModuleMap:
+    """A map lam: sp -> p.source with p o lam = f, for f a map out of the
+    standard projective sp: generator t goes to a solution x of
+    p_v x = f(gen_t), v = sp.verts[t].  Raises when some f(gen_t) has none."""
+    images = []
+    for t, v in enumerate(sp.verts):
+        x = solve_right(p.mats[v], f.mats[v].take_columns([sp.block_index[(t, v)]]))
+        if x is None:
+            raise RepmodError("map does not lift through the epi")
+        images.append(x.a[:, 0])
+    return map_from_generators(sp, p.source, images)
 
 
 @dataclass(frozen=True)
@@ -966,25 +988,7 @@ def projective_cover(m: Module) -> tuple[StdProjective, ModuleMap]:
     tops, reps = top_data(m)
     verts = [v for v in range(alg.nv) for _ in range(tops[v])]
     sp = std_projective(alg, verts)
-    cols_per_vertex: dict[int, dict[int, np.ndarray]] = {w: {} for w in range(alg.nv)}
-    slot = 0
-    for v in range(alg.nv):
-        for c in range(tops[v]):
-            gen_vec = reps[v].column(c)
-            for b in range(alg.dim):
-                if alg.left[b] != v:
-                    continue
-                w = alg.right[b]
-                val = (m.action(b) @ gen_vec).a[:, 0]
-                cols_per_vertex[w][sp.block_index[(slot, b)]] = val
-            slot += 1
-    mats = []
-    for w in range(alg.nv):
-        mat = np.zeros((m.dims[w], sp.module.dims[w]), dtype=np.int64)
-        for col, val in cols_per_vertex[w].items():
-            mat[:, col] = val
-        mats.append(Matrix(alg.field, mat))
-    cover = ModuleMap(sp.module, m, mats)
+    cover = map_from_generators(sp, m, [gen for v in range(alg.nv) for gen in reps[v].a.T])
     if not cover.is_surjective():
         raise RepmodError("projective cover is not surjective")
     return sp, cover
@@ -1199,7 +1203,7 @@ class ExtSpace:
 
     def pullback_matrix(self, other: "ExtSpace", h: ModuleMap) -> Matrix:
         """Matrix of the pullback action Ext^1(z, a) -> Ext^1(z', a) along h: z' -> z."""
-        lam = lift_through_epi(h @ other.cover, self.cover)
+        lam = lift_from_projective(other.p0, h @ other.cover, self.cover)
         kappa = factor_through_mono(lam @ other.syz_incl, self.syz_incl)
         return other.coords_of_homs([self.hom_k[f] @ kappa for f in self.free])
 
@@ -1208,19 +1212,6 @@ class ExtSpace:
 def ext_space(z: Module, a: Module) -> "ExtSpace":
     """Cached ExtSpace(z, a)."""
     return ExtSpace(z, a)
-
-
-def lift_through_epi(f: ModuleMap, p: ModuleMap) -> ModuleMap:
-    """Some module map lam with p o lam = f, for p a split-free epi onto f's target.
-
-    Writes f in the spanning list p o h, h over a basis of Hom(f's source, p's
-    source); f's source must be projective or p an epi with Ext^1 vanishing;
-    existence is guaranteed by the caller, failure raises.
-    """
-    src, mid = f.source, p.source
-    homs = hom_basis(src, mid)
-    x = hom_coords(src.algebra.field, [f], [p @ h for h in homs])
-    return hom_from_coords(x.a[:, 0], homs, src, mid)
 
 
 def inverse_map(f: ModuleMap) -> ModuleMap:
@@ -1254,9 +1245,9 @@ def is_almost_split(ses: ShortExactSeq, index: "IndecIndex") -> bool:
     """The defining test: non-split, and every non-retraction from an
     indecomposable of the index lifts through the deflation."""
     z = ses.quot
-    # split?
+    # split: id_z is p o h for some h: z -> E
     try:
-        lift_through_epi(ModuleMap.identity(z), ses.p)
+        hom_coords(z.algebra.field, [ModuleMap.identity(z)], [ses.p @ h for h in hom_basis(z, ses.mid)])
         return False
     except RepmodError:
         pass

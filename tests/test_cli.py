@@ -334,6 +334,38 @@ KA2_ALIASED_PRODUCTS = {"0,0": {"0": 1}, "1,1": {"1": 1}, "0,-1": {"-1": 1}, "-1
         ({"quiver": {**KA3_RELATION, "relations": ["ab"]}}, "bad quiver: relation = 'ab' is not a JSON list"),
         ({"quiver": {**KA3_RELATION, "relations": [[[1, "ab"]]]}}, "bad quiver: path = 'ab' is not a JSON list"),
         ({"quiver": {**KA3_RELATION, "arrows": ["a12", "b23"]}}, "bad quiver: arrow = 'a12' is not a JSON list"),
+        (
+            {"quiver": {"vertices": [], "arrows": []}},
+            "bad quiver: vertices = [] is empty: the algebra has no vertex",
+        ),
+        (
+            {"table": {**KA2_TABLE, "vertices": []}},
+            "bad table: vertices = [] is empty: the algebra has no vertex",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "arrows": [["a", "1"], ["b", "2", "3"]]}},
+            "bad quiver: arrow ['a', '1'] is not [label, source, target]",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "arrows": [["a", "1", "2"], ["b", "2", "9"]]}},
+            "bad quiver: arrow 'b': target '9' is not a vertex",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "arrows": [[1, "1", "2"], ["b", "2", "3"]]}},
+            "bad quiver: arrow [1, '1', '2']: label 1 is not a string",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "relations": [["a", "z"]]}},
+            "bad quiver: relation path ('a', 'z'): 'z' is not an arrow",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "relations": [[[1, ["a", 1]]]]}},
+            "bad quiver: relation path ('a', 1): 1 is not an arrow",
+        ),
+        (
+            {"quiver": {**KA3_RELATION, "relations": [[["x", "x", "x"]]]}},
+            "bad quiver: relation term ['x', 'x', 'x'] is not [coefficient, path]",
+        ),
     ],
     ids=[
         "cap_negative",
@@ -357,6 +389,14 @@ KA2_ALIASED_PRODUCTS = {"0,0": {"0": 1}, "1,1": {"1": 1}, "0,-1": {"-1": 1}, "-1
         "relation_string",
         "relation_path_string",
         "arrow_string",
+        "quiver_no_vertices",
+        "table_no_vertices",
+        "arrow_short",
+        "arrow_unknown_vertex",
+        "arrow_label_int",
+        "relation_unknown_arrow",
+        "relation_label_int",
+        "relation_term_triple",
     ],
 )
 def test_non_integer_or_negative_algebra_entries_exit_2(monkeypatch, algebra, message):
@@ -366,8 +406,10 @@ def test_non_integer_or_negative_algebra_entries_exit_2(monkeypatch, algebra, me
     to alias an entry counted from the end, so the kA2 table with -1 for a
     ran as kA2), vertices, arrows and relations are lists, not strings read
     as their characters ("a12" ran as an arrow a: 1 -> 2), and what is read as
-    an object is one (a list used to end in a traceback); rejected before any
-    context is built."""
+    an object is one (a list used to end in a traceback), an algebra has a
+    vertex (none used to end in an IndexError), and a malformed arrow or
+    relation is named (each used to exit with Python's exception text);
+    rejected before any context is built."""
     monkeypatch.setattr(cli, "AuslanderContext", lambda *args, **kwargs: pytest.fail("context built"))
     code, out = run_session({"p": 2, **algebra, "commands": ["verify"]}, None)
     assert code == EXIT_INPUT
@@ -592,6 +634,31 @@ def test_verify_input_is_checked_before_any_command_prints(monkeypatch):
         code, out = run_session({**base, **extra}, None)
         assert code == EXIT_INPUT
         assert len(out.lines) == 1 and out.lines[0].startswith("input error: ") and out.lines[0].endswith(message)
+
+
+@pytest.mark.parametrize(
+    "structures, message",
+    [
+        ([{"subspces": [[2, 1, [[1]]]]}], "structures[0] has keys ['subspces'], not exactly ['subspaces']"),
+        ([{"subspaces": [], "oracle": True}], "structures[0] has keys ['oracle', 'subspaces'], not exactly ['subspaces']"),
+        ([[[2, 1, [[1]]]], {"subspaces": [[2, 1, [[1]]]]}], "structures[0] and structures[1] declare the same structure"),
+        ([{"subspaces": []}, [[2, 1, [[1]]]], []], "structures[0] and structures[2] declare the same structure"),
+        ([[[2, 1, [[1]]], [2, 1, [[0]]]], [[2, 1, [[1]]]]], "structures[0] lists the pair [2, 1] twice"),
+    ],
+    ids=["key_misspelt", "key_extra", "repeated", "repeated_split", "pair_repeated"],
+)
+def test_declared_structures_are_read_strictly(monkeypatch, structures, message):
+    """A dict entry holds exactly subspaces (a misspelt key used to read as
+    the split structure), a repeated structure names both entries (it used
+    to pass as 3 declared vs 2 enumerated), and an entry names each pair
+    once (the last rows given for a pair used to replace the others); all
+    before Gamma is built."""
+    from exactcat import auslander
+
+    monkeypatch.setattr(auslander, "end_algebra", lambda objects: pytest.fail("Gamma built"))
+    code, out = run_session(session_kA2(["verify"], structures=structures), None)
+    assert code == EXIT_INPUT
+    assert out.lines == [f"input error: {message}"]
 
 
 REFERENCE_SESSIONS = [("stock", path) for path in sorted((ROOT / "sessions").glob("*.json"))]

@@ -51,10 +51,10 @@ from exactcat.repmod import (
     ext_space,
     factor_through_mono,
     hom_basis,
+    hom_coords,
     hom_from_coords,
     inverse_map,
     is_isomorphic,
-    lift_through_epi,
     map_parts,
     standard_modules,
 )
@@ -134,8 +134,6 @@ def test_pushout_of_ar_class_along_epi_to_zero_splits(kA2_ctx):
     moved = space.pushout_matrix(space, zero).a @ vec
     assert not moved.any()
     ses = ctx.ext(z, tz).realize(moved)
-    from exactcat.repmod import lift_through_epi
-
     lift_through_epi(ModuleMap.identity(ses.quot), ses.p)  # splits: lift exists
 
 
@@ -407,6 +405,16 @@ def test_componentwise_classes_of_direct_sum_sequence(kA2_ctx):
     classes = componentwise_classes(ctx, ShortExactSeq(i, p))
     nonzero = [c for c in classes if c[2].any()]
     assert len(nonzero) == 1
+
+
+def lift_through_epi(f: ModuleMap, p: ModuleMap) -> ModuleMap:
+    """Some lam with p o lam = f, from one solve over a basis of
+    Hom(f.source, p.source): the lift the package made before it lifted
+    generator by generator out of a standard projective.  Raises when f
+    does not lift."""
+    homs = hom_basis(f.source, p.source)
+    x = hom_coords(f.source.algebra.field, [f], [p @ h for h in homs])
+    return hom_from_coords(x.a[:, 0], homs, f.source, p.source)
 
 
 def _summed_conjugation_classes(ctx, ses):

@@ -38,6 +38,7 @@ from exactcat.repmod import (
     brute_force_indecomposables,
     check_map,
     check_module,
+    coeffs_of_std_map,
     decompose,
     decompose_iso,
     direct_sum,
@@ -57,6 +58,8 @@ from exactcat.repmod import (
     inverse_map,
     is_isomorphic,
     kernel,
+    lift_from_projective,
+    map_from_generators,
     map_parts,
     minimal_presentation,
     minimal_resolution,
@@ -66,7 +69,10 @@ from exactcat.repmod import (
     radical_submodule,
     simple_module,
     standard_modules,
+    std_map_from_coeffs,
+    std_projective,
     submodule,
+    top_data,
     transpose_module,
 )
 
@@ -476,6 +482,110 @@ def test_projective_cover_of_projective(kA2):
     p1 = std.projectives[0]
     sp, cover = projective_cover(p1)
     assert cover.is_isomorphism()
+
+
+def _cover_by_columns(m: Module) -> ModuleMap:
+    """projective_cover's map as it was built before map_from_generators:
+    column gen_t * b is the lifted top generator t acted on by b."""
+    alg = m.algebra
+    tops, reps = top_data(m)
+    sp = std_projective(alg, [v for v in range(alg.nv) for _ in range(tops[v])])
+    mats = [np.zeros((m.dims[w], sp.module.dims[w]), dtype=np.int64) for w in range(alg.nv)]
+    slot = 0
+    for v in range(alg.nv):
+        for c in range(tops[v]):
+            for b in range(alg.dim):
+                if alg.left[b] == v:
+                    mats[alg.right[b]][:, sp.block_index[(slot, b)]] = (m.action(b) @ reps[v].take_columns([c])).a[:, 0]
+            slot += 1
+    return ModuleMap(sp.module, m, [Matrix(alg.field, mat) for mat in mats])
+
+
+def _std_map_by_table(src, tgt, coeffs: np.ndarray) -> ModuleMap:
+    """std_map_from_coeffs as it was, from the multiplication table: gen_s * b
+    goes to the sum over t and bi of coeffs[t, s, bi] gen_t * (bi b)."""
+    a = src.module.algebra
+    mats = [np.zeros((tgt.module.dims[w], src.module.dims[w]), dtype=np.int64) for w in range(a.nv)]
+    for (s, b), col in src.block_index.items():
+        w = a.right[b]
+        for t in range(len(tgt.verts)):
+            x = coeffs[t, s]
+            for bi in np.nonzero(x)[0]:
+                prod = a.mult[int(bi), b]
+                for k in np.nonzero(prod)[0]:
+                    mats[w][tgt.block_index[(t, int(k))], col] += x[bi] * prod[k]
+    return ModuleMap(src.module, tgt.module, [Matrix(a.field, mat) for mat in mats])
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_map_from_generators_reproduces_the_projective_covers(p):
+    """Every member of kA3, with and without the relation: projective_cover
+    equals the column-by-column cover, and map_from_generators given the
+    cover's generator images gives the cover back."""
+    field = FieldPrime(p)
+    checked = 0
+    for relation in (False, True):
+        for m in all_indecomposables(algebra_kA3(field, zero_relation=relation), 10).modules:
+            sp, cover = projective_cover(m)
+            assert cover.key() == _cover_by_columns(m).key()
+            images = [cover.mats[v].a[:, sp.block_index[(t, v)]] for t, v in enumerate(sp.verts)]
+            assert map_from_generators(sp, m, images).key() == cover.key()
+            check_map(cover)
+            checked += 1
+    assert checked == 11
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_std_map_from_coeffs_matches_the_multiplication_table(p):
+    """Random coefficient tensors between standard projectives on 1-3
+    vertices, each x_ts in e_{tgt t} A e_{src s}: std_map_from_coeffs equals
+    the old multiplication-table loop, and coeffs_of_std_map reads the tensor
+    back."""
+    field = FieldPrime(p)
+    rng = np.random.RandomState(p)
+    algebras = [algebra_kA3(field, zero_relation=False), algebra_kA3(field, zero_relation=True), _kx3(field)]
+    compared = 0
+    for a in algebras:
+        for _ in range(15):
+            src = std_projective(a, rng.randint(a.nv, size=rng.randint(1, 4)))
+            tgt = std_projective(a, rng.randint(a.nv, size=rng.randint(1, 4)))
+            coeffs = rng.randint(p, size=(len(tgt.verts), len(src.verts), a.dim))
+            for t, s, b in itertools.product(range(len(tgt.verts)), range(len(src.verts)), range(a.dim)):
+                if (a.left[b], a.right[b]) != (tgt.verts[t], src.verts[s]):
+                    coeffs[t, s, b] = 0
+            f = std_map_from_coeffs(src, tgt, coeffs)
+            assert f.key() == _std_map_by_table(src, tgt, coeffs).key()
+            check_map(f)
+            assert np.array_equal(coeffs_of_std_map(f, src, tgt), coeffs)
+            compared += int(coeffs.any())
+    assert compared > 20
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_lift_from_projective_lifts_through_realized_deflations(p):
+    """On every realized sequence 0 -> x -> E -> z -> 0 of kA3 members with
+    Ext^1(z, x) nonzero, the cover of z and its composites with End(z) lift
+    through the deflation: p o lam = f.  A cover does not lift through the
+    radical of its target, whose image misses the top."""
+    field = FieldPrime(p)
+    mods = all_indecomposables(algebra_kA3(field, zero_relation=False), 10).modules
+    lifted = 0
+    for z, x in itertools.product(mods, repeat=2):
+        ext = ext_space(z, x)
+        if ext.dim == 0:
+            continue
+        ses = ext.realize(np.ones(ext.dim, dtype=np.int64))
+        for f in [h @ ext.cover for h in hom_basis(z, z)]:
+            lam = lift_from_projective(ext.p0, f, ses.p)
+            assert lam.source is ext.p0.module and lam.target is ses.mid
+            assert (ses.p @ lam - f).is_zero()
+            check_map(lam)
+            lifted += 1
+    assert lifted >= 3
+    for z in mods:
+        sp, cover = projective_cover(z)
+        with pytest.raises(RepmodError, match="does not lift"):
+            lift_from_projective(sp, cover, radical_submodule(z)[1])
 
 
 def test_minimal_presentation_simple_kA2(kA2):
@@ -1069,7 +1179,7 @@ def test_subquotients_from_one_elimination_match_the_solve_based_versions(p):
     regular = mods[-1]
     full = [Matrix.identity(field, d) for d in regular.dims]
     dependent = list(full)
-    dependent[1] = hstack(field, [full[1], full[1].column(0)])  # vertex 2 has an incoming arrow
+    dependent[1] = hstack(field, [full[1], full[1].take_columns([0])])  # vertex 2 has an incoming arrow
     for build in (submodule, quotient):
         with pytest.raises(RepmodError, match="not independent"):
             build(regular, dependent)
